@@ -26,9 +26,9 @@ from .phantom import (GroundTruth, PhantomSpec, background_speckle,
                       needle_geometry, preset, save_ground_truth,
                       synth_sequence, validate_spec, warp_bilinear)
 from .pipeline import (DEFAULT_CONFIDENCE_MIN, DEFAULT_WARMUP, DetectConfig,
-                       Detection, StreamState, calibrate_confidence_min,
-                       detect, detect_frames, detect_with_timing,
-                       emit_hough_channels, stream_push, tip_along_line)
+                       Detection, StreamState, detect, detect_frames,
+                       detect_with_timing, emit_hough_channels, stream_push,
+                       tip_along_line)
 from .scoring import LossParams, focal_loss, focal_loss_grad, hybrid_loss
 from .spectral import (EnergyMap, SlidingDft, SpectralBasis, Spectrogram,
                        band_energy_from_frames, band_energy_map, dft_basis,
@@ -55,8 +55,7 @@ __all__ = [
     "save_ground_truth", "load_ground_truth",
     "DetectConfig", "Detection", "StreamState", "stream_push",
     "detect", "detect_frames", "detect_with_timing", "tip_along_line",
-    "emit_hough_channels", "calibrate_confidence_min",
-    "DEFAULT_CONFIDENCE_MIN", "DEFAULT_WARMUP",
+    "emit_hough_channels", "DEFAULT_CONFIDENCE_MIN", "DEFAULT_WARMUP",
     "ErrorRecord", "angle_error", "tip_error", "ter", "aggregate",
     "record_from_jsons",
     "evaluate_batch", "write_report_csv", "write_aggregate_json",

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .errors import (BoundsError, FormatError, GeometryError,
-                     NoDetectionError, ValidationError, VibelineError)
+                     NoDetectionError, ValidationError)
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -171,14 +171,16 @@ def cmd_gen(args, config: dict) -> int:
 
 def cmd_detect(args, config: dict) -> int:
     from .core import load_sequence
-    from .pipeline import detect_with_timing, emit_hough_channels
-    from .spectral import band_energy_from_frames, write_vibmap
+    from .pipeline import _detect_run, _hough_channels
+    from .spectral import write_vibmap
 
     import numpy as np
 
     cfg = _build_detect_config(args, config)
     seq = load_sequence(args.input)
-    det, timing = detect_with_timing(seq, cfg)
+    # one run feeds the record and every --emit-* map
+    det, timing, values, grid, hough = _detect_run(seq.frames_float(),
+                                                   seq.fps, cfg)
 
     out = _prepared(args.out) if args.out \
         else Path(args.input).with_suffix(".json")
@@ -190,17 +192,13 @@ def cmd_detect(args, config: dict) -> int:
             json.dump(timing, fh, indent=2)
             fh.write("\n")
     if args.emit_energy:
-        values, _ = band_energy_from_frames(
-            seq.frames_float(), seq.fps, cfg.vib_freq,
-            cfg.window_len, cfg.hop,
-        )
         write_vibmap(_prepared(args.emit_energy), values)
     if args.emit_hough:
         gt = None
         if args.hough_gt:
             from .phantom import load_ground_truth
             gt = load_ground_truth(args.hough_gt)
-        hmap = emit_hough_channels(seq, cfg, gt)
+        hmap = _hough_channels(det, grid, hough, cfg, gt)
         write_vibmap(_prepared(args.emit_hough), np.stack([hmap.shaft, hmap.tip]))
     if det.low_confidence_flag:
         print(f"low confidence ({det.confidence:.3g} < {cfg.confidence_min:g})",

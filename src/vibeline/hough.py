@@ -194,12 +194,6 @@ def _raster_cell(grid: HoughGrid, c: float, s: float, rho: float):
     return xs[keep], ys[keep]
 
 
-def _raster_line(grid: HoughGrid, theta_idx: int, rho_idx: int):
-    cos_t, sin_t = grid.theta_trig()
-    rho = (rho_idx - grid.rho_offset) * grid.rho_step
-    return _raster_cell(grid, float(cos_t[theta_idx]), float(sin_t[theta_idx]), rho)
-
-
 def inverse_hough_accumulate(cells, grid: HoughGrid) -> np.ndarray:
     """Sum of weighted rasterized lines for (theta_idx, rho_idx, weight).
 
@@ -240,13 +234,8 @@ def tip_from_hough(tip_channel: np.ndarray, grid: HoughGrid,
     flat = chan.ravel()
     n_top = math.ceil(top_p / 100.0 * flat.size)
     order = np.argsort(-flat, kind="stable")[:n_top]
-    cos_t, sin_t = grid.theta_trig()
-    acc = np.zeros((grid.image_h, grid.image_w), dtype=np.float64)
-    for cell in order:
-        ti, ri = divmod(int(cell), grid.rho_bins)
-        rho = (ri - grid.rho_offset) * grid.rho_step
-        xs, ys = _raster_cell(grid, float(cos_t[ti]), float(sin_t[ti]), rho)
-        acc[ys, xs] += flat[cell]
+    cells = ((*divmod(int(cell), grid.rho_bins), flat[cell]) for cell in order)
+    acc = inverse_hough_accumulate(cells, grid)
     best = int(np.argmax(acc))
     y, x = divmod(best, grid.image_w)
     return float(x), float(y)

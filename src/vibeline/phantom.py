@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .core import UsSequence, make_sequence
+from .core import make_sequence
 from .errors import ValidationError
 
 ENTRY_SIDES = ("left", "right", "top", "bottom")
@@ -251,6 +251,25 @@ def displacement_field(spec: PhantomSpec, t: int) -> np.ndarray:
     return field
 
 
+def _bilinear_clamped(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Bilinear samples of a float64 image at (xs, ys), edge-clamped.
+
+    Clamps xs and ys in place, sparing full-size copies in the warp.
+    """
+    h, w = img.shape
+    np.clip(xs, 0.0, w - 1.0, out=xs)
+    np.clip(ys, 0.0, h - 1.0, out=ys)
+    x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xs - x0
+    fy = ys - y0
+    top = img[y0, x0] * (1.0 - fx) + img[y0, x1] * fx
+    bot = img[y1, x0] * (1.0 - fx) + img[y1, x1] * fx
+    return top * (1.0 - fy) + bot * fy
+
+
 def warp_bilinear(texture: np.ndarray, field: np.ndarray) -> np.ndarray:
     """Backward warp: output(p) = texture sampled at p - field(p).
 
@@ -265,17 +284,7 @@ def warp_bilinear(texture: np.ndarray, field: np.ndarray) -> np.ndarray:
         )
     xs = np.arange(w, dtype=np.float64)[None, :] - field[:, :, 0]
     ys = np.arange(h, dtype=np.float64)[:, None] - field[:, :, 1]
-    np.clip(xs, 0.0, w - 1.0, out=xs)
-    np.clip(ys, 0.0, h - 1.0, out=ys)
-    x0 = np.floor(xs).astype(np.intp)
-    y0 = np.floor(ys).astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xs - x0
-    fy = ys - y0
-    top = tex[y0, x0] * (1.0 - fx) + tex[y0, x1] * fx
-    bot = tex[y1, x0] * (1.0 - fx) + tex[y1, x1] * fx
-    return top * (1.0 - fy) + bot * fy
+    return _bilinear_clamped(tex, xs, ys)
 
 
 def _ridge(h: int, w: int, p0: np.ndarray, p1: np.ndarray,

@@ -1,33 +1,32 @@
 """Batch and streaming detection: frames -> energy -> Hough -> shaft/tip.
 
 The detector is fully deterministic.  Its confidence is the ratio of the
-Hough peak to the mean Hough cell; the default acceptance threshold
-below is frozen from calibrate_confidence_min (99th percentile of the
-confidence over no-needle phantoms), so scenes with no coherent
-vibration raise the low-confidence flag rather than a hard error.
+Hough peak to the mean Hough cell; the default threshold below sits
+under the weakest true-needle confidence and above that of a Hough map
+of uniform noise, so scenes with no coherent vibration raise the
+low-confidence flag rather than a hard error.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import UsSequence
 from .errors import GeometryError, NoTipError, ValidationError
-from .hough import (HoughGrid, HoughMap, hough_transform, render_tip_gt,
-                    shaft_from_hough)
-from .phantom import preset, synth_sequence
-from .spectral import (RATIO_EPS, SlidingDft, band_energy_from_frames,
-                       dft_basis, nearest_band)
+from .hough import (HoughGrid, HoughMap, _deg_cos_sin, hough_transform,
+                    render_tip_gt, shaft_from_hough)
+from .phantom import _bilinear_clamped
+from .spectral import (RATIO_EPS, band_energy_from_frames, dft_basis,
+                       nearest_band)
 
 CONFIDENCE_EPS = 1e-12
 
-# The no-needle phantom is noise-free, so calibrate_confidence_min
-# returns float dust (~1e-35; no-needle energy maps are zero up to
-# rounding) and its 99th percentile carries no usable margin.  The
+# The no-needle phantom is noise-free: its energy maps are zero up to
+# rounding, so its confidences (~1e-35) carry no usable margin.  The
 # frozen default instead sits an order of magnitude below the weakest
 # true-needle confidence measured across 300 default-preset seeds
 # (~150) and well above the confidence of a Hough map of uniform
@@ -99,20 +98,13 @@ class Detection:
         )
 
 
-def _snap_trig(theta_deg: float):
-    rad = math.radians(theta_deg)
-    c, s = math.cos(rad), math.sin(rad)
-    c = 0.0 if abs(c) < 1e-14 else c
-    s = 0.0 if abs(s) < 1e-14 else s
-    return c, s
-
-
 def _clip_line(theta: float, rho: float, h: int, w: int):
     """Parametric range of x cos + y sin = rho inside [0,w-1]x[0,h-1].
 
     Returns (base, direction, s0, s1) with points p(s) = base + s * dir.
     """
-    c, s = _snap_trig(theta)
+    cos_t, sin_t = _deg_cos_sin(np.array([theta], dtype=np.float64))
+    c, s = float(cos_t[0]), float(sin_t[0])
     base = np.array([rho * c, rho * s])
     d = np.array([-s, c])
     t0, t1 = -math.inf, math.inf
@@ -131,21 +123,6 @@ def _clip_line(theta: float, rho: float, h: int, w: int):
     if not (t0 <= t1) or math.isinf(t0) or math.isinf(t1):
         raise GeometryError(f"line (theta={theta}, rho={rho}) misses the image")
     return base, d, t0, t1
-
-
-def _sample_bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    h, w = img.shape
-    xs = np.clip(xs, 0.0, w - 1.0)
-    ys = np.clip(ys, 0.0, h - 1.0)
-    x0 = np.floor(xs).astype(np.intp)
-    y0 = np.floor(ys).astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xs - x0
-    fy = ys - y0
-    top = img[y0, x0] * (1.0 - fx) + img[y0, x1] * fx
-    bot = img[y1, x0] * (1.0 - fx) + img[y1, x1] * fx
-    return top * (1.0 - fy) + bot * fy
 
 
 def _border_distance(pt: np.ndarray, side: str, h: int, w: int) -> float:
@@ -174,7 +151,7 @@ def tip_along_line(energy_values: np.ndarray, theta: float, rho: float,
     svals = t0 + np.arange(n, dtype=np.float64)
     xs = base[0] + svals * d[0]
     ys = base[1] + svals * d[1]
-    profile = _sample_bilinear(np.asarray(energy_values, dtype=np.float64), xs, ys)
+    profile = _bilinear_clamped(np.asarray(energy_values, dtype=np.float64), xs, ys)
     k = int(cfg.profile_smooth)
     if k > 1:
         profile = np.convolve(profile, np.full(k, 1.0 / k), mode="same")
@@ -194,8 +171,9 @@ def tip_along_line(energy_values: np.ndarray, theta: float, rho: float,
             i += 1
     if best_len == 0:
         raise NoTipError("no above-threshold run along the line")
-    p_lo = np.array([xs[best_start], ys[best_start]])
-    p_hi = np.array([xs[best_start + best_len - 1], ys[best_start + best_len - 1]])
+    # run ends from the line itself: the sampler clamped xs, ys in place
+    p_lo = base + svals[best_start] * d
+    p_hi = base + svals[best_start + best_len - 1] * d
     if (_border_distance(p_hi, cfg.entry_side, h, w)
             >= _border_distance(p_lo, cfg.entry_side, h, w)):
         tip = p_hi
@@ -204,32 +182,55 @@ def tip_along_line(energy_values: np.ndarray, theta: float, rho: float,
     return float(tip[0]), float(tip[1])
 
 
-def _detect_from_energy(values: np.ndarray, cfg: DetectConfig):
-    """Shared back half of batch and streaming detection."""
+def _vote(values: np.ndarray, cfg: DetectConfig):
+    """Vote step of batch and stream detection: (grid, Hough image)."""
     h, w = values.shape
     grid = HoughGrid(image_h=h, image_w=w,
                      theta_step=cfg.theta_step, rho_step=cfg.rho_step)
-    t_h0 = time.perf_counter()
-    hough = hough_transform(values, grid)
-    t_h1 = time.perf_counter()
+    return grid, hough_transform(values, grid)
+
+
+def _decode(values: np.ndarray, grid: HoughGrid, hough: np.ndarray,
+            cfg: DetectConfig) -> Detection:
+    """Decode step of batch and stream detection: shaft, tip, confidence."""
     peak = float(hough.max())
+    if peak <= 0.0:
+        return Detection(theta=0.0, rho=0.0, tip_x=None, tip_y=None,
+                         confidence=0.0, low_confidence_flag=True)
     confidence = peak / (float(hough.mean()) + CONFIDENCE_EPS)
     flagged = confidence < cfg.confidence_min
-    if peak <= 0.0:
-        det = Detection(theta=0.0, rho=0.0, tip_x=None, tip_y=None,
-                        confidence=0.0, low_confidence_flag=True)
-        t_h2 = time.perf_counter()
-        return det, grid, hough, (t_h1 - t_h0), (t_h2 - t_h1)
     theta, rho = shaft_from_hough(hough, grid)
     try:
         tip_x, tip_y = tip_along_line(values, theta, rho, cfg)
     except (NoTipError, GeometryError):
         tip_x = tip_y = None
         flagged = True
-    det = Detection(theta=theta, rho=rho, tip_x=tip_x, tip_y=tip_y,
-                    confidence=confidence, low_confidence_flag=bool(flagged))
-    t_h2 = time.perf_counter()
-    return det, grid, hough, (t_h1 - t_h0), (t_h2 - t_h1)
+    return Detection(theta=theta, rho=rho, tip_x=tip_x, tip_y=tip_y,
+                     confidence=confidence, low_confidence_flag=bool(flagged))
+
+
+def _detect_run(frames01: np.ndarray, fps: float, cfg: DetectConfig):
+    """One timed batch run: (Detection, timing, energy, grid, Hough image).
+
+    Callers that export the maps reuse the ones the detection came from.
+    """
+    t0 = time.perf_counter()
+    values, _ = band_energy_from_frames(
+        np.asarray(frames01, dtype=np.float64), fps,
+        cfg.vib_freq, cfg.window_len, cfg.hop,
+    )
+    t1 = time.perf_counter()
+    grid, hough = _vote(values, cfg)
+    t2 = time.perf_counter()
+    det = _decode(values, grid, hough, cfg)
+    t3 = time.perf_counter()
+    timing = {
+        "spectral_ms": (t1 - t0) * 1000.0,
+        "hough_ms": (t2 - t1) * 1000.0,
+        "post_ms": (t3 - t2) * 1000.0,
+        "total_ms": (t3 - t0) * 1000.0,
+    }
+    return det, timing, values, grid, hough
 
 
 def detect_frames(frames01: np.ndarray, fps: float, cfg: DetectConfig | None = None):
@@ -241,30 +242,11 @@ def detect_frames(frames01: np.ndarray, fps: float, cfg: DetectConfig | None = N
     """
     if cfg is None:
         cfg = DetectConfig()
-    t0 = time.perf_counter()
-    values, _ = band_energy_from_frames(
-        np.asarray(frames01, dtype=np.float64), fps,
-        cfg.vib_freq, cfg.window_len, cfg.hop,
-    )
-    t1 = time.perf_counter()
-    det, _, _, hough_s, post_s = _detect_from_energy(values, cfg)
-    total = time.perf_counter() - t0
-    timing = {
-        "spectral_ms": (t1 - t0) * 1000.0,
-        "hough_ms": hough_s * 1000.0,
-        "post_ms": post_s * 1000.0,
-        "total_ms": total * 1000.0,
-    }
+    det, timing, _, _, _ = _detect_run(frames01, fps, cfg)
     return det, timing
 
 
 def detect_with_timing(seq: UsSequence, cfg: DetectConfig | None = None):
-    if cfg is None:
-        cfg = DetectConfig()
-    if not (0 < cfg.vib_freq < seq.fps / 2):
-        raise ValidationError(
-            f"vib_freq {cfg.vib_freq} outside (0, fps/2) for fps={seq.fps}"
-        )
     return detect_frames(seq.frames_float(), seq.fps, cfg)
 
 
@@ -286,14 +268,13 @@ def emit_hough_channels(seq: UsSequence, cfg: DetectConfig | None = None,
     """
     if cfg is None:
         cfg = DetectConfig()
-    if not (0 < cfg.vib_freq < seq.fps / 2):
-        raise ValidationError(
-            f"vib_freq {cfg.vib_freq} outside (0, fps/2) for fps={seq.fps}"
-        )
-    values, _ = band_energy_from_frames(
-        seq.frames_float(), seq.fps, cfg.vib_freq, cfg.window_len, cfg.hop
-    )
-    det, grid, hough, _, _ = _detect_from_energy(values, cfg)
+    det, _, _, grid, hough = _detect_run(seq.frames_float(), seq.fps, cfg)
+    return _hough_channels(det, grid, hough, cfg, gt)
+
+
+def _hough_channels(det: Detection, grid: HoughGrid, hough: np.ndarray,
+                    cfg: DetectConfig, gt) -> HoughMap:
+    """emit_hough_channels' output for an already decoded run."""
     peak = hough.max()
     shaft = hough / peak if peak > 0 else hough
     if gt is not None:
@@ -329,10 +310,6 @@ class StreamState:
             cfg = DetectConfig()
         if warmup < cfg.window_len:
             raise ValidationError("warmup must be >= window_len")
-        if not (0 < cfg.vib_freq < fps / 2):
-            raise ValidationError(
-                f"vib_freq {cfg.vib_freq} outside (0, fps/2) for fps={fps}"
-            )
         self.cfg = cfg
         self.fps = float(fps)
         self.height = int(height)
@@ -342,11 +319,11 @@ class StreamState:
         n = cfg.window_len
         npix = height * width
         self.k_star = nearest_band(n, fps, cfg.vib_freq)
-        self._sdft = SlidingDft(n)  # scalar prototype: rotation + layout
-        self._rot = self._sdft._rot[:, None]  # (K, 1) complex
         rows = dft_basis(n).rows
         self._cbasis = rows[0::2] + 1j * rows[1::2]  # forward-DFT rows
-        self._bins = np.zeros((self._sdft.n_bins, npix), dtype=np.complex128)
+        # conj of column 1 is the sliding-DFT rotation exp(+2j*pi*k/N)
+        self._rot = self._cbasis[:, 1:2].conj()  # (K, 1) complex
+        self._bins = np.zeros((self._cbasis.shape[0], npix), dtype=np.complex128)
         self._frame_ring = np.zeros((n, npix), dtype=np.float64)
         self._stat_len = self.warmup - n + 1
         self._power_ring = np.zeros((self._stat_len, 2, npix), dtype=np.float64)
@@ -394,38 +371,12 @@ class StreamState:
         count = min(self._windows_seen, self._stat_len)
         values = (self._num_sum / count) / (self._den_sum / count + RATIO_EPS)
         np.clip(values, 0.0, 1.0, out=values)
-        det, _, _, _, _ = _detect_from_energy(
-            values.reshape(self.height, self.width), self.cfg
-        )
-        return det
+        values = values.reshape(self.height, self.width)
+        grid, hough = _vote(values, self.cfg)
+        return _decode(values, grid, hough, self.cfg)
 
 
 def stream_push(state: StreamState, frame: np.ndarray):
     """Functional alias for StreamState.push."""
     return state.push(frame)
 
-
-def calibrate_confidence_min(preset_name: str = "fullsize", n: int = 200,
-                             base_seed: int = 100000,
-                             cfg: DetectConfig | None = None,
-                             artifact_count: int = 1) -> float:
-    """99th percentile of detector confidence over no-needle phantoms.
-
-    The negative population is the requested preset with vibration off
-    and the needle invisible: pure static speckle plus the usual static
-    distractors.  Detections on such scenes are quantization dust, and
-    any confidence above the returned threshold is evidence of a real
-    vibrating structure.  DEFAULT_CONFIDENCE_MIN was frozen from this
-    with the default arguments.
-    """
-    if cfg is None:
-        cfg = DetectConfig()
-    spec0 = preset(preset_name)
-    confs = []
-    for i in range(n):
-        spec = replace(spec0, vib_amplitude=0.0, visibility=0.0,
-                       artifact_count=artifact_count, seed=base_seed + i)
-        seq, _ = synth_sequence(spec)
-        det = detect(seq, replace(cfg, vib_freq=spec.vib_freq))
-        confs.append(det.confidence)
-    return float(np.percentile(confs, 99))

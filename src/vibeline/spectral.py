@@ -84,8 +84,14 @@ def dft_basis(window_len: int) -> SpectralBasis:
 def nearest_band(window_len: int, fs: float, target_freq: float) -> int:
     """Index of the non-DC bin whose center is closest to target_freq.
 
-    Ties break toward the lower bin.  Requires at least one non-DC bin.
+    Ties break toward the lower bin.  Requires at least one non-DC bin
+    and target_freq in (0, fs/2); every detection entry point resolves
+    its band here, so this is the one place that check lives.
     """
+    if not (0 < target_freq < fs / 2):
+        raise ValidationError(
+            f"frequency {target_freq} Hz must lie in (0, fps/2) = (0, {fs / 2}) Hz"
+        )
     n_bins = window_len // 2
     if n_bins < 2:
         raise ValidationError(
@@ -202,14 +208,10 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
     rectangular window and integer bins this cannot move non-DC bins, but
     it keeps the DC row itself bounded and is part of the definition.
     """
-    if not (0 < target_freq < fps / 2):
-        raise ValidationError(
-            f"target_freq must lie in (0, fps/2)=(0, {fps / 2}), got {target_freq}"
-        )
+    k_star = nearest_band(window_len, fps, target_freq)
     t, h, w = frames01.shape
     if t < window_len:
         raise ValidationError(f"need at least {window_len} frames, got {t}")
-    k_star = nearest_band(window_len, fps, target_freq)
     basis = dft_basis(window_len)
     z = frames01.reshape(t, h * w)
     z = z - z.mean(axis=0)

@@ -7,9 +7,12 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from vibeline import load_ground_truth, read_vibmap
+from vibeline import (DetectConfig, band_energy_from_frames,
+                      emit_hough_channels, load_ground_truth, load_sequence,
+                      read_vibmap)
 
 VIBELINE = shutil.which("vibeline")
 BASE = [VIBELINE] if VIBELINE else [sys.executable, "-m", "vibeline.cli"]
@@ -111,6 +114,44 @@ def test_detect_optional_artifacts(tmp_path):
     assert h.shape[0] == 2  # shaft + tip channels
     t = json.loads(timing.read_text())
     assert set(t) == {"spectral_ms", "hough_ms", "post_ms", "total_ms"}
+
+
+def test_detect_emits_the_maps_its_detection_used(tmp_path, monkeypatch):
+    # In process, so the stage calls can be counted where the pipeline
+    # looks them up: one spectral pass and one Hough vote serve the
+    # record, the timing and both emitted maps.
+    from vibeline import cli, pipeline
+
+    seq_path = gen_small(tmp_path / "a.vibseq")
+    calls = {"band_energy_from_frames": 0, "hough_transform": 0}
+
+    def counted(name):
+        fn = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counted(name))
+    energy, hough = tmp_path / "e.vibmap", tmp_path / "h.vibmap"
+    code = cli.main(DETECT_3HZ + [str(seq_path),
+                                  "--out", str(tmp_path / "a.json"),
+                                  "--emit-energy", str(energy),
+                                  "--emit-hough", str(hough),
+                                  "--timing", str(tmp_path / "t.json")])
+    monkeypatch.undo()
+    assert code == 0
+    assert calls == {"band_energy_from_frames": 1, "hough_transform": 1}
+
+    seq = load_sequence(seq_path)
+    values, _ = band_energy_from_frames(seq.frames_float(), seq.fps, 3.0)
+    assert np.array_equal(read_vibmap(energy)[0], values.astype(np.float32))
+    hmap = emit_hough_channels(seq, DetectConfig(vib_freq=3.0))
+    shaft, tip = read_vibmap(hough)
+    assert np.array_equal(shaft, hmap.shaft.astype(np.float32))
+    assert np.array_equal(tip, hmap.tip.astype(np.float32))
 
 
 def test_detect_missing_input_exits_2(tmp_path):

@@ -17,12 +17,12 @@ from vibeline import (
     StreamState,
     ValidationError,
     angle_error,
-    calibrate_confidence_min,
     detect,
     detect_frames,
     detect_with_timing,
     emit_hough_channels,
     hybrid_loss,
+    nearest_band,
     preset,
     render_truth_map,
     stream_push,
@@ -103,9 +103,18 @@ def test_detect_mirrored_scene_mirrors_the_line():
 
 
 def test_detect_validates_frequency_against_fps():
+    # one band check (nearest_band) guards every entry point
     seq, _ = small_phantom(seed=15)
+    too_high = DetectConfig(vib_freq=20.0)
     with pytest.raises(ValidationError):
-        detect(seq, DetectConfig(vib_freq=20.0))
+        detect(seq, too_high)
+    with pytest.raises(ValidationError):
+        StreamState(seq.height, seq.width, 30.0, too_high)
+    with pytest.raises(ValidationError):
+        emit_hough_channels(seq, too_high)
+    for target in (0.0, 15.0, 20.0):
+        with pytest.raises(ValidationError):
+            nearest_band(10, 30.0, target)
 
 
 def test_timing_report_structure():
@@ -285,12 +294,3 @@ def test_detect_config_validation():
         DetectConfig(top_p=0.0)
     with pytest.raises(ValidationError):
         DetectConfig(entry_side="middle")
-
-
-def test_calibration_sits_far_below_the_shipped_threshold():
-    # No-needle phantoms produce pure rounding dust, so even the 99th
-    # percentile of their confidences is many orders of magnitude under
-    # the default gate.
-    level = calibrate_confidence_min(n=4, base_seed=900)
-    assert isinstance(level, float)
-    assert 0.0 <= level < DEFAULT_CONFIDENCE_MIN
