@@ -8,6 +8,7 @@ once, in `pixel_signal` / `frames_float`, as value / 255.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -56,7 +57,9 @@ class UsSequence:
 
     def frames_float(self) -> np.ndarray:
         """All frames as float64 in [0, 1], shape (T, H, W)."""
-        return self.frames.astype(np.float64) / 255.0
+        out = self.frames.astype(np.float64)
+        out /= 255.0
+        return out
 
 
 def validate_sequence(seq: UsSequence) -> None:
@@ -93,32 +96,38 @@ def load_sequence(path) -> UsSequence:
     """Read a VIBSEQ01 file.
 
     Raises FormatError on a bad magic, SizeMismatchError when the payload
-    is shorter than the header promises, ValidationError on nonsense
+    is shorter or longer than the header promises (checked before any
+    pixel buffer is allocated), ValidationError on nonsense
     header fields.  A missing file raises the usual OSError family.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(MAGIC) or blob[: len(MAGIC)] != MAGIC:
-        raise FormatError(f"{path}: not a VIBSEQ01 file (bad magic)")
-    off = len(MAGIC)
-    if len(blob) < off + _HEADER.size:
-        raise SizeMismatchError(f"{path}: truncated header")
-    h, w, t, fps, spacing = _HEADER.unpack_from(blob, off)
-    off += _HEADER.size
-    need = t * h * w
-    payload = blob[off:]
-    if len(payload) < need:
-        raise SizeMismatchError(
-            f"{path}: header promises {need} pixel bytes, file has {len(payload)}"
-        )
-    if len(payload) > need:
-        raise SizeMismatchError(
-            f"{path}: {len(payload) - need} trailing bytes after pixel payload"
-        )
-    frames = np.frombuffer(payload, dtype=np.uint8, count=need).reshape(t, h, w)
+        head = fh.read(len(MAGIC) + _HEADER.size)
+        if len(head) < len(MAGIC) or head[: len(MAGIC)] != MAGIC:
+            raise FormatError(f"{path}: not a VIBSEQ01 file (bad magic)")
+        if len(head) < len(MAGIC) + _HEADER.size:
+            raise SizeMismatchError(f"{path}: truncated header")
+        h, w, t, fps, spacing = _HEADER.unpack_from(head, len(MAGIC))
+        need = t * h * w
+        have = fh.seek(0, os.SEEK_END) - len(head)
+        fh.seek(len(head))
+        if have < need:
+            raise SizeMismatchError(
+                f"{path}: header promises {need} pixel bytes, file has {have}"
+            )
+        if have > need:
+            raise SizeMismatchError(
+                f"{path}: {have - need} trailing bytes after pixel payload"
+            )
+        # the one copy of the pixels: read straight into the frame buffer
+        frames = np.empty((t, h, w), dtype=np.uint8)
+        got = fh.readinto(frames)
+        if got != need:
+            raise SizeMismatchError(
+                f"{path}: read {got} of {need} pixel bytes"
+            )
     return UsSequence(
         height=h, width=w, frame_count=t, fps=fps,
-        pixel_spacing=spacing, frames=frames.copy(),
+        pixel_spacing=spacing, frames=frames,
     )
 
 

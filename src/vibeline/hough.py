@@ -12,6 +12,7 @@ Conventions, fixed across the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -81,12 +82,48 @@ class HoughMap:
             )
 
 
+# Grids whose rho-index table stays cached; batch and stream detection
+# reuse one grid per image size, so one table is enough.
+_RHO_TABLE_GRIDS = 1
+
+
+@functools.lru_cache(maxsize=_RHO_TABLE_GRIDS)
+def _rho_index_table(grid: HoughGrid) -> np.ndarray:
+    """Read-only (theta_bins, H*W) rho bin of every pixel per theta.
+
+    Row i is floor(x*cos/step + y*sin/step + 0.5) + rho_offset over the
+    row-major pixels, built with the float expression the vote always
+    used, so voting from the table is bit-identical to recomputing it.
+    """
+    xs = np.arange(grid.image_w, dtype=np.float64)
+    ys = np.arange(grid.image_h, dtype=np.float64)
+    cos_t, sin_t = grid.theta_trig()
+    inv_step = 1.0 / grid.rho_step
+    table = np.empty((grid.theta_bins, grid.image_h * grid.image_w),
+                     dtype=np.min_scalar_type(grid.rho_bins - 1))
+    rho_units = np.empty((grid.image_h, grid.image_w), dtype=np.float64)
+    for i in range(grid.theta_bins):
+        np.add((cos_t[i] * inv_step) * xs[None, :],
+               (sin_t[i] * inv_step) * ys[:, None], out=rho_units)
+        rho_units += 0.5
+        np.floor(rho_units, out=rho_units)
+        rho_units += grid.rho_offset
+        table[i] = rho_units.ravel()
+    table.setflags(write=False)
+    return table
+
+
 def hough_transform(feature: np.ndarray, grid: HoughGrid) -> np.ndarray:
     """Soft-voting line transform of a non-negative feature image.
 
     Every pixel adds its value to exactly one rho bin per theta column,
     so each theta column sums to the total feature mass (vote
     conservation).  Returns a (theta_bins, rho_bins) float64 image.
+
+    The pixel-to-bin table is built on the first call for a grid and
+    cached for the most recent grid only.  It holds theta_bins * H * W
+    bin indices of 2 bytes each (1 byte when rho_bins <= 256): ~40 MB
+    at 328x335 with 1-degree steps.
     """
     feat = np.asarray(feature, dtype=np.float64)
     if feat.shape != (grid.image_h, grid.image_w):
@@ -95,14 +132,8 @@ def hough_transform(feature: np.ndarray, grid: HoughGrid) -> np.ndarray:
             f"{(grid.image_h, grid.image_w)}"
         )
     weights = feat.ravel()
-    xs = np.arange(grid.image_w, dtype=np.float64)
-    ys = np.arange(grid.image_h, dtype=np.float64)
-    cos_t, sin_t = grid.theta_trig()
-    inv_step = 1.0 / grid.rho_step
     acc = np.empty(grid.shape(), dtype=np.float64)
-    for i in range(grid.theta_bins):
-        rho_units = (cos_t[i] * inv_step) * xs[None, :] + (sin_t[i] * inv_step) * ys[:, None]
-        idx = np.floor(rho_units + 0.5).astype(np.intp).ravel() + grid.rho_offset
+    for i, idx in enumerate(_rho_index_table(grid)):
         acc[i] = np.bincount(idx, weights=weights, minlength=grid.rho_bins)
     return acc
 

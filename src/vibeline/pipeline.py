@@ -183,7 +183,17 @@ def tip_along_line(energy_values: np.ndarray, theta: float, rho: float,
 
 
 def _vote(values: np.ndarray, cfg: DetectConfig):
-    """Vote step of batch and stream detection: (grid, Hough image)."""
+    """Vote step of batch and stream detection: (grid, Hough image).
+
+    A NaN or inf frame value reaches the energy map, and a non-finite
+    map would give a NaN confidence, so it is rejected here.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValidationError(
+            f"energy map has {finite.size - np.count_nonzero(finite)} "
+            f"non-finite value(s); frames must be finite"
+        )
     h, w = values.shape
     grid = HoughGrid(image_h=h, image_w=w,
                      theta_step=cfg.theta_step, rho_step=cfg.rho_step)
@@ -332,11 +342,15 @@ class StreamState:
         self._windows_seen = 0
 
     def push(self, frame: np.ndarray):
-        """Absorb one frame; returns a Detection once warmed up."""
+        """Absorb one uint8 (H, W) frame; returns a Detection once warmed up."""
         if frame.shape != (self.height, self.width):
             raise ValidationError(
                 f"frame shape {frame.shape} does not match stream "
                 f"{(self.height, self.width)}"
+            )
+        if frame.dtype != np.uint8:
+            raise ValidationError(
+                f"stream frames must be uint8, got {frame.dtype}"
             )
         n = self.cfg.window_len
         f01 = np.asarray(frame, dtype=np.float64).ravel() / 255.0

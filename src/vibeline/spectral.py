@@ -23,6 +23,11 @@ from .errors import FormatError, SizeMismatchError, ValidationError
 
 RATIO_EPS = 1e-12  # denominator guard: constant pixels score 0, not NaN
 
+# Pixels per block of band_energy_from_frames: a block's mean-removed
+# frames (T x 4096 float64, ~1 MB at T=30) stay small, instead of a
+# whole-sequence copy.
+_PIXEL_BLOCK = 4096
+
 _COS_QUARTER = np.array([1.0, 0.0, -1.0, 0.0])
 _SIN_QUARTER = np.array([0.0, 1.0, 0.0, -1.0])
 
@@ -207,23 +212,32 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
     [0, 1].  Each pixel's temporal mean is removed first; with a
     rectangular window and integer bins this cannot move non-DC bins, but
     it keeps the DC row itself bounded and is part of the definition.
+
+    Pixels are processed in column blocks of the flattened (T, H*W)
+    frames.  Every pixel's arithmetic (its mean, each window's
+    correlation and the running sums) is the same whole-image formula
+    per column, so the blocks change memory, not a single bit of output.
     """
     k_star = nearest_band(window_len, fps, target_freq)
     t, h, w = frames01.shape
     if t < window_len:
         raise ValidationError(f"need at least {window_len} frames, got {t}")
     basis = dft_basis(window_len)
-    z = frames01.reshape(t, h * w)
-    z = z - z.mean(axis=0)
+    pixels = frames01.reshape(t, h * w)
     m = window_count(t, window_len, hop)
     num = np.zeros(h * w, dtype=np.float64)
     den = np.zeros(h * w, dtype=np.float64)
-    for j in range(m):
-        seg = z[j * hop: j * hop + window_len]
-        spec = basis.rows @ seg  # (2K, H*W)
-        power = spec[0::2] ** 2 + spec[1::2] ** 2
-        num += power[k_star]
-        den += power[1:].sum(axis=0)
+    for b0 in range(0, h * w, _PIXEL_BLOCK):
+        block = pixels[:, b0: b0 + _PIXEL_BLOCK]
+        z = block - block.mean(axis=0)
+        num_b = num[b0: b0 + _PIXEL_BLOCK]
+        den_b = den[b0: b0 + _PIXEL_BLOCK]
+        for j in range(m):
+            seg = z[j * hop: j * hop + window_len]
+            spec = basis.rows @ seg  # (2K, block)
+            power = spec[0::2] ** 2 + spec[1::2] ** 2
+            num_b += power[k_star]
+            den_b += power[1:].sum(axis=0)
     values = (num / m) / (den / m + RATIO_EPS)
     np.clip(values, 0.0, 1.0, out=values)
     return values.reshape(h, w), k_star

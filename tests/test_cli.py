@@ -154,6 +154,26 @@ def test_detect_emits_the_maps_its_detection_used(tmp_path, monkeypatch):
     assert np.array_equal(tip, hmap.tip.astype(np.float32))
 
 
+def test_detect_non_finite_frames_exit_1_without_a_record(tmp_path, monkeypatch):
+    # a .vibseq holds uint8 pixels, so the NaN is injected after loading;
+    # a NaN confidence would otherwise be written as invalid JSON
+    from vibeline import cli
+    from vibeline.core import UsSequence
+
+    seq_path = gen_small(tmp_path / "a.vibseq")
+    clean = UsSequence.frames_float
+
+    def poisoned(self):
+        frames = clean(self)
+        frames[3, 64, 64] = np.nan
+        return frames
+
+    monkeypatch.setattr(UsSequence, "frames_float", poisoned)
+    out = tmp_path / "a.json"
+    assert cli.main(DETECT_3HZ + [str(seq_path), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_detect_missing_input_exits_2(tmp_path):
     missing = tmp_path / "absent.vibseq"
     proc = run(["detect", str(missing)])

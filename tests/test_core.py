@@ -1,5 +1,7 @@
 """Sequence container and VIBSEQ01 round-trip behavior."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,11 @@ def test_truncated_payload_raises_size_mismatch(tmp_path):
     save_sequence(seq, path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-10])
+    with pytest.raises(SizeMismatchError):
+        load_sequence(path)
+    # a header that lies about a huge payload fails before any allocation
+    path.write_bytes(blob[:8] + struct.pack("<III ff", 2**32 - 1, 2**32 - 1,
+                                            2**32 - 1, 30.0, 0.1) + b"\x00")
     with pytest.raises(SizeMismatchError):
         load_sequence(path)
 
@@ -186,3 +193,4 @@ def test_frames_float_matches_pixel_signal():
     f = seq.frames_float()
     assert f.shape == (seq.frame_count, seq.height, seq.width)
     assert np.array_equal(f[:, 4, 7], pixel_signal(seq, 7, 4))
+    assert np.array_equal(f, seq.frames.astype(np.float64) / 255.0)

@@ -94,6 +94,51 @@ def test_forward_transform_matches_brute_force_oracle():
     assert np.max(np.abs(got - want)) <= 1e-9
 
 
+def _recomputed_vote(feat, grid):
+    """The vote with every rho bin recomputed per call (pre-table form)."""
+    xs = np.arange(grid.image_w, dtype=np.float64)
+    ys = np.arange(grid.image_h, dtype=np.float64)
+    cos_t, sin_t = grid.theta_trig()
+    inv_step = 1.0 / grid.rho_step
+    acc = np.empty(grid.shape(), dtype=np.float64)
+    for i in range(grid.theta_bins):
+        rho_units = ((cos_t[i] * inv_step) * xs[None, :]
+                     + (sin_t[i] * inv_step) * ys[:, None])
+        idx = np.floor(rho_units + 0.5).astype(np.intp).ravel() + grid.rho_offset
+        acc[i] = np.bincount(idx, weights=feat.ravel(), minlength=grid.rho_bins)
+    return acc
+
+
+def test_cached_vote_is_bit_identical_to_recomputed_bins():
+    rng = np.random.default_rng(43)
+    steps = [(t, r) for t in (1.0, 0.5, 7.0) for r in (1.0, 0.7, 2.5)]
+    cases = [((16, 16), steps), ((37, 53), steps),
+             ((328, 335), [(1.0, 1.0), (0.5, 0.7), (7.0, 2.5)])]
+    grids = [(HoughGrid(h, w, t, r), rng.uniform(size=(h, w)))
+             for (h, w), grid_steps in cases for t, r in grid_steps]
+    # every call switches grid, so the one-grid cache replaces its table;
+    # the second pass revisits each grid after its table was evicted
+    for _ in range(2):
+        for grid, feat in grids:
+            got = hough_transform(feat, grid)
+            assert np.array_equal(got, _recomputed_vote(feat, grid)), grid
+
+
+def test_rho_index_table_is_read_only_and_compact():
+    from vibeline.hough import _rho_index_table
+
+    small = _rho_index_table(small_grid(16, 16))
+    assert small.dtype == np.uint8  # rho_bins = 47
+    table = _rho_index_table(small_grid(328, 335))
+    assert table.dtype == np.uint16  # rho_bins = 939
+    assert table.shape == (180, 328 * 335)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+    assert _rho_index_table(small_grid(328, 335)) is table
+    assert _rho_index_table.cache_info().currsize == 1
+
+
 def test_line_mask_peaks_at_its_own_cell():
     # 80 bright pixels on the line theta=45, rho=40.
     grid = small_grid(h=80, w=80)

@@ -209,6 +209,36 @@ def test_stream_rejects_wrong_frame_shape():
         state.push(np.zeros((64, 65), dtype=np.uint8))
 
 
+def test_stream_rejects_non_uint8_frames():
+    # a float frame already in [0, 1] must not be divided by 255 again
+    seq, _ = small_phantom(seed=21)
+    state = StreamState(seq.height, seq.width, seq.fps, CFG3)
+    with pytest.raises(ValidationError, match="uint8"):
+        state.push(seq.frames[0] / 255.0)
+    assert state.frames_seen == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_frames_raise_validation_error(bad):
+    seq, _ = small_phantom(seed=5)
+    frames = seq.frames_float()
+    frames[7, 40, 50] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        detect_frames(frames, seq.fps, CFG3)
+
+
+def test_stream_rejects_a_non_finite_energy_map():
+    # uint8 frames cannot carry NaN, so poison the running sum the next
+    # emitted energy map is computed from (frame 31 is not a resync)
+    seq, _ = small_phantom(seed=5)
+    state = StreamState(seq.height, seq.width, seq.fps, CFG3)
+    for t in range(seq.frame_count):
+        state.push(seq.frames[t])
+    state._num_sum[123] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        state.push(seq.frames[-1])
+
+
 def test_stream_longer_than_warmup_keeps_emitting():
     seq, _ = small_phantom(seed=21)
     state = StreamState(seq.height, seq.width, seq.fps, CFG3)

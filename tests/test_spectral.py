@@ -22,6 +22,7 @@ from vibeline import (
     write_vibmap,
 )
 from vibeline.phantom import needle_geometry, synth_sequence
+from vibeline.spectral import RATIO_EPS
 
 from helpers import small_vibrating_spec
 
@@ -261,6 +262,37 @@ def test_band_energy_rejects_out_of_range_target():
         band_energy_from_frames(frames, 30.0, 15.0)
     with pytest.raises(ValidationError):
         band_energy_from_frames(frames[:5], 30.0, 2.5, window_len=10)
+
+
+def _whole_image_band_energy(frames01, k_star, window_len, hop):
+    """band_energy_from_frames' formula on all pixels at once (no blocks)."""
+    basis = dft_basis(window_len)
+    t, h, w = frames01.shape
+    z = frames01.reshape(t, h * w)
+    z = z - z.mean(axis=0)
+    m = window_count(t, window_len, hop)
+    num = np.zeros(h * w)
+    den = np.zeros(h * w)
+    for j in range(m):
+        spec = basis.rows @ z[j * hop: j * hop + window_len]
+        power = spec[0::2] ** 2 + spec[1::2] ** 2
+        num += power[k_star]
+        den += power[1:].sum(axis=0)
+    values = (num / m) / (den / m + RATIO_EPS)
+    np.clip(values, 0.0, 1.0, out=values)
+    return values.reshape(h, w)
+
+
+# 2000 pixels (one partial block), exactly 4096 (one full block) and
+# 4690 (a full block plus a partial one)
+@pytest.mark.parametrize("h,w", [(40, 50), (64, 64), (70, 67)])
+@pytest.mark.parametrize("window_len,hop", [(10, 1), (10, 3), (12, 1), (12, 3)])
+def test_pixel_blocks_match_whole_image_formula_bit_for_bit(h, w, window_len, hop):
+    frames = np.random.default_rng(h * w + window_len + hop).uniform(
+        size=(31, h, w))
+    values, k_star = band_energy_from_frames(frames, 30.0, 2.5, window_len, hop)
+    assert np.array_equal(
+        values, _whole_image_band_energy(frames, k_star, window_len, hop))
 
 
 def test_band_energy_map_carries_metadata():
