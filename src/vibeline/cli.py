@@ -136,7 +136,7 @@ def _build_detect_config(args, config: dict):
     flag_map = {
         "vib_freq": args.vib_hz, "window_len": args.window, "hop": args.hop,
         "theta_step": args.theta_step, "rho_step": args.rho_step,
-        "top_p": args.top_p, "entry_side": args.entry_side,
+        "entry_side": args.entry_side,
         "profile_threshold": args.profile_threshold,
         "profile_smooth": args.profile_smooth,
         "confidence_min": args.confidence_min, "tip_sigma": args.tip_sigma,
@@ -279,13 +279,12 @@ def _add_detect_flags(p: argparse.ArgumentParser) -> None:
                    help="vibration frequency to look for (Hz)")
     p.add_argument("--window", type=int, default=None,
                    help="STFT window length in frames")
-    p.add_argument("--hop", type=int, default=None, help="window hop")
+    p.add_argument("--hop", type=int, default=None,
+                   help="window hop (stream: must be 1)")
     p.add_argument("--theta-step", type=float, default=None,
                    help="Hough angle resolution (deg)")
     p.add_argument("--rho-step", type=float, default=None,
                    help="Hough offset resolution (px)")
-    p.add_argument("--top-p", type=float, default=None,
-                   help="percent of Hough cells kept for tip voting")
     p.add_argument("--entry-side", default=None,
                    choices=("left", "right", "top", "bottom"),
                    help="image border the needle enters from")

@@ -20,8 +20,8 @@ from .errors import GeometryError, NoTipError, ValidationError
 from .hough import (HoughGrid, HoughMap, _deg_cos_sin, hough_transform,
                     render_tip_gt, shaft_from_hough)
 from .phantom import _bilinear_clamped
-from .spectral import (RATIO_EPS, band_energy_from_frames, dft_basis,
-                       nearest_band)
+from .spectral import (_energy_ratio, _window_band_powers,
+                       band_energy_from_frames, dft_basis, nearest_band)
 
 CONFIDENCE_EPS = 1e-12
 
@@ -44,7 +44,6 @@ class DetectConfig:
     hop: int = 1
     theta_step: float = 1.0
     rho_step: float = 1.0
-    top_p: float = 1.0
     entry_side: str = "left"
     profile_threshold: float = 0.3
     profile_smooth: int = 5
@@ -54,8 +53,6 @@ class DetectConfig:
     def __post_init__(self):
         if self.vib_freq <= 0:
             raise ValidationError("vib_freq must be positive")
-        if not (0.0 < self.top_p <= 100.0):
-            raise ValidationError(f"top_p must be in (0, 100], got {self.top_p}")
         if self.window_len < 4:
             raise ValidationError("window_len must be >= 4 (need a non-DC bin)")
         if self.hop < 1:
@@ -225,10 +222,12 @@ def _detect_run(frames01: np.ndarray, fps: float, cfg: DetectConfig):
     Callers that export the maps reuse the ones the detection came from.
     """
     t0 = time.perf_counter()
-    values, _ = band_energy_from_frames(
-        np.asarray(frames01, dtype=np.float64), fps,
-        cfg.vib_freq, cfg.window_len, cfg.hop,
-    )
+    # inf frames give inf - inf; _vote raises the typed error instead
+    with np.errstate(invalid="ignore"):
+        values, _ = band_energy_from_frames(
+            np.asarray(frames01, dtype=np.float64), fps,
+            cfg.vib_freq, cfg.window_len, cfg.hop,
+        )
     t1 = time.perf_counter()
     grid, hough = _vote(values, cfg)
     t2 = time.perf_counter()
@@ -298,20 +297,14 @@ def _hough_channels(det: Detection, grid: HoughGrid, hough: np.ndarray,
 
 
 class StreamState:
-    """Incremental per-pixel spectral state for frame-by-frame detection.
+    """Frame-by-frame detection on the trailing `warmup` frames.
 
-    Keeps a ring of the last window_len frames, one sliding-DFT bin
-    vector per pixel (updated in O(bins) per pixel per frame), and a
-    ring of the last (warmup - window_len + 1) per-window band powers so
-    the energy map always reflects the same trailing statistics batch
-    detection would compute on the last `warmup` frames.
-
-    Every window_len frames the bins are recomputed exactly from the
-    frame ring (amortized O(bins) per pixel per frame).  Without that,
-    the sliding recurrence carries a rotating rounding residue that
-    never decays: after the scene goes static the residue keeps the
-    shape of the departed signal, and a shape-sensitive confidence
-    would keep reporting the ghost indefinitely.
+    Each push computes the newest window with batch's window kernel, so
+    an emission is batch detection of the last `warmup` frames at hop 1
+    (cfg.hop must be 1) up to rounding, with no recurrence to drift.
+    The frame ring holds each frame twice, N rows apart, so the last N
+    frames are one contiguous view.  Running sums of the ring of
+    per-window (num_w, den_w) are rebuilt from it once per turn.
     """
 
     def __init__(self, height: int, width: int, fps: float,
@@ -320,6 +313,8 @@ class StreamState:
             cfg = DetectConfig()
         if warmup < cfg.window_len:
             raise ValidationError("warmup must be >= window_len")
+        if cfg.hop != 1:
+            raise ValidationError(f"stream hop must be 1, got {cfg.hop}")
         self.cfg = cfg
         self.fps = float(fps)
         self.height = int(height)
@@ -329,17 +324,12 @@ class StreamState:
         n = cfg.window_len
         npix = height * width
         self.k_star = nearest_band(n, fps, cfg.vib_freq)
-        rows = dft_basis(n).rows
-        self._cbasis = rows[0::2] + 1j * rows[1::2]  # forward-DFT rows
-        # conj of column 1 is the sliding-DFT rotation exp(+2j*pi*k/N)
-        self._rot = self._cbasis[:, 1:2].conj()  # (K, 1) complex
-        self._bins = np.zeros((self._cbasis.shape[0], npix), dtype=np.complex128)
-        self._frame_ring = np.zeros((n, npix), dtype=np.float64)
+        self._rows = dft_basis(n).rows
+        self._frame_ring = np.zeros((2 * n, npix), dtype=np.float64)
         self._stat_len = self.warmup - n + 1
         self._power_ring = np.zeros((self._stat_len, 2, npix), dtype=np.float64)
         self._num_sum = np.zeros(npix, dtype=np.float64)
         self._den_sum = np.zeros(npix, dtype=np.float64)
-        self._windows_seen = 0
 
     def push(self, frame: np.ndarray):
         """Absorb one uint8 (H, W) frame; returns a Detection once warmed up."""
@@ -353,38 +343,26 @@ class StreamState:
                 f"stream frames must be uint8, got {frame.dtype}"
             )
         n = self.cfg.window_len
-        f01 = np.asarray(frame, dtype=np.float64).ravel() / 255.0
         slot = self.frames_seen % n
-        oldest = self._frame_ring[slot].copy()
+        f01 = np.asarray(frame, dtype=np.float64).ravel() / 255.0
         self._frame_ring[slot] = f01
+        self._frame_ring[slot + n] = f01
         self.frames_seen += 1
-        self._bins += (f01 - oldest)[None, :]
-        self._bins *= self._rot
-        if self.frames_seen % n == 0:
-            # slot 0 now holds the oldest frame, so the ring is in
-            # chronological order and the plain forward DFT applies
-            self._bins = self._cbasis @ self._frame_ring
-        if self.frames_seen >= n:
-            power = self._bins.real ** 2 + self._bins.imag ** 2
-            num_w = power[self.k_star]
-            den_w = power[1:].sum(axis=0)
-            pos = self._windows_seen % self._stat_len
-            self._num_sum += num_w - self._power_ring[pos, 0]
-            self._den_sum += den_w - self._power_ring[pos, 1]
-            self._power_ring[pos, 0] = num_w
-            self._power_ring[pos, 1] = den_w
-            self._windows_seen += 1
-            if self.frames_seen % n == 0:
-                # running sums inherit cancellation residue from every
-                # value that ever passed through; rebuild them exactly
-                # from the ring on the same cadence as the bin resync
-                self._num_sum = self._power_ring[:, 0].sum(axis=0)
-                self._den_sum = self._power_ring[:, 1].sum(axis=0)
+        if self.frames_seen < n:
+            return None
+        num_w, den_w = _window_band_powers(
+            self._rows, self._frame_ring[slot + 1: slot + 1 + n], self.k_star)
+        pos = (self.frames_seen - n) % self._stat_len
+        self._num_sum += num_w - self._power_ring[pos, 0]
+        self._den_sum += den_w - self._power_ring[pos, 1]
+        self._power_ring[pos, 0] = num_w
+        self._power_ring[pos, 1] = den_w
+        if pos == self._stat_len - 1:
+            self._num_sum = self._power_ring[:, 0].sum(axis=0)
+            self._den_sum = self._power_ring[:, 1].sum(axis=0)
         if self.frames_seen < self.warmup:
             return None
-        count = min(self._windows_seen, self._stat_len)
-        values = (self._num_sum / count) / (self._den_sum / count + RATIO_EPS)
-        np.clip(values, 0.0, 1.0, out=values)
+        values = _energy_ratio(self._num_sum, self._den_sum, self._stat_len)
         values = values.reshape(self.height, self.width)
         grid, hough = _vote(values, self.cfg)
         return _decode(values, grid, hough, self.cfg)

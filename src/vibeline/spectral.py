@@ -233,14 +233,25 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
         num_b = num[b0: b0 + _PIXEL_BLOCK]
         den_b = den[b0: b0 + _PIXEL_BLOCK]
         for j in range(m):
-            seg = z[j * hop: j * hop + window_len]
-            spec = basis.rows @ seg  # (2K, block)
-            power = spec[0::2] ** 2 + spec[1::2] ** 2
-            num_b += power[k_star]
-            den_b += power[1:].sum(axis=0)
+            num_w, den_w = _window_band_powers(
+                basis.rows, z[j * hop: j * hop + window_len], k_star)
+            num_b += num_w
+            den_b += den_w
+    return _energy_ratio(num, den, m).reshape(h, w), k_star
+
+
+def _window_band_powers(rows: np.ndarray, window: np.ndarray, k_star: int):
+    """Per-column (k_star power, non-DC power) of one (N, P) window."""
+    spec = rows @ window  # (2K, P)
+    power = spec[0::2] ** 2 + spec[1::2] ** 2
+    return power[k_star], power[1:].sum(axis=0)
+
+
+def _energy_ratio(num: np.ndarray, den: np.ndarray, m: int) -> np.ndarray:
+    """Mean target power over mean non-DC power of m windows, in [0, 1]."""
     values = (num / m) / (den / m + RATIO_EPS)
     np.clip(values, 0.0, 1.0, out=values)
-    return values.reshape(h, w), k_star
+    return values
 
 
 def band_energy_map(seq: UsSequence, target_freq: float,

@@ -228,6 +228,24 @@ def test_stream_final_line_matches_batch_detect(tmp_path):
                       last["tip_y_px"] - batch["tip_y_px"]) <= 1.0
 
 
+def test_stream_rejects_hop_other_than_one(tmp_path):
+    seq = gen_small(tmp_path / "a.vibseq")
+    proc = run(["stream", str(seq), "--vib-hz", "3", "--hop", "3"])
+    assert proc.returncode == 1
+    assert "hop" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_config_top_p_is_an_unknown_key(tmp_path):
+    # top_p configured nothing the detector reads, so it was removed
+    seq = gen_small(tmp_path / "a.vibseq")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"top_p": 1.0}))
+    proc = run(["--config", str(cfg)] + DETECT_3HZ + [str(seq)])
+    assert proc.returncode == 1
+    assert "top_p" in proc.stderr
+
+
 def test_stream_too_short_input_exits_3(tmp_path):
     seq = tmp_path / "short.vibseq"
     proc = run(GEN_SMALL + ["--frames", "20", "--out", str(seq)])

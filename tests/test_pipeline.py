@@ -1,6 +1,7 @@
 """End-to-end detection: batch, streaming, emitted channels, timing."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -220,16 +221,20 @@ def test_stream_rejects_non_uint8_frames():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_frames_raise_validation_error(bad):
+    # the typed error is the whole report: numpy must not warn first
     seq, _ = small_phantom(seed=5)
     frames = seq.frames_float()
     frames[7, 40, 50] = bad
-    with pytest.raises(ValidationError, match="non-finite"):
-        detect_frames(frames, seq.fps, CFG3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-finite"):
+            detect_frames(frames, seq.fps, CFG3)
 
 
 def test_stream_rejects_a_non_finite_energy_map():
     # uint8 frames cannot carry NaN, so poison the running sum the next
-    # emitted energy map is computed from (frame 31 is not a resync)
+    # emitted energy map is computed from (30 frames end a turn of the
+    # 21-window ring, so frame 31 updates the sum without a rebuild)
     seq, _ = small_phantom(seed=5)
     state = StreamState(seq.height, seq.width, seq.fps, CFG3)
     for t in range(seq.frame_count):
@@ -237,6 +242,79 @@ def test_stream_rejects_a_non_finite_energy_map():
     state._num_sum[123] = np.nan
     with pytest.raises(ValidationError, match="non-finite"):
         state.push(seq.frames[-1])
+
+
+def _noisy(frames, seed):
+    """Grey-level frames plus N(0, 1) noise, rounded and clipped to uint8."""
+    rng = np.random.default_rng(seed)
+    noisy = np.rint(frames + rng.standard_normal(frames.shape))
+    return np.clip(noisy, 0, 255).astype(np.uint8)
+
+
+def _assert_same_detection(got, want):
+    assert (got.theta, got.rho) == (want.theta, want.rho)
+    assert got.low_confidence_flag == want.low_confidence_flag
+    assert got.confidence == pytest.approx(want.confidence, rel=1e-9)
+    if want.tip_x is None:
+        assert got.tip_x is None
+    else:
+        assert math.hypot(got.tip_x - want.tip_x,
+                          got.tip_y - want.tip_y) <= 1.0
+
+
+def test_every_stream_emission_matches_batch_on_its_trailing_window():
+    # warmup 37: a 28-window power ring, not a multiple of window_len
+    warmup = 37
+    seq, _ = small_phantom(seed=17, frame_count=120)
+    frames = _noisy(seq.frames, seed=5)
+    state = StreamState(seq.height, seq.width, seq.fps, CFG3, warmup=warmup)
+    emitted = 0
+    for t in range(frames.shape[0]):
+        out = state.push(frames[t])
+        if t + 1 < warmup:
+            assert out is None
+            continue
+        want, _ = detect_frames(frames[t + 1 - warmup: t + 1] / 255.0,
+                                seq.fps, CFG3)
+        _assert_same_detection(out, want)
+        emitted += 1
+    assert emitted == frames.shape[0] - warmup + 1
+
+
+def test_long_stream_does_not_drift_from_batch():
+    # 10,000 noisy frames: a 2.5 Hz line for the first half, then the
+    # same background without vibration
+    h = w = 16
+    total, fps, warmup = 10_000, 30.0, 30
+    cfg = DetectConfig(vib_freq=2.5)
+    background = np.random.default_rng(29).uniform(60.0, 190.0, size=(h, w))
+    line = np.zeros((h, w))
+    for x in range(2, 14):
+        line[min(x // 2 + 4, h - 1), x] = 1.0
+    t = np.arange(total)
+    tone = np.where(t < total // 2, np.sin(2 * np.pi * 2.5 * t / fps), 0.0)
+    frames = _noisy(background + 40.0 * tone[:, None, None] * line, seed=31)
+    checks = [warmup - 1, total // 2 - 1, total // 2 + warmup, total - 1]
+    state = StreamState(h, w, fps, cfg, warmup=warmup)
+    seen = {}
+    for i in range(total):
+        out = state.push(frames[i])
+        if i in checks:
+            want, _ = detect_frames(frames[i + 1 - warmup: i + 1] / 255.0,
+                                    fps, cfg)
+            _assert_same_detection(out, want)
+            seen[i] = out
+    assert list(seen) == checks
+    # the vibrating line, normal (-1, 2), is what the stream found
+    line_theta = math.degrees(math.atan2(2.0, -1.0))
+    assert angle_error(seen[total // 2 - 1].theta, line_theta) <= 2.0
+
+
+def test_stream_rejects_a_hop_other_than_one():
+    # a trailing window moves one frame per push; batch's hop grid
+    # cannot be followed, so the stream refuses it
+    with pytest.raises(ValidationError, match="hop"):
+        StreamState(64, 64, 30.0, replace(CFG3, hop=3))
 
 
 def test_stream_longer_than_warmup_keeps_emitting():
@@ -263,7 +341,7 @@ def test_emitted_channels_round_trip():
     det = detect(seq, CFG3)
     grid = HoughGrid(image_h=seq.height, image_w=seq.width,
                      theta_step=CFG3.theta_step, rho_step=CFG3.rho_step)
-    tip = tip_from_hough(hmap.tip, grid, CFG3.top_p)
+    tip = tip_from_hough(hmap.tip, grid)
     assert math.hypot(tip[0] - det.tip_x, tip[1] - det.tip_y) <= 1.5
 
 
@@ -271,7 +349,7 @@ def test_emitted_channels_can_target_ground_truth():
     seq, gt = small_phantom(seed=23)
     hmap = emit_hough_channels(seq, CFG3, gt=gt)
     grid = HoughGrid(image_h=seq.height, image_w=seq.width)
-    tip = tip_from_hough(hmap.tip, grid, CFG3.top_p)
+    tip = tip_from_hough(hmap.tip, grid)
     assert math.hypot(tip[0] - gt.tip_x, tip[1] - gt.tip_y) <= 1.5
 
 
@@ -320,7 +398,5 @@ def test_detect_config_validation():
         DetectConfig(hop=0)
     with pytest.raises(ValidationError):
         DetectConfig(profile_threshold=1.5)
-    with pytest.raises(ValidationError):
-        DetectConfig(top_p=0.0)
     with pytest.raises(ValidationError):
         DetectConfig(entry_side="middle")
