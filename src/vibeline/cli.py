@@ -1,14 +1,16 @@
 """Command-line front end: gen, detect, stream, eval, spectro.
 
-Only the standard library is imported at module level; the numeric
-modules load after --threads has been applied to the BLAS environment
-variables, so thread caps actually take effect.
+Importing this module loads no numeric library (the package resolves
+its names lazily); numpy and scipy load after --threads has been
+written to the BLAS environment variables, so the cap takes effect.
 
-Configuration precedence, lowest to highest: module defaults (or the
-chosen preset for gen), --config JSON values, explicit flags.  The
-config file is a flat JSON object whose keys are the field names of
-PhantomSpec, DetectConfig and LossParams; unknown keys are rejected
-before any work starts.
+Every settings flag stores into the PhantomSpec (gen) or DetectConfig
+(detect, stream, spectro) field it sets, which names its metavar:
+--vib-hz VIB_FREQ.  Precedence, lowest to highest: the dataclass
+defaults (or the chosen preset for gen), --config JSON values, flags
+that were given.  The config file is a flat JSON object whose keys are
+the field names of PhantomSpec and DetectConfig; any other key is
+rejected before any work starts.
 
 Exit codes: 0 success, 1 validation error, 2 I/O or file-format error,
 3 no detection (including a low-confidence result).
@@ -17,6 +19,7 @@ Exit codes: 0 success, 1 validation error, 2 I/O or file-format error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -24,6 +27,7 @@ from pathlib import Path
 
 from .errors import (BoundsError, FormatError, GeometryError,
                      NoDetectionError, ValidationError)
+from .metrics import ANGLE_THRESH_DEG, TIP_THRESH_MM
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -58,28 +62,17 @@ def _apply_threads_env(argv) -> None:
             os.environ[var] = str(n)
 
 
-def _config_keys():
-    import dataclasses
-
+def _load_config(path) -> dict:
     from .phantom import PhantomSpec
     from .pipeline import DetectConfig
-    from .scoring import LossParams
 
-    keys = {}
-    for cls in (PhantomSpec, DetectConfig, LossParams):
-        keys[cls] = {f.name for f in dataclasses.fields(cls)}
-    return keys
-
-
-def _load_config(path) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise FormatError(f"config {path} must hold a JSON object")
-    keys = _config_keys()
-    known = set().union(*keys.values())
+    known = _field_names(PhantomSpec) | _field_names(DetectConfig)
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ValidationError(
@@ -88,66 +81,44 @@ def _load_config(path) -> dict:
     return raw
 
 
-def _subset(config: dict, field_names) -> dict:
-    return {k: v for k, v in config.items() if k in field_names}
+def _field_names(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def _configured(base, args, config: dict):
+    """Overlay the fields of `base` from the config, then the given flags."""
+    names = _field_names(base)
+    values = {k: v for k, v in config.items() if k in names}
+    values.update((k, v) for k, v in vars(args).items()
+                  if k in names and v is not None)
+    return dataclasses.replace(base, **values)
 
 
 def _build_phantom_spec(args, config: dict):
-    import dataclasses
-
     from .phantom import PhantomSpec, preset
 
-    base = preset(args.preset) if args.preset else PhantomSpec()
-    fields = {f.name for f in dataclasses.fields(PhantomSpec)}
-    overlay = _subset(config, fields)
-    if "needle_entry" in overlay:
-        entry = overlay["needle_entry"]
+    if "needle_entry" in config:
+        entry = config["needle_entry"]
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise ValidationError("needle_entry must be a 2-element [x, y]")
-        overlay["needle_entry"] = (float(entry[0]), float(entry[1]))
-    spec = dataclasses.replace(base, **overlay)
-
-    flag_map = {
-        "height": args.height, "width": args.width,
-        "frame_count": args.frames, "fps": args.fps,
-        "pixel_spacing": args.spacing, "needle_angle": args.angle_deg,
-        "needle_length": args.length, "vib_freq": args.vib_hz,
-        "vib_amplitude": args.amplitude, "motion_sigma": args.motion_sigma,
-        "visibility": args.visibility, "artifact_count": args.artifacts,
-        "speckle_grain": args.grain, "entry_side": args.entry_side,
-    }
-    updates = {k: v for k, v in flag_map.items() if v is not None}
-    if args.entry_x is not None or args.entry_y is not None:
-        ex = spec.needle_entry[0] if args.entry_x is None else args.entry_x
-        ey = spec.needle_entry[1] if args.entry_y is None else args.entry_y
-        updates["needle_entry"] = (float(ex), float(ey))
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    return dataclasses.replace(spec, **updates)
+        config = {**config, "needle_entry": (float(entry[0]), float(entry[1]))}
+    spec = _configured(preset(args.preset) if args.preset else PhantomSpec(),
+                       args, config)
+    if args.entry_x is None and args.entry_y is None:
+        return spec
+    ex = spec.needle_entry[0] if args.entry_x is None else args.entry_x
+    ey = spec.needle_entry[1] if args.entry_y is None else args.entry_y
+    return dataclasses.replace(spec, needle_entry=(float(ex), float(ey)))
 
 
 def _build_detect_config(args, config: dict):
-    import dataclasses
-
     from .pipeline import DetectConfig
 
-    fields = {f.name for f in dataclasses.fields(DetectConfig)}
-    cfg = dataclasses.replace(DetectConfig(), **_subset(config, fields))
-    flag_map = {
-        "vib_freq": args.vib_hz, "window_len": args.window, "hop": args.hop,
-        "theta_step": args.theta_step, "rho_step": args.rho_step,
-        "entry_side": args.entry_side,
-        "profile_threshold": args.profile_threshold,
-        "profile_smooth": args.profile_smooth,
-        "confidence_min": args.confidence_min, "tip_sigma": args.tip_sigma,
-    }
-    updates = {k: v for k, v in flag_map.items() if v is not None}
-    return dataclasses.replace(cfg, **updates)
+    return _configured(DetectConfig(), args, config)
 
 
 def _gt_path_for(out_path: Path) -> Path:
-    return out_path.with_suffix("").with_name(out_path.with_suffix("").name
-                                              + ".gt.json")
+    return out_path.with_name(out_path.stem + ".gt.json")
 
 
 def _prepared(path) -> Path:
@@ -209,12 +180,12 @@ def cmd_detect(args, config: dict) -> int:
 
 def cmd_stream(args, config: dict) -> int:
     from .core import load_sequence
-    from .pipeline import StreamState, stream_push
+    from .pipeline import DEFAULT_WARMUP, StreamState, stream_push
 
     cfg = _build_detect_config(args, config)
+    warmup = DEFAULT_WARMUP if args.warmup is None else args.warmup
     seq = load_sequence(args.input)
-    state = StreamState(seq.height, seq.width, seq.fps, cfg,
-                        warmup=args.warmup)
+    state = StreamState(seq.height, seq.width, seq.fps, cfg, warmup=warmup)
     last = None
     for t in range(seq.frame_count):
         det = stream_push(state, seq.frames[t])
@@ -226,7 +197,7 @@ def cmd_stream(args, config: dict) -> int:
     if last is None:
         raise NoDetectionError(
             f"stream ended after {seq.frame_count} frames, before the "
-            f"{args.warmup}-frame warm-up"
+            f"{warmup}-frame warm-up"
         )
     if last.low_confidence_flag:
         return EXIT_NO_DETECTION
@@ -275,26 +246,24 @@ def cmd_spectro(args, config: dict) -> int:
 
 
 def _add_detect_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--vib-hz", type=float, default=None,
+    p.add_argument("--vib-hz", dest="vib_freq", type=float,
                    help="vibration frequency to look for (Hz)")
-    p.add_argument("--window", type=int, default=None,
+    p.add_argument("--window", dest="window_len", type=int,
                    help="STFT window length in frames")
-    p.add_argument("--hop", type=int, default=None,
-                   help="window hop (stream: must be 1)")
-    p.add_argument("--theta-step", type=float, default=None,
+    p.add_argument("--hop", type=int, help="window hop (stream: must be 1)")
+    p.add_argument("--theta-step", type=float,
                    help="Hough angle resolution (deg)")
-    p.add_argument("--rho-step", type=float, default=None,
+    p.add_argument("--rho-step", type=float,
                    help="Hough offset resolution (px)")
-    p.add_argument("--entry-side", default=None,
-                   choices=("left", "right", "top", "bottom"),
+    p.add_argument("--entry-side", choices=("left", "right", "top", "bottom"),
                    help="image border the needle enters from")
-    p.add_argument("--profile-threshold", type=float, default=None,
+    p.add_argument("--profile-threshold", type=float,
                    help="tip profile threshold (fraction of the 95th pct)")
-    p.add_argument("--profile-smooth", type=int, default=None,
+    p.add_argument("--profile-smooth", type=int,
                    help="tip profile moving-average width (samples)")
-    p.add_argument("--confidence-min", type=float, default=None,
+    p.add_argument("--confidence-min", type=float,
                    help="low-confidence flag threshold")
-    p.add_argument("--tip-sigma", type=float, default=None,
+    p.add_argument("--tip-sigma", type=float,
                    help="blur of the rendered tip channel (bins)")
 
 
@@ -304,55 +273,52 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detect a vibrating needle-like line and its tip in "
                     "grayscale image sequences.",
     )
-    ap.add_argument("--config", default=None,
+    ap.add_argument("--config",
                     help="flat JSON config; flags override its values")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="cap numeric library threads")
-    ap.add_argument("--seed", type=int, default=None,
+    ap.add_argument("--threads", type=int, help="cap numeric library threads")
+    ap.add_argument("--seed", type=int,
                     help="RNG seed (overrides config and preset)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="synthesize a phantom sequence")
     g.add_argument("--out", required=True, help="output .vibseq path")
-    g.add_argument("--preset", default=None,
+    g.add_argument("--preset",
                    help="named parameter set (fullsize, bin-aligned)")
-    g.add_argument("--height", type=int, default=None)
-    g.add_argument("--width", type=int, default=None)
-    g.add_argument("--frames", type=int, default=None)
-    g.add_argument("--fps", type=float, default=None)
-    g.add_argument("--spacing", type=float, default=None,
+    g.add_argument("--height", type=int)
+    g.add_argument("--width", type=int)
+    g.add_argument("--frames", dest="frame_count", type=int)
+    g.add_argument("--fps", type=float)
+    g.add_argument("--spacing", dest="pixel_spacing", type=float,
                    help="pixel spacing (mm/px)")
-    g.add_argument("--angle-deg", type=float, default=None,
+    g.add_argument("--angle-deg", dest="needle_angle", type=float,
                    help="needle line normal angle (deg)")
-    g.add_argument("--entry-x", type=float, default=None)
-    g.add_argument("--entry-y", type=float, default=None)
-    g.add_argument("--length", type=float, default=None,
+    g.add_argument("--entry-x", type=float)
+    g.add_argument("--entry-y", type=float)
+    g.add_argument("--length", dest="needle_length", type=float,
                    help="needle length (px)")
-    g.add_argument("--vib-hz", type=float, default=None)
-    g.add_argument("--amplitude", type=float, default=None,
+    g.add_argument("--vib-hz", dest="vib_freq", type=float)
+    g.add_argument("--amplitude", dest="vib_amplitude", type=float,
                    help="vibration amplitude (px)")
-    g.add_argument("--motion-sigma", type=float, default=None,
+    g.add_argument("--motion-sigma", type=float,
                    help="co-motion halo width (px)")
-    g.add_argument("--visibility", type=float, default=None,
+    g.add_argument("--visibility", type=float,
                    help="needle ridge brightness scale in [0, 1]")
-    g.add_argument("--artifacts", type=int, default=None,
+    g.add_argument("--artifacts", dest="artifact_count", type=int,
                    help="static bright line distractors")
-    g.add_argument("--grain", type=float, default=None,
+    g.add_argument("--grain", dest="speckle_grain", type=float,
                    help="speckle grain size (px)")
-    g.add_argument("--entry-side", default=None,
-                   choices=("left", "right", "top", "bottom"))
+    g.add_argument("--entry-side", choices=("left", "right", "top", "bottom"))
     g.set_defaults(func=cmd_gen)
 
     d = sub.add_parser("detect", help="batch detection on a .vibseq file")
     d.add_argument("input", help="input .vibseq path")
-    d.add_argument("--out", default=None,
-                   help="detection JSON (default: input with .json)")
-    d.add_argument("--timing", default=None, help="per-stage timing JSON")
-    d.add_argument("--emit-energy", default=None,
+    d.add_argument("--out", help="detection JSON (default: input with .json)")
+    d.add_argument("--timing", help="per-stage timing JSON")
+    d.add_argument("--emit-energy",
                    help="write the band-energy map as VIBMAP01")
-    d.add_argument("--emit-hough", default=None,
+    d.add_argument("--emit-hough",
                    help="write shaft+tip Hough channels as VIBMAP01")
-    d.add_argument("--hough-gt", default=None,
+    d.add_argument("--hough-gt",
                    help="ground-truth JSON; render the tip channel there "
                         "instead of at the detected tip")
     _add_detect_flags(d)
@@ -360,8 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("stream", help="frame-by-frame detection replay")
     s.add_argument("input", help="input .vibseq path")
-    s.add_argument("--warmup", type=int, default=30,
-                   help="frames absorbed before detections are emitted")
+    s.add_argument("--warmup", type=int,
+                   help="frames absorbed before detections are emitted "
+                        "(default: pipeline.DEFAULT_WARMUP)")
     _add_detect_flags(s)
     s.set_defaults(func=cmd_stream)
 
@@ -370,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--gt", required=True, help="directory of *.gt.json")
     e.add_argument("--out-csv", required=True)
     e.add_argument("--out-json", required=True)
-    e.add_argument("--angle-thresh", type=float, default=15.0)
-    e.add_argument("--tip-thresh", type=float, default=10.0)
+    e.add_argument("--angle-thresh", type=float, default=ANGLE_THRESH_DEG)
+    e.add_argument("--tip-thresh", type=float, default=TIP_THRESH_MM)
     e.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("spectro",
@@ -379,9 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input", help="input .vibseq path")
     sp.add_argument("--x", type=int, required=True, help="pixel column")
     sp.add_argument("--y", type=int, required=True, help="pixel row")
-    sp.add_argument("--out-map", default=None,
-                    help="bin-by-window power as VIBMAP01")
-    sp.add_argument("--out-csv", default=None,
+    sp.add_argument("--out-map", help="bin-by-window power as VIBMAP01")
+    sp.add_argument("--out-csv",
                     help="long-form CSV: window_index, bin_freq_hz, power")
     _add_detect_flags(sp)
     sp.set_defaults(func=cmd_spectro)

@@ -2,8 +2,8 @@
 
 A sequence is T grayscale frames of H x W 8-bit samples plus the two
 acquisition constants everything downstream needs: frame rate (fps) and
-pixel spacing (mm per pixel).  Intensities cross into float land exactly
-once, in `pixel_signal` / `frames_float`, as value / 255.
+pixel spacing (mm per pixel).  Intensities become floats as value / 255,
+in `pixel_signal` / `frames_float` here and in `StreamState.push`.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, file outputs, exit codes."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import math
 import shutil
@@ -10,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from vibeline import (DetectConfig, band_energy_from_frames,
+from vibeline import (DetectConfig, ValidationError, band_energy_from_frames,
                       emit_hough_channels, load_ground_truth, load_sequence,
                       read_vibmap)
 
@@ -246,6 +248,16 @@ def test_config_top_p_is_an_unknown_key(tmp_path):
     assert "top_p" in proc.stderr
 
 
+def test_stream_warmup_zero_exits_1(tmp_path, capsys):
+    # an explicit 0 must reach StreamState, not fall back to the default
+    from vibeline import cli
+
+    seq = gen_small(tmp_path / "a.vibseq")
+    assert cli.main(["stream", str(seq), "--vib-hz", "3",
+                     "--warmup", "0"]) == 1
+    assert "warmup" in capsys.readouterr().err
+
+
 def test_stream_too_short_input_exits_3(tmp_path):
     seq = tmp_path / "short.vibseq"
     proc = run(GEN_SMALL + ["--frames", "20", "--out", str(seq)])
@@ -387,6 +399,150 @@ def test_flags_override_config_values(tmp_path):
     assert proc.returncode == 0
     assert run(DETECT_3HZ + [str(moving), "--out",
                              str(tmp_path / "m.json")]).returncode == 0
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta", "gamma", "clamp_eps"])
+def test_config_loss_params_keys_are_unknown(tmp_path, capsys, key):
+    # no command builds a LossParams, so its fields configure nothing
+    from vibeline import cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1.0}))
+    assert cli.main(["--config", str(cfg)] + GEN_SMALL
+                    + ["--out", str(tmp_path / "a.vibseq")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "a.vibseq").exists()
+
+
+# (flag, field, flag value, parsed flag value, config value); each value
+# differs from the field's default
+GEN_SETTINGS = [
+    ("--height", "height", "40", 40, 50),
+    ("--width", "width", "41", 41, 51),
+    ("--frames", "frame_count", "12", 12, 14),
+    ("--fps", "fps", "25", 25.0, 20.0),
+    ("--spacing", "pixel_spacing", "0.2", 0.2, 0.3),
+    ("--angle-deg", "needle_angle", "45", 45.0, 60.0),
+    ("--length", "needle_length", "90", 90.0, 80.0),
+    ("--vib-hz", "vib_freq", "3", 3.0, 4.0),
+    ("--amplitude", "vib_amplitude", "0.5", 0.5, 0.6),
+    ("--motion-sigma", "motion_sigma", "2", 2.0, 3.0),
+    ("--visibility", "visibility", "0.4", 0.4, 0.2),
+    ("--artifacts", "artifact_count", "2", 2, 3),
+    ("--grain", "speckle_grain", "2.5", 2.5, 3.5),
+    ("--entry-side", "entry_side", "top", "top", "right"),
+    ("--seed", "seed", "9", 9, 11),
+]
+DETECT_SETTINGS = [
+    ("--vib-hz", "vib_freq", "3", 3.0, 4.0),
+    ("--window", "window_len", "12", 12, 16),
+    ("--hop", "hop", "2", 2, 3),
+    ("--theta-step", "theta_step", "0.5", 0.5, 2.0),
+    ("--rho-step", "rho_step", "0.7", 0.7, 2.0),
+    ("--entry-side", "entry_side", "top", "top", "bottom"),
+    ("--profile-threshold", "profile_threshold", "0.4", 0.4, 0.5),
+    ("--profile-smooth", "profile_smooth", "3", 3, 7),
+    ("--confidence-min", "confidence_min", "5", 5.0, 6.0),
+    ("--tip-sigma", "tip_sigma", "1.5", 1.5, 3.0),
+]
+DETECT_COMMANDS = {
+    "detect": ["detect", "in.vibseq"],
+    "stream": ["stream", "in.vibseq"],
+    "spectro": ["spectro", "in.vibseq", "--x", "1", "--y", "2"],
+}
+
+
+def _gen_spec(flags, config):
+    from vibeline import cli
+
+    globals_, local = [], []
+    for i in range(0, len(flags), 2):
+        # --seed is a global flag, so it goes before the subcommand
+        (globals_ if flags[i] == "--seed" else local).extend(flags[i:i + 2])
+    args = cli.build_parser().parse_args(
+        globals_ + ["gen", "--out", "x.vibseq"] + local)
+    return cli._build_phantom_spec(args, config)
+
+
+def _detect_cfg(command, flags, config):
+    from vibeline import cli
+
+    args = cli.build_parser().parse_args(DETECT_COMMANDS[command] + flags)
+    return cli._build_detect_config(args, config)
+
+
+@pytest.mark.parametrize("flag, field, text, flag_value, cfg_value",
+                         GEN_SETTINGS)
+def test_gen_flag_and_config_key_set_their_field(flag, field, text,
+                                                 flag_value, cfg_value):
+    from vibeline import PhantomSpec
+
+    assert getattr(PhantomSpec(), field) not in (flag_value, cfg_value)
+    assert getattr(_gen_spec([flag, text], {}), field) == flag_value
+    assert getattr(_gen_spec([], {field: cfg_value}), field) == cfg_value
+    both = _gen_spec([flag, text], {field: cfg_value})
+    assert getattr(both, field) == flag_value
+
+
+@pytest.mark.parametrize("command", sorted(DETECT_COMMANDS))
+@pytest.mark.parametrize("flag, field, text, flag_value, cfg_value",
+                         DETECT_SETTINGS)
+def test_detect_flag_and_config_key_set_their_field(command, flag, field,
+                                                    text, flag_value,
+                                                    cfg_value):
+    assert getattr(DetectConfig(), field) not in (flag_value, cfg_value)
+    cfg = _detect_cfg(command, [flag, text], {})
+    assert getattr(cfg, field) == flag_value
+    cfg = _detect_cfg(command, [], {field: cfg_value})
+    assert getattr(cfg, field) == cfg_value
+    cfg = _detect_cfg(command, [flag, text], {field: cfg_value})
+    assert getattr(cfg, field) == flag_value
+
+
+def test_entry_flags_override_one_coordinate_of_the_configured_entry():
+    assert _gen_spec([], {"needle_entry": [1, 2]}).needle_entry == (1.0, 2.0)
+    assert _gen_spec(["--entry-x", "5"],
+                     {"needle_entry": [1, 2]}).needle_entry == (5.0, 2.0)
+    assert _gen_spec(["--entry-y", "7"],
+                     {"needle_entry": [1, 2]}).needle_entry == (1.0, 7.0)
+    with pytest.raises(ValidationError, match="needle_entry"):
+        _gen_spec([], {"needle_entry": [1, 2, 3]})
+
+
+# options that configure the command itself, not a PhantomSpec or
+# DetectConfig field
+COMMAND_ARGS = {
+    "config", "threads", "input", "out", "timing", "emit_energy",
+    "emit_hough", "hough_gt", "warmup", "x", "y", "out_map", "out_csv",
+    "preset", "entry_x", "entry_y", "pred", "gt", "out_json",
+    "angle_thresh", "tip_thresh",
+}
+
+
+def test_every_option_is_a_settings_field_or_a_command_argument():
+    from vibeline import PhantomSpec, cli
+
+    fields = {
+        cls: {f.name for f in dataclasses.fields(cls)}
+        for cls in (PhantomSpec, DetectConfig)
+    }
+    builds = {"gen": PhantomSpec, "detect": DetectConfig,
+              "stream": DetectConfig, "spectro": DetectConfig, "eval": None}
+
+    def dests(parser):
+        return {a.dest for a in parser._actions
+                if not isinstance(a, (argparse._HelpAction,
+                                      argparse._SubParsersAction))}
+
+    ap = cli.build_parser()
+    assert dests(ap) <= COMMAND_ARGS | fields[PhantomSpec]  # --seed
+    (sub,) = [a for a in ap._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(builds)
+    for command, parser in sub.choices.items():
+        bound = fields.get(builds[command], set())
+        stray = dests(parser) - bound - COMMAND_ARGS
+        assert not stray, f"{command}: {sorted(stray)} set nothing"
 
 
 def test_output_directories_are_created(tmp_path):
