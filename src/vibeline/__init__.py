@@ -22,10 +22,9 @@ _EXPORTS = {
     "errors": ("VibelineError", "ValidationError", "FormatError",
                "SizeMismatchError", "BoundsError", "GeometryError",
                "NoDetectionError", "NoTipError"),
-    "spectral": ("SpectralBasis", "Spectrogram", "SlidingDft", "EnergyMap",
-                 "dft_basis", "nearest_band", "stft", "window_count",
-                 "band_energy_from_frames", "band_energy_map",
-                 "write_vibmap", "read_vibmap"),
+    "spectral": ("SpectralBasis", "Spectrogram", "SlidingDft", "dft_basis",
+                 "nearest_band", "stft", "window_count",
+                 "band_energy_from_frames", "write_vibmap", "read_vibmap"),
     "hough": ("HoughGrid", "HoughMap", "hough_transform", "line_from_cell",
               "shaft_from_hough", "render_shaft_gt", "render_tip_gt",
               "render_truth_map", "inverse_hough_accumulate",
@@ -37,8 +36,8 @@ _EXPORTS = {
                 "save_ground_truth", "load_ground_truth"),
     "pipeline": ("DetectConfig", "Detection", "StreamState", "stream_push",
                  "detect", "detect_frames", "detect_with_timing",
-                 "tip_along_line", "emit_hough_channels",
-                 "DEFAULT_CONFIDENCE_MIN", "DEFAULT_WARMUP"),
+                 "tip_along_line", "DEFAULT_CONFIDENCE_MIN",
+                 "DEFAULT_WARMUP"),
     "metrics": ("ErrorRecord", "angle_error", "tip_error", "ter", "aggregate",
                 "record_from_jsons", "evaluate_batch", "write_report_csv",
                 "write_aggregate_json"),

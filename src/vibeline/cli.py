@@ -43,23 +43,14 @@ EXIT_IO = 2
 EXIT_NO_DETECTION = 3
 
 
-def _apply_threads_env(argv) -> None:
-    """Honor --threads before numpy gets imported anywhere."""
-    value = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            value = argv[i + 1]
-        elif arg.startswith("--threads="):
-            value = arg.split("=", 1)[1]
-    if value is None:
+def _apply_threads(n) -> None:
+    """Write --threads to the BLAS/OpenMP variables before numpy loads."""
+    if n is None:
         return
-    try:
-        n = int(value)
-    except ValueError:
-        return  # argparse will report it properly
-    if n >= 1:
-        for var in _THREAD_ENV_VARS:
-            os.environ[var] = str(n)
+    if n < 1:
+        raise ValidationError(f"--threads must be >= 1, got {n}")
+    for var in _THREAD_ENV_VARS:
+        os.environ[var] = str(n)
 
 
 def _load_config(path) -> dict:
@@ -355,11 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    _apply_threads_env(argv)
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _apply_threads(args.threads)
         config = _load_config(args.config) if args.config else {}
         return args.func(args, config)
     except (ValidationError, BoundsError, GeometryError) as exc:

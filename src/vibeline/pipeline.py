@@ -259,6 +259,7 @@ def detect_frames(frames01: np.ndarray, fps: float, cfg: DetectConfig | None = N
 
 
 def detect_with_timing(seq: UsSequence, cfg: DetectConfig | None = None):
+    """detect_frames on a sequence; perfbench/tracing.py wraps this name."""
     return detect_frames(seq.frames_float(), seq.fps, cfg)
 
 
@@ -268,25 +269,16 @@ def detect(seq: UsSequence, cfg: DetectConfig | None = None) -> Detection:
     return det
 
 
-def emit_hough_channels(seq: UsSequence, cfg: DetectConfig | None = None,
-                        gt=None) -> HoughMap:
-    """Two-channel Hough-space output of a detection run.
-
-    Shaft channel: the energy map's Hough transform, max-normalized to
-    [0, 1].  Tip channel: the blurred tip curve rendered at the detected
-    tip, or at the ground-truth tip when gt is given (useful to build
-    aligned scoring targets).  Raises NoTipError when the run produced
-    no tip to render.
-    """
-    if cfg is None:
-        cfg = DetectConfig()
-    det, _, _, grid, hough = _detect_run(seq.frames_float(), seq.fps, cfg)
-    return _hough_channels(det, grid, hough, cfg, gt)
-
-
 def _hough_channels(det: Detection, grid: HoughGrid, hough: np.ndarray,
                     cfg: DetectConfig, gt) -> HoughMap:
-    """emit_hough_channels' output for an already decoded run."""
+    """Two-channel Hough-space output of an already decoded run.
+
+    Shaft channel: the Hough image, max-normalized to [0, 1].  Tip
+    channel: the blurred tip curve rendered at the detected tip, or at
+    the ground-truth tip when gt is given (useful to build aligned
+    scoring targets).  Raises NoTipError when the run produced no tip to
+    render.
+    """
     peak = hough.max()
     shaft = hough / peak if peak > 0 else hough
     if gt is not None:

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -12,9 +13,10 @@ import sys
 import numpy as np
 import pytest
 
-from vibeline import (DetectConfig, ValidationError, band_energy_from_frames,
-                      emit_hough_channels, load_ground_truth, load_sequence,
-                      read_vibmap)
+from vibeline import (DetectConfig, HoughGrid, ValidationError,
+                      band_energy_from_frames, hough_transform,
+                      load_ground_truth, load_sequence, make_sequence,
+                      read_vibmap, render_tip_gt, save_sequence)
 
 VIBELINE = shutil.which("vibeline")
 BASE = [VIBELINE] if VIBELINE else [sys.executable, "-m", "vibeline.cli"]
@@ -150,10 +152,16 @@ def test_detect_emits_the_maps_its_detection_used(tmp_path, monkeypatch):
     seq = load_sequence(seq_path)
     values, _ = band_energy_from_frames(seq.frames_float(), seq.fps, 3.0)
     assert np.array_equal(read_vibmap(energy)[0], values.astype(np.float32))
-    hmap = emit_hough_channels(seq, DetectConfig(vib_freq=3.0))
+    det = json.loads((tmp_path / "a.json").read_text())
+    cfg = DetectConfig(vib_freq=3.0)
+    grid = HoughGrid(image_h=seq.height, image_w=seq.width,
+                     theta_step=cfg.theta_step, rho_step=cfg.rho_step)
+    votes = hough_transform(values, grid)
+    want_tip = render_tip_gt(grid, det["tip_x_px"], det["tip_y_px"],
+                             cfg.tip_sigma)
     shaft, tip = read_vibmap(hough)
-    assert np.array_equal(shaft, hmap.shaft.astype(np.float32))
-    assert np.array_equal(tip, hmap.tip.astype(np.float32))
+    assert np.array_equal(shaft, (votes / votes.max()).astype(np.float32))
+    assert np.array_equal(tip, want_tip.astype(np.float32))
 
 
 def test_detect_non_finite_frames_exit_1_without_a_record(tmp_path, monkeypatch):
@@ -181,6 +189,29 @@ def test_detect_missing_input_exits_2(tmp_path):
     proc = run(["detect", str(missing)])
     assert proc.returncode == 2
     assert "absent.vibseq" in proc.stderr
+
+
+def test_detect_emit_hough_without_a_tip_exits_3(tmp_path, capsys):
+    # black frames: an all-zero energy map, so no shaft and no tip
+    from vibeline import cli
+
+    seq_path = tmp_path / "flat.vibseq"
+    save_sequence(make_sequence(np.zeros((30, 128, 128), dtype=np.uint8),
+                                fps=30.0, pixel_spacing=0.1), seq_path)
+    out, hough = tmp_path / "flat.json", tmp_path / "h.vibmap"
+    args = DETECT_3HZ + [str(seq_path), "--out", str(out),
+                         "--emit-hough", str(hough)]
+    assert cli.main(args) == 3
+    record = json.loads(out.read_text())
+    assert record["tip_x_px"] is None and record["low_confidence"] is True
+    assert not hough.exists()
+    assert "no tip to render" in capsys.readouterr().err
+
+    # a ground-truth tip needs no detected one: the file is written
+    gt_path = gen_small(tmp_path / "g.vibseq").with_name("g.gt.json")
+    assert cli.main(args + ["--hough-gt", str(gt_path)]) == 3
+    grid = HoughGrid(image_h=128, image_w=128)
+    assert read_vibmap(hough).shape == (2, *grid.shape())
 
 
 def test_detect_vibration_off_exits_3_but_writes_record(tmp_path):
@@ -365,6 +396,38 @@ def test_spectro_rejects_out_of_bounds_pixel(tmp_path):
 # --------------------------------------------------------------------------
 # config file handling
 # --------------------------------------------------------------------------
+
+def _noise_sequence(path):
+    frames = np.random.default_rng(7).integers(0, 256, (30, 32, 32),
+                                               dtype=np.uint8)
+    save_sequence(make_sequence(frames, fps=30.0, pixel_spacing=0.1), path)
+    return path
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_threads_below_one_exits_1_and_writes_nothing(tmp_path, capsys, value):
+    from vibeline import cli
+
+    seq_path = _noise_sequence(tmp_path / "a.vibseq")
+    out = tmp_path / "a.json"
+    assert cli.main(["--threads", value] + DETECT_3HZ
+                    + [str(seq_path), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_threads_sets_every_thread_variable(tmp_path, monkeypatch):
+    from vibeline import cli
+
+    for var in cli._THREAD_ENV_VARS:
+        monkeypatch.setenv(var, "")  # so the test's exit restores it
+        monkeypatch.delenv(var)
+    seq_path = _noise_sequence(tmp_path / "a.vibseq")
+    assert cli.main(["--threads", "2", "spectro", str(seq_path), "--x", "1",
+                     "--y", "1", "--out-csv", str(tmp_path / "s.csv")]) == 0
+    assert {var: os.environ.get(var) for var in cli._THREAD_ENV_VARS} \
+        == dict.fromkeys(cli._THREAD_ENV_VARS, "2")
+
 
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"

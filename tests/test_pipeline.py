@@ -14,6 +14,7 @@ from vibeline import (
     Detection,
     GeometryError,
     HoughGrid,
+    HoughMap,
     NoTipError,
     StreamState,
     ValidationError,
@@ -21,11 +22,13 @@ from vibeline import (
     detect,
     detect_frames,
     detect_with_timing,
-    emit_hough_channels,
     hybrid_loss,
     nearest_band,
     preset,
+    read_vibmap,
     render_truth_map,
+    save_ground_truth,
+    save_sequence,
     stream_push,
     synth_sequence,
     tip_along_line,
@@ -103,16 +106,22 @@ def test_detect_mirrored_scene_mirrors_the_line():
                       flip.tip_y - base.tip_y) <= 1.0
 
 
-def test_detect_validates_frequency_against_fps():
+def test_detect_validates_frequency_against_fps(tmp_path):
     # one band check (nearest_band) guards every entry point
+    from vibeline import cli
+
     seq, _ = small_phantom(seed=15)
     too_high = DetectConfig(vib_freq=20.0)
     with pytest.raises(ValidationError):
         detect(seq, too_high)
     with pytest.raises(ValidationError):
         StreamState(seq.height, seq.width, 30.0, too_high)
-    with pytest.raises(ValidationError):
-        emit_hough_channels(seq, too_high)
+    seq_path, hough = tmp_path / "a.vibseq", tmp_path / "h.vibmap"
+    save_sequence(seq, seq_path)
+    assert cli.main(["detect", "--vib-hz", "20", str(seq_path),
+                     "--emit-hough", str(hough)]) == 1
+    assert not hough.exists()
+    assert not seq_path.with_suffix(".json").exists()
     for target in (0.0, 15.0, 20.0):
         with pytest.raises(ValidationError):
             nearest_band(10, 30.0, target)
@@ -334,9 +343,27 @@ def test_stream_longer_than_warmup_keeps_emitting():
 # Emitted Hough channels
 # --------------------------------------------------------------------------
 
-def test_emitted_channels_round_trip():
+def emitted_channels(tmp_path, seq, gt=None):
+    """The channels `vibeline detect --emit-hough` writes for seq at 3 Hz."""
+    from vibeline import cli
+
+    seq_path, hough = tmp_path / "a.vibseq", tmp_path / "h.vibmap"
+    save_sequence(seq, seq_path)
+    extra = []
+    if gt is not None:
+        save_ground_truth(gt, tmp_path / "a.gt.json")
+        extra = ["--hough-gt", str(tmp_path / "a.gt.json")]
+    code = cli.main(["detect", "--vib-hz", "3", str(seq_path),
+                     "--out", str(tmp_path / "a.json"),
+                     "--emit-hough", str(hough)] + extra)
+    assert code in (0, 3)
+    shaft, tip = read_vibmap(hough)
+    return HoughMap(shaft=shaft, tip=tip)
+
+
+def test_emitted_channels_round_trip(tmp_path):
     seq, gt = small_phantom(seed=23)
-    hmap = emit_hough_channels(seq, CFG3)
+    hmap = emitted_channels(tmp_path, seq)
     assert hmap.shaft.max() == 1.0
     det = detect(seq, CFG3)
     grid = HoughGrid(image_h=seq.height, image_w=seq.width,
@@ -345,17 +372,17 @@ def test_emitted_channels_round_trip():
     assert math.hypot(tip[0] - det.tip_x, tip[1] - det.tip_y) <= 1.5
 
 
-def test_emitted_channels_can_target_ground_truth():
+def test_emitted_channels_can_target_ground_truth(tmp_path):
     seq, gt = small_phantom(seed=23)
-    hmap = emit_hough_channels(seq, CFG3, gt=gt)
+    hmap = emitted_channels(tmp_path, seq, gt=gt)
     grid = HoughGrid(image_h=seq.height, image_w=seq.width)
     tip = tip_from_hough(hmap.tip, grid)
     assert math.hypot(tip[0] - gt.tip_x, tip[1] - gt.tip_y) <= 1.5
 
 
-def test_accurate_detection_scores_better_than_perturbed():
+def test_accurate_detection_scores_better_than_perturbed(tmp_path):
     seq, gt = small_phantom(seed=25)
-    hmap = emit_hough_channels(seq, CFG3)
+    hmap = emitted_channels(tmp_path, seq)
     grid = HoughGrid(image_h=seq.height, image_w=seq.width)
     truth = render_truth_map(grid, gt.theta, gt.rho, gt.tip_x, gt.tip_y,
                              shaft_sigma=2.0, tip_sigma=CFG3.tip_sigma)

@@ -12,9 +12,7 @@ from vibeline import (
     SlidingDft,
     ValidationError,
     band_energy_from_frames,
-    band_energy_map,
     dft_basis,
-    make_sequence,
     nearest_band,
     read_vibmap,
     stft,
@@ -230,12 +228,16 @@ def test_constant_sequence_gives_zero_map():
     assert np.max(values) <= 1e-30
 
 
-def test_pure_bin_tone_gives_ratio_one():
+# every non-DC bin k < N//2, for even and odd N: the maps correlate only
+# the non-DC pairs, so bin k is row k - 1 of their power
+@pytest.mark.parametrize("n,k", [(n, k) for n in (4, 5, 7, 10, 11, 16)
+                                 for k in range(1, n // 2)])
+def test_pure_bin_tone_gives_ratio_one(n, k):
     t = np.arange(30)
-    tone = 0.5 + 0.2 * np.sin(2.0 * math.pi * 3.0 * t / 30.0)
+    tone = 0.5 + 0.2 * np.sin(2.0 * math.pi * k * t / n)  # k * 30/n Hz
     frames = np.broadcast_to(tone[:, None, None], (30, 16, 16)).copy()
-    values, k_star = band_energy_from_frames(frames, 30.0, 3.0)
-    assert k_star == 1
+    values, k_star = band_energy_from_frames(frames, 30.0, k * 30.0 / n, n)
+    assert k_star == k
     assert np.max(np.abs(values - 1.0)) <= 1e-9
 
 
@@ -293,18 +295,6 @@ def test_pixel_blocks_match_whole_image_formula_bit_for_bit(h, w, window_len, ho
     values, k_star = band_energy_from_frames(frames, 30.0, 2.5, window_len, hop)
     assert np.array_equal(
         values, _whole_image_band_energy(frames, k_star, window_len, hop))
-
-
-def test_band_energy_map_carries_metadata():
-    seq = make_sequence(
-        np.random.default_rng(23).integers(0, 256, (30, 16, 16), dtype=np.uint8),
-        fps=30.0, pixel_spacing=0.1,
-    )
-    emap = band_energy_map(seq, 2.5)
-    assert emap.target_bin == 1
-    assert emap.window_len == 10
-    assert emap.fps == 30.0
-    assert emap.values.shape == (16, 16)
 
 
 def test_vibrating_segment_dominates_energy_map():
