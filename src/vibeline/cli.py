@@ -37,6 +37,8 @@ _THREAD_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
+_ENTRY_SIDE_HELP = "image border the needle enters from: left, right, top or bottom"
+
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
@@ -246,8 +248,7 @@ def _add_detect_flags(p: argparse.ArgumentParser) -> None:
                    help="Hough angle resolution (deg)")
     p.add_argument("--rho-step", type=float,
                    help="Hough offset resolution (px)")
-    p.add_argument("--entry-side", choices=("left", "right", "top", "bottom"),
-                   help="image border the needle enters from")
+    p.add_argument("--entry-side", help=_ENTRY_SIDE_HELP)
     p.add_argument("--profile-threshold", type=float,
                    help="tip profile threshold (fraction of the 95th pct)")
     p.add_argument("--profile-smooth", type=int,
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="static bright line distractors")
     g.add_argument("--grain", dest="speckle_grain", type=float,
                    help="speckle grain size (px)")
-    g.add_argument("--entry-side", choices=("left", "right", "top", "bottom"))
+    g.add_argument("--entry-side", help=_ENTRY_SIDE_HELP)
     g.set_defaults(func=cmd_gen)
 
     d = sub.add_parser("detect", help="batch detection on a .vibseq file")

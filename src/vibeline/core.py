@@ -1,9 +1,11 @@
-"""Sequence container and the VIBSEQ01 binary format.
+"""Sequence container, the VIBSEQ01 format, and shared image-plane helpers.
 
 A sequence is T grayscale frames of H x W 8-bit samples plus the two
 acquisition constants everything downstream needs: frame rate (fps) and
 pixel spacing (mm per pixel).  Intensities become floats as value / 255,
-in `pixel_signal` / `frames_float` here and in `StreamState.push`.
+in `pixel_signal` / `frames_float` here and in `StreamState.push`.  The
+phantom generator and the detector share the entry-border table and the
+bilinear sampler kept here, so detection never imports the generator.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ from .errors import BoundsError, FormatError, SizeMismatchError, ValidationError
 
 MAGIC = b"VIBSEQ01"
 _HEADER = struct.Struct("<III ff")  # H, W, T, fps, pixel_spacing_mm
+
+# entry side -> unit (x, y) vector from that border into the image
+INWARD = {"left": (1.0, 0.0), "right": (-1.0, 0.0),
+          "top": (0.0, 1.0), "bottom": (0.0, -1.0)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,3 +157,22 @@ def pixel_signal(seq: UsSequence, x: int, y: int) -> np.ndarray:
             f"pixel ({x}, {y}) outside {seq.width}x{seq.height} image"
         )
     return seq.frames[:, y, x].astype(np.float64) / 255.0
+
+
+def _bilinear_clamped(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Bilinear samples of a float64 image at (xs, ys), edge-clamped.
+
+    Clamps xs and ys in place, sparing full-size copies in the warp.
+    """
+    h, w = img.shape
+    np.clip(xs, 0.0, w - 1.0, out=xs)
+    np.clip(ys, 0.0, h - 1.0, out=ys)
+    x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xs - x0
+    fy = ys - y0
+    top = img[y0, x0] * (1.0 - fx) + img[y0, x1] * fx
+    bot = img[y1, x0] * (1.0 - fx) + img[y1, x1] * fx
+    return top * (1.0 - fy) + bot * fy

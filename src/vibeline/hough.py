@@ -233,11 +233,7 @@ def inverse_hough_accumulate(cells, grid: HoughGrid) -> np.ndarray:
     acc = np.zeros((grid.image_h, grid.image_w), dtype=np.float64)
     cos_t, sin_t = grid.theta_trig()
     for theta_idx, rho_idx, weight in cells:
-        if not (0 <= theta_idx < grid.theta_bins and 0 <= rho_idx < grid.rho_bins):
-            raise ValidationError(
-                f"cell ({theta_idx}, {rho_idx}) outside grid {grid.shape()}"
-            )
-        rho = (rho_idx - grid.rho_offset) * grid.rho_step
+        _, rho = line_from_cell(grid, theta_idx, rho_idx)
         xs, ys = _raster_cell(grid, float(cos_t[theta_idx]), float(sin_t[theta_idx]), rho)
         acc[ys, xs] += weight
     return acc

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import FormatError, ValidationError
 
 ANGLE_THRESH_DEG = 15.0
 TIP_THRESH_MM = 10.0
@@ -113,17 +113,30 @@ def aggregate(records: list, angle_thresh: float = ANGLE_THRESH_DEG,
 
 
 def record_from_jsons(sequence_id: str, pred: dict, gt: dict) -> ErrorRecord:
-    """Build one ErrorRecord from detection and ground-truth JSON dicts."""
-    if pred.get("low_confidence") or pred.get("tip_x_px") is None \
-            or pred.get("tip_y_px") is None:
-        return ErrorRecord(sequence_id=sequence_id, missing=True)
-    ang = angle_error(float(pred["theta_deg"]), float(gt["theta_deg"]))
-    tip = tip_error(
-        (float(pred["tip_x_px"]), float(pred["tip_y_px"])),
-        (float(gt["tip_x_px"]), float(gt["tip_y_px"])),
-        float(gt["pixel_spacing_mm"]),
-    )
-    return ErrorRecord(sequence_id=sequence_id, angle_error=ang, tip_error=tip)
+    """ErrorRecord of a detection and a ground-truth JSON dict; a flagged or
+    tip-less prediction is missing, a malformed record a FormatError."""
+    what = "ground truth"
+    try:
+        gt_theta, gt_x, gt_y, spacing = (float(gt[k]) for k in (
+            "theta_deg", "tip_x_px", "tip_y_px", "pixel_spacing_mm"))
+        what = "prediction"
+        if pred.get("low_confidence") or pred.get("tip_x_px") is None \
+                or pred.get("tip_y_px") is None:
+            return ErrorRecord(sequence_id=sequence_id, missing=True)
+        theta, x, y = (float(pred[k])
+                       for k in ("theta_deg", "tip_x_px", "tip_y_px"))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{what} {sequence_id!r} is malformed: {exc!r}") from exc
+    return ErrorRecord(sequence_id=sequence_id,
+                       angle_error=angle_error(theta, gt_theta),
+                       tip_error=tip_error((x, y), (gt_x, gt_y), spacing))
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def evaluate_batch(pred_dir, gt_dir, angle_thresh: float = ANGLE_THRESH_DEG,
@@ -131,7 +144,8 @@ def evaluate_batch(pred_dir, gt_dir, angle_thresh: float = ANGLE_THRESH_DEG,
     """Pair *.json predictions with *.gt.json truths by sequence id.
 
     Returns (records, aggregate_dict, unmatched_ids).  Ids present on
-    only one side are excluded and reported with a warning.
+    only one side are excluded and reported with a warning; FormatError
+    names a file that is not a well-formed record.
     """
     pred_dir = Path(pred_dir)
     gt_dir = Path(gt_dir)
@@ -153,9 +167,11 @@ def evaluate_batch(pred_dir, gt_dir, angle_thresh: float = ANGLE_THRESH_DEG,
         )
     records = []
     for sid in ids:
-        pred = json.loads(preds[sid].read_text())
-        gt = json.loads(gts[sid].read_text())
-        records.append(record_from_jsons(sid, pred, gt))
+        pred, gt = _read_json(preds[sid]), _read_json(gts[sid])
+        try:
+            records.append(record_from_jsons(sid, pred, gt))
+        except FormatError as exc:
+            raise FormatError(f"{preds[sid]} / {gts[sid]}: {exc}") from exc
     if not records:
         raise ValidationError(
             f"no matched prediction/ground-truth pairs under {pred_dir} / {gt_dir}"

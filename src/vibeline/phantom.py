@@ -19,10 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .core import make_sequence
-from .errors import ValidationError
-
-ENTRY_SIDES = ("left", "right", "top", "bottom")
+from .core import INWARD, _bilinear_clamped, make_sequence
+from .errors import FormatError, ValidationError
 
 NEEDLE_RIDGE_SIGMA = 1.0  # px, additive brightness profile of the shaft
 NEEDLE_RIDGE_PEAK = 0.5
@@ -81,8 +79,12 @@ def save_ground_truth(gt: GroundTruth, path) -> None:
 
 
 def load_ground_truth(path) -> GroundTruth:
-    with open(path, "r", encoding="utf-8") as fh:
-        return GroundTruth.from_dict(json.load(fh))
+    """Read a .gt.json file; FormatError names a file that does not parse."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return GroundTruth.from_dict(json.load(fh))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: not a ground-truth record: {exc!r}") from exc
 
 
 def preset(name: str) -> PhantomSpec:
@@ -108,13 +110,7 @@ def needle_geometry(spec: PhantomSpec):
     theta = math.radians(spec.needle_angle)
     normal = np.array([math.cos(theta), math.sin(theta)])
     direction = np.array([-math.sin(theta), math.cos(theta)])
-    away = {
-        "left": np.array([1.0, 0.0]),
-        "right": np.array([-1.0, 0.0]),
-        "top": np.array([0.0, 1.0]),
-        "bottom": np.array([0.0, -1.0]),
-    }[spec.entry_side]
-    inward = float(direction @ away)
+    inward = float(direction @ INWARD[spec.entry_side])
     if abs(inward) < 1e-12:
         raise ValidationError(
             f"needle at {spec.needle_angle} deg runs along the "
@@ -157,15 +153,14 @@ def validate_spec(spec: PhantomSpec) -> None:
         raise ValidationError("artifact_count must be >= 0")
     if spec.speckle_grain < 1:
         raise ValidationError("speckle_grain must be >= 1 px")
-    if spec.entry_side not in ENTRY_SIDES:
-        raise ValidationError(f"entry_side must be one of {ENTRY_SIDES}")
+    if spec.entry_side not in INWARD:
+        raise ValidationError(f"entry_side must be one of {tuple(INWARD)}")
     if spec.needle_length <= 0:
         raise ValidationError("needle_length must be positive")
     ex, ey = spec.needle_entry
-    border = {
-        "left": abs(ex), "right": abs(ex - (spec.width - 1)),
-        "top": abs(ey), "bottom": abs(ey - (spec.height - 1)),
-    }[spec.entry_side]
+    # distance from the entry border, along the one axis INWARD crosses
+    border = sum(abs(p - (n - 1 if u < 0 else 0.0)) for p, u, n in zip(
+        spec.needle_entry, INWARD[spec.entry_side], (spec.width, spec.height)) if u)
     if border > 1e-6:
         raise ValidationError(
             f"needle_entry {spec.needle_entry} is not on the "
@@ -249,25 +244,6 @@ def displacement_field(spec: PhantomSpec, t: int) -> np.ndarray:
     field[:, :, 0] = envelope * normal[0]
     field[:, :, 1] = envelope * normal[1]
     return field
-
-
-def _bilinear_clamped(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Bilinear samples of a float64 image at (xs, ys), edge-clamped.
-
-    Clamps xs and ys in place, sparing full-size copies in the warp.
-    """
-    h, w = img.shape
-    np.clip(xs, 0.0, w - 1.0, out=xs)
-    np.clip(ys, 0.0, h - 1.0, out=ys)
-    x0 = np.floor(xs).astype(np.intp)
-    y0 = np.floor(ys).astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xs - x0
-    fy = ys - y0
-    top = img[y0, x0] * (1.0 - fx) + img[y0, x1] * fx
-    bot = img[y1, x0] * (1.0 - fx) + img[y1, x1] * fx
-    return top * (1.0 - fy) + bot * fy
 
 
 def warp_bilinear(texture: np.ndarray, field: np.ndarray) -> np.ndarray:

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UsSequence
+from .core import INWARD, UsSequence, _bilinear_clamped
 from .errors import GeometryError, NoTipError, ValidationError
 from .hough import (HoughGrid, HoughMap, _deg_cos_sin, hough_transform,
                     render_tip_gt, shaft_from_hough)
-from .phantom import _bilinear_clamped
 from .spectral import (_energy_ratio, _window_band_powers,
                        band_energy_from_frames, dft_basis, nearest_band)
 
@@ -64,8 +63,9 @@ class DetectConfig:
             raise ValidationError("profile_threshold must be in (0, 1)")
         if self.profile_smooth < 1:
             raise ValidationError("profile_smooth must be >= 1")
-        if self.entry_side not in ("left", "right", "top", "bottom"):
-            raise ValidationError(f"bad entry_side {self.entry_side!r}")
+        if self.entry_side not in INWARD:
+            raise ValidationError(f"entry_side must be one of "
+                                  f"{tuple(INWARD)}, got {self.entry_side!r}")
 
 
 @dataclass(frozen=True)
@@ -125,16 +125,6 @@ def _clip_line(theta: float, rho: float, h: int, w: int):
     return base, d, t0, t1
 
 
-def _border_distance(pt: np.ndarray, side: str, h: int, w: int) -> float:
-    if side == "left":
-        return float(pt[0])
-    if side == "right":
-        return float(w - 1 - pt[0])
-    if side == "top":
-        return float(pt[1])
-    return float(h - 1 - pt[1])
-
-
 def tip_along_line(energy_values: np.ndarray, theta: float, rho: float,
                    cfg: DetectConfig):
     """Locate the far end of the energized stretch of a line.
@@ -142,8 +132,8 @@ def tip_along_line(energy_values: np.ndarray, theta: float, rho: float,
     Samples the energy image along the line at 1-px steps (bilinear),
     smooths with a centered moving average, thresholds at
     profile_threshold times the profile's 95th percentile, takes the
-    longest above-threshold run, and returns the run endpoint farthest
-    from the configured entry border.
+    longest above-threshold run (the first on a tie), and returns its
+    end farther into the image from the configured entry border.
     """
     h, w = energy_values.shape
     base, d, t0, t1 = _clip_line(theta, rho, h, w)
@@ -156,29 +146,17 @@ def tip_along_line(energy_values: np.ndarray, theta: float, rho: float,
     if k > 1:
         profile = np.convolve(profile, np.full(k, 1.0 / k), mode="same")
     threshold = cfg.profile_threshold * np.percentile(profile, 95)
-    above = profile > threshold
-    best_start, best_len = -1, 0
-    i = 0
-    while i < n:
-        if above[i]:
-            j = i
-            while j + 1 < n and above[j + 1]:
-                j += 1
-            if j - i + 1 > best_len:
-                best_start, best_len = i, j - i + 1
-            i = j + 1
-        else:
-            i += 1
-    if best_len == 0:
+    # runs on the line's n samples ("same" returns max(n, k)), ends exclusive
+    edges = np.flatnonzero(np.diff(profile[:n] > threshold,
+                                   prepend=False, append=False))
+    if edges.size == 0:
         raise NoTipError("no above-threshold run along the line")
+    starts, ends = edges[0::2], edges[1::2]
+    best = int(np.argmax(ends - starts))  # first of the longest runs
     # run ends from the line itself: the sampler clamped xs, ys in place
-    p_lo = base + svals[best_start] * d
-    p_hi = base + svals[best_start + best_len - 1] * d
-    if (_border_distance(p_hi, cfg.entry_side, h, w)
-            >= _border_distance(p_lo, cfg.entry_side, h, w)):
-        tip = p_hi
-    else:
-        tip = p_lo
+    p_lo = base + svals[starts[best]] * d
+    p_hi = base + svals[ends[best] - 1] * d
+    tip = p_hi if (p_hi - p_lo) @ INWARD[cfg.entry_side] >= 0 else p_lo
     return float(tip[0]), float(tip[1])
 
 
@@ -252,10 +230,7 @@ def detect_frames(frames01: np.ndarray, fps: float, cfg: DetectConfig | None = N
     and adding any offset leaves the result unchanged up to float noise.
     Timing is reported per stage in milliseconds.
     """
-    if cfg is None:
-        cfg = DetectConfig()
-    det, timing, _, _, _ = _detect_run(frames01, fps, cfg)
-    return det, timing
+    return _detect_run(frames01, fps, cfg or DetectConfig())[:2]
 
 
 def detect_with_timing(seq: UsSequence, cfg: DetectConfig | None = None):
@@ -265,8 +240,7 @@ def detect_with_timing(seq: UsSequence, cfg: DetectConfig | None = None):
 
 def detect(seq: UsSequence, cfg: DetectConfig | None = None) -> Detection:
     """End-to-end batch detection on a sequence."""
-    det, _ = detect_with_timing(seq, cfg)
-    return det
+    return detect_with_timing(seq, cfg)[0]
 
 
 def _hough_channels(det: Detection, grid: HoughGrid, hough: np.ndarray,

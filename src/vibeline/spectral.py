@@ -125,8 +125,7 @@ def window_count(length: int, window_len: int, hop: int) -> int:
     return (length - window_len) // hop + 1
 
 
-def stft(signal, window_len: int, hop: int = 1,
-         basis: SpectralBasis | None = None) -> Spectrogram:
+def stft(signal, window_len: int, hop: int = 1) -> Spectrogram:
     """Rectangular-window STFT by correlation with the basis rows.
 
     Column m holds the DFT of samples[m*hop : m*hop + window_len].
@@ -140,8 +139,7 @@ def stft(signal, window_len: int, hop: int = 1,
         raise ValidationError(
             f"signal length {x.size} shorter than window {window_len}"
         )
-    if basis is None:
-        basis = dft_basis(window_len)
+    basis = dft_basis(window_len)
     m = window_count(x.size, window_len, hop)
     starts = hop * np.arange(m)
     segs = x[starts[:, None] + np.arange(window_len)[None, :]]  # (M, N)

@@ -330,6 +330,82 @@ def test_eval_writes_csv_and_aggregate(tmp_path):
     assert "ter=" in proc.stdout
 
 
+GOOD_GT = {"theta_deg": 30.0, "rho_px": 50.0, "tip_x_px": 50.0,
+           "tip_y_px": 13.4, "pixel_spacing_mm": 0.5}
+GOOD_PRED = {"theta_deg": 31.0, "rho_px": 50.5, "tip_x_px": 53.0,
+             "tip_y_px": 17.4, "confidence": 80.0, "low_confidence": False}
+MALFORMED = {
+    "list": "[1, 2]",
+    "theta_only": json.dumps({"theta_deg": 1}),  # a tip-less prediction
+    "no_theta": json.dumps({"tip_x_px": 1, "tip_y_px": 2}),
+    "not_json": "{not json",
+    "text_theta": json.dumps({**GOOD_GT, **GOOD_PRED, "theta_deg": "abc"}),
+}
+
+
+def _assert_one_format_error(capsys, path):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert str(path) in err[0]
+
+
+@pytest.mark.parametrize("side, case", [
+    (side, case) for side in ("pred", "gt") for case in sorted(MALFORMED)
+    if (side, case) != ("pred", "theta_only")  # missing, not malformed
+])
+def test_eval_malformed_record_exits_2_and_writes_no_report(tmp_path, capsys,
+                                                            side, case):
+    from vibeline import cli
+
+    pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+    pred_dir.mkdir()
+    gt_dir.mkdir()
+    pred, gt = pred_dir / "s.json", gt_dir / "s.gt.json"
+    pred.write_text(json.dumps(GOOD_PRED))
+    gt.write_text(json.dumps(GOOD_GT))
+    bad = pred if side == "pred" else gt
+    bad.write_text(MALFORMED[case])
+    out_csv, out_json = tmp_path / "r.csv", tmp_path / "a.json"
+    assert cli.main(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir),
+                     "--out-csv", str(out_csv),
+                     "--out-json", str(out_json)]) == 2
+    _assert_one_format_error(capsys, bad)
+    assert not out_csv.exists() and not out_json.exists()
+
+
+def test_eval_malformed_truth_of_a_missing_prediction_exits_2(tmp_path,
+                                                              capsys):
+    # a flagged prediction is a missing record, but its truth must parse
+    from vibeline import cli
+
+    pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+    pred_dir.mkdir()
+    gt_dir.mkdir()
+    (pred_dir / "s.json").write_text(
+        json.dumps({**GOOD_PRED, "low_confidence": True}))
+    (gt_dir / "s.gt.json").write_text(MALFORMED["theta_only"])
+    assert cli.main(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir),
+                     "--out-csv", str(tmp_path / "r.csv"),
+                     "--out-json", str(tmp_path / "a.json")]) == 2
+    _assert_one_format_error(capsys, gt_dir / "s.gt.json")
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_detect_malformed_hough_gt_exits_2_and_writes_no_hough(tmp_path,
+                                                               capsys, case):
+    from vibeline import cli
+
+    seq_path = _noise_sequence(tmp_path / "a.vibseq")
+    gt, hough = tmp_path / "a.gt.json", tmp_path / "h.vibmap"
+    gt.write_text(MALFORMED[case])
+    assert cli.main(DETECT_3HZ + [str(seq_path), "--out",
+                                  str(tmp_path / "a.json"),
+                                  "--emit-hough", str(hough),
+                                  "--hough-gt", str(gt)]) == 2
+    _assert_one_format_error(capsys, gt)
+    assert not hough.exists()
+
+
 # --------------------------------------------------------------------------
 # spectro
 # --------------------------------------------------------------------------
@@ -427,6 +503,30 @@ def test_threads_sets_every_thread_variable(tmp_path, monkeypatch):
                      "--y", "1", "--out-csv", str(tmp_path / "s.csv")]) == 0
     assert {var: os.environ.get(var) for var in cli._THREAD_ENV_VARS} \
         == dict.fromkeys(cli._THREAD_ENV_VARS, "2")
+
+
+@pytest.mark.parametrize("command", ["gen", "detect", "stream", "spectro"])
+def test_unknown_entry_side_exits_1_naming_the_sides(tmp_path, capsys,
+                                                     command):
+    # argparse holds no copy of the sides; the settings dataclass rejects
+    from vibeline import cli
+
+    seq_path = _noise_sequence(tmp_path / "a.vibseq")
+    out = tmp_path / "out"
+    args = {
+        "gen": ["gen", "--out", str(out / "g.vibseq")],
+        "detect": ["detect", str(seq_path), "--out", str(out / "d.json")],
+        "stream": ["stream", str(seq_path)],
+        "spectro": ["spectro", str(seq_path), "--x", "1", "--y", "1",
+                    "--out-csv", str(out / "s.csv")],
+    }[command]
+    assert cli.main(args + ["--entry-side", "diagonal"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: entry_side")
+    assert all(side in err[0] for side in ("left", "right", "top", "bottom"))
+    assert not out.exists()
 
 
 def test_config_unknown_key_rejected(tmp_path):

@@ -68,6 +68,14 @@ def test_file_layout_is_frame_major_row_major(tmp_path):
     assert np.array_equal(payload.reshape(3, 16, 17), seq.frames)
 
 
+def test_header_stores_height_width_frames_in_that_order(tmp_path):
+    # T, H and W all differ, so a swapped field order cannot round-trip
+    seq = random_sequence(seed=6, t=3, h=17, w=19)
+    path = tmp_path / "e.vibseq"
+    save_sequence(seq, path)
+    assert struct.unpack_from("<III", path.read_bytes(), 8) == (17, 19, 3)
+
+
 # --------------------------------------------------------------------------
 # Malformed files
 # --------------------------------------------------------------------------

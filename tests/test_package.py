@@ -3,6 +3,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import vibeline
@@ -16,6 +17,34 @@ def test_importing_the_cli_loads_no_numeric_library():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_detection_loads_neither_the_generator_nor_scipy(tmp_path):
+    # the tip walk's sampler and entry-border table live in core, so
+    # batch and stream detection never import the phantom generator
+    from vibeline import make_sequence, save_sequence
+
+    frames = np.random.default_rng(0).integers(0, 256, (30, 32, 32),
+                                               dtype=np.uint8)
+    seq_path = tmp_path / "a.vibseq"
+    save_sequence(make_sequence(frames, fps=30.0, pixel_spacing=0.1),
+                  seq_path)
+    code = (
+        "import sys, vibeline.pipeline\n"
+        "banned = {'scipy', 'vibeline.phantom'}\n"
+        "print(sorted(banned & set(sys.modules)))\n"
+        "from vibeline import cli\n"
+        f"codes = [cli.main(['detect', {str(seq_path)!r}, '--out', "
+        f"{str(tmp_path / 'a.json')!r}]), cli.main(['stream', "
+        f"{str(seq_path)!r}])]\n"
+        "print(codes, sorted(banned & set(sys.modules)), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
+    # random frames hold no needle: both commands exit 3, loading nothing
+    assert proc.stderr.splitlines()[-1] == "[3, 3] []"
 
 
 def test_every_public_name_resolves():

@@ -157,6 +157,26 @@ def test_tip_along_line_respects_entry_side():
     assert abs(y - 40.0) <= 0.5
 
 
+@pytest.mark.parametrize("side, tip", [
+    ("left", (79.0, 40.0)), ("right", (60.0, 40.0)),
+    ("top", (40.0, 29.0)), ("bottom", (40.0, 10.0)),
+])
+def test_tip_along_line_takes_the_first_equal_run_and_its_inward_end(side,
+                                                                     tip):
+    # two 20-px runs on row or column 40; the horizontal line (theta 90)
+    # is sampled from x = 127 down to 0, the vertical one (theta 0) from
+    # y = 0 up to 127, so the first run along the line differs per axis
+    energy = np.zeros((128, 128))
+    if side in ("left", "right"):
+        energy[40, 10:30] = energy[40, 60:80] = 1.0
+        theta = 90.0
+    else:
+        energy[10:30, 40] = energy[60:80, 40] = 1.0
+        theta = 0.0
+    cfg = DetectConfig(entry_side=side, profile_smooth=1)
+    assert tip_along_line(energy, theta, 40.0, cfg) == tip
+
+
 def test_tip_along_line_rejects_flat_energy():
     cfg = DetectConfig()
     with pytest.raises(NoTipError):
