@@ -251,6 +251,11 @@ def warp_bilinear(texture: np.ndarray, field: np.ndarray) -> np.ndarray:
 
     Bilinear interpolation with sample coordinates clamped to the image,
     so border pixels replicate edge values.
+
+    Only pixels with a non-zero displacement component are resampled;
+    every other pixel copies its texel (-0.0 counts as zero).  For a
+    finite texture this is exact: at an integer coordinate the sampler's
+    weights are 1.0 and 0.0, and v * 1.0 + u * 0.0 is v.
     """
     tex = np.asarray(texture, dtype=np.float64)
     h, w = tex.shape
@@ -258,9 +263,13 @@ def warp_bilinear(texture: np.ndarray, field: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"field shape {field.shape} does not match texture {(h, w)}"
         )
-    xs = np.arange(w, dtype=np.float64)[None, :] - field[:, :, 0]
-    ys = np.arange(h, dtype=np.float64)[:, None] - field[:, :, 1]
-    return _bilinear_clamped(tex, xs, ys)
+    moving = np.flatnonzero((field[:, :, 0] != 0) | (field[:, :, 1] != 0))
+    shift = field.reshape(-1, 2)[moving]
+    ys, xs = np.divmod(moving, w)
+    out = tex.copy()
+    out.reshape(-1)[moving] = _bilinear_clamped(tex, xs - shift[:, 0],
+                                                ys - shift[:, 1])
+    return out
 
 
 def _ridge(h: int, w: int, p0: np.ndarray, p1: np.ndarray,

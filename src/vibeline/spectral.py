@@ -22,7 +22,10 @@ import numpy as np
 
 from .errors import FormatError, SizeMismatchError, ValidationError
 
-RATIO_EPS = 1e-12  # denominator guard: constant pixels score 0, not NaN
+# Division guard, and the mean non-DC power at or below which a pixel
+# scores exactly 0: a static pixel's is rounding dust (~2e-62 in batch,
+# ~1e-31 in a stream), far below that of any pixel that moves.
+RATIO_EPS = 1e-12
 
 # Pixels per block of band_energy_from_frames: a block's mean-removed
 # frames (T x 4096 float64, ~1 MB at T=30) stay small, instead of a
@@ -196,8 +199,9 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
     [0, 1].  The DC pair is never correlated.  Each pixel's temporal
     mean is removed first; with a rectangular window and integer bins
     this cannot move non-DC bins in exact arithmetic, but it shrinks the
-    rounding dust they pick up: exactly static pixels (constant 0.4)
-    score ~1e-52 with it and ~1e-20 without.
+    rounding dust they pick up: an exactly static pixel (constant 0.4)
+    has mean non-DC power ~2e-62 with it and ~1e-31 without.  Both lie
+    below RATIO_EPS, so such a pixel scores exactly 0.
 
     Pixels are processed in column blocks of the flattened (T, H*W)
     frames.  Every pixel's arithmetic (its mean, each window's
@@ -235,8 +239,13 @@ def _window_band_powers(rows: np.ndarray, window: np.ndarray, k_star: int):
 
 
 def _energy_ratio(num: np.ndarray, den: np.ndarray, m: int) -> np.ndarray:
-    """Mean target power over mean non-DC power of m windows, in [0, 1]."""
+    """Mean target power over mean non-DC power of m windows, in [0, 1].
+
+    A pixel whose mean non-DC power is <= RATIO_EPS scores exactly 0; a
+    NaN in num or den stays NaN, so the vote can reject the map.
+    """
     values = (num / m) / (den / m + RATIO_EPS)
+    values *= den / m > RATIO_EPS
     np.clip(values, 0.0, 1.0, out=values)
     return values
 

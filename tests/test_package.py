@@ -47,6 +47,29 @@ def test_detection_loads_neither_the_generator_nor_scipy(tmp_path):
     assert proc.stderr.splitlines()[-1] == "[3, 3] []"
 
 
+def test_detection_does_not_load_numpy_ma(tmp_path):
+    # np.percentile imports numpy.ma on first use, ~10 ms of every cold
+    # detect; the tip walk takes its 95th percentile from a sort instead
+    from vibeline import save_sequence, synth_sequence
+    from helpers import small_vibrating_spec
+
+    seq, _ = synth_sequence(small_vibrating_spec())
+    seq_path = tmp_path / "a.vibseq"
+    save_sequence(seq, seq_path)
+    code = (
+        "import sys\n"
+        "from vibeline import cli\n"
+        f"code = cli.main(['detect', {str(seq_path)!r}, '--vib-hz', '3', "
+        f"'--out', {str(tmp_path / 'a.json')!r}])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # exit 0: a tip was found, so the tip walk ran
+    assert proc.stdout.split() == ["0", "False"]
+
+
 def test_every_public_name_resolves():
     for name in vibeline.__all__:
         assert getattr(vibeline, name) is not None, name

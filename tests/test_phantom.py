@@ -20,6 +20,8 @@ from vibeline import (
     synth_sequence,
     warp_bilinear,
 )
+from vibeline import phantom
+from vibeline.core import _bilinear_clamped
 from vibeline.phantom import needle_geometry
 
 
@@ -174,9 +176,67 @@ def test_warp_rejects_mismatched_field():
         warp_bilinear(np.zeros((8, 8)), np.zeros((8, 9, 2)))
 
 
+def _dense_warp(texture, field):
+    """The sampler run on every pixel, as warp_bilinear once did."""
+    h, w = texture.shape
+    xs = np.arange(w, dtype=np.float64)[None, :] - field[:, :, 0]
+    ys = np.arange(h, dtype=np.float64)[:, None] - field[:, :, 1]
+    return _bilinear_clamped(np.asarray(texture, dtype=np.float64), xs, ys)
+
+
+def _field(kind, h, w, rng):
+    field = np.zeros((h, w, 2))
+    if kind == "zero":
+        return field
+    if kind == "dense":
+        return rng.normal(scale=2.0, size=(h, w, 2))
+    mask = rng.uniform(size=(h, w)) < 0.15
+    field[mask] = rng.normal(scale=1.5, size=(mask.sum(), 2))
+    if kind == "negative-zero":
+        field[~mask] = -0.0
+        field[mask, 1] = -0.0
+    if kind == "tiny":  # absorbed: x - 1e-300 == x for x >= 1
+        tiny = rng.choice([1e-300, -1e-300, 5e-324], size=(~mask).sum())
+        field[~mask] = tiny[:, None]
+    # a pixel on every border pushed outward, so its sample clamps, and
+    # two that move along one axis only
+    field[h // 2, 0] = (1.7, 0.4)
+    field[h // 2, -1] = (-1.7, 0.3)
+    field[0, w // 3] = (0.6, 2.5)
+    field[-1, w // 3] = (-0.4, -2.5)
+    field[h // 3, w // 2] = (0.0, 0.6)
+    field[h // 3, w // 4] = (0.8, -0.0)
+    return field
+
+
+@pytest.mark.parametrize("h,w", [(16, 16), (37, 53)])
+@pytest.mark.parametrize("kind", ["zero", "sparse", "negative-zero",
+                                  "tiny", "dense"])
+def test_warp_equals_the_dense_sampler_bit_for_bit(h, w, kind):
+    rng = np.random.default_rng(h * w + len(kind))
+    tex = rng.uniform(size=(h, w))
+    field = _field(kind, h, w, rng)
+    assert warp_bilinear(tex, field).tobytes() == _dense_warp(tex, field).tobytes()
+
+
 # --------------------------------------------------------------------------
 # Sequence synthesis
 # --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("side,entry", [
+    ("top", (70.0, 0.0)), ("right", (95.0, 20.0)), ("bottom", (30.0, 95.0)),
+])
+def test_synth_matches_a_dense_warp_reference(monkeypatch, side, entry):
+    # a visible needle and an artifact on every entry side, beyond the
+    # defaults that the gen digests cover
+    spec = small_vibrating_spec(height=96, width=96, frame_count=12,
+                                needle_entry=entry, needle_length=60.0,
+                                entry_side=side, visibility=0.5,
+                                artifact_count=1, seed=23)
+    seq, _ = synth_sequence(spec)
+    monkeypatch.setattr(phantom, "warp_bilinear", _dense_warp)
+    dense, _ = synth_sequence(spec)
+    assert seq.frames.tobytes() == dense.frames.tobytes()
 
 def test_synth_is_deterministic():
     spec = small_vibrating_spec(seed=19, artifact_count=2)

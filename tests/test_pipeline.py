@@ -19,6 +19,7 @@ from vibeline import (
     StreamState,
     ValidationError,
     angle_error,
+    band_energy_from_frames,
     detect,
     detect_frames,
     detect_with_timing,
@@ -34,6 +35,8 @@ from vibeline import (
     tip_along_line,
     tip_from_hough,
 )
+from vibeline.pipeline import _percentile95
+from vibeline.spectral import _energy_ratio
 
 CFG3 = DetectConfig(vib_freq=3.0)
 
@@ -81,6 +84,23 @@ def test_all_zero_frames_give_flagged_empty_detection():
     assert det.low_confidence_flag
     assert det.tip_x is None and det.tip_y is None
     assert det.confidence == 0.0
+
+
+def test_constant_frames_score_zero_in_batch_and_stream():
+    # a static pixel's non-DC power is rounding dust (batch ~2e-62,
+    # stream ~1e-31), which must not vote a shaft
+    frames = np.full((30, 64, 64), 102, dtype=np.uint8)
+    values, _ = band_energy_from_frames(frames / 255.0, 30.0, 2.5)
+    assert not values.any()
+    batch, _ = detect_frames(frames / 255.0, 30.0)
+    state = StreamState(64, 64, 30.0)
+    for frame in frames:
+        stream = state.push(frame)
+    assert not _energy_ratio(state._num_sum, state._den_sum,
+                             state._stat_len).any()
+    empty = Detection(theta=0.0, rho=0.0, tip_x=None, tip_y=None,
+                      confidence=0.0, low_confidence_flag=True)
+    assert batch == empty and stream == empty
 
 
 def test_detect_is_affine_invariant():
@@ -175,6 +195,44 @@ def test_tip_along_line_takes_the_first_equal_run_and_its_inward_end(side,
         theta = 0.0
     cfg = DetectConfig(entry_side=side, profile_smooth=1)
     assert tip_along_line(energy, theta, 40.0, cfg) == tip
+
+
+@pytest.mark.parametrize("rho, hot", [(0.5, (1, 0)), (1.0, (2, 0))])
+def test_tip_along_line_smooths_a_line_shorter_than_the_kernel(rho, hot):
+    # theta 45 cuts the top-left corner in 2 (rho 0.5) or 3 (rho 1.0)
+    # samples, the last of them hot; the zero-padded centred mean of 5
+    # reaches it from every sample, so the run is the whole line and the
+    # tip is its first sample, on the top border
+    energy = np.zeros((20, 20))
+    energy[hot] = 1.0
+    x, y = tip_along_line(energy, 45.0, rho, DetectConfig(profile_smooth=5))
+    assert (x, y) == pytest.approx((math.sqrt(2.0) * rho, 0.0), abs=1e-12)
+    assert (x + y) * math.sqrt(0.5) == pytest.approx(rho, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 9])
+def test_centred_full_convolution_is_same_mode_from_k_samples_on(k):
+    # the tip walk's smoothing for lines of n >= k samples is unchanged
+    rng = np.random.default_rng(k)
+    kernel = np.full(k, 1.0 / k)
+    for n in range(k, 60):
+        profile = rng.uniform(size=n) * (rng.uniform(size=n) < 0.7)
+        got = np.convolve(profile, kernel)[(k - 1) // 2:][:n]
+        assert got.tobytes() == np.convolve(profile, kernel,
+                                            mode="same").tobytes()
+
+
+def test_percentile95_equals_numpy_percentile_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for i in range(10_000):
+        n = int(rng.integers(1, 601))
+        profile = rng.uniform(size=n)
+        if i % 3 == 0:
+            profile = np.round(profile, 1)  # ties
+        if i % 4 == 0:
+            profile[rng.uniform(size=n) < 0.5] = 0.0
+        want = np.float64(np.percentile(profile, 95))
+        assert np.float64(_percentile95(profile)).tobytes() == want.tobytes()
 
 
 def test_tip_along_line_rejects_flat_energy():

@@ -20,7 +20,7 @@ from vibeline import (
     write_vibmap,
 )
 from vibeline.phantom import needle_geometry, synth_sequence
-from vibeline.spectral import RATIO_EPS
+from vibeline.spectral import RATIO_EPS, _energy_ratio
 
 from helpers import small_vibrating_spec
 
@@ -222,10 +222,22 @@ def test_constant_sequence_gives_zero_map():
                                              30.0, 2.5)
     assert k_star == 1
     assert np.array_equal(values, np.zeros((16, 16)))
-    # A level like 0.4 leaves rounding dust in the mean; the ratio must
-    # still be indistinguishable from zero.
+    # A level like 0.4 leaves rounding dust in the mean; the pixel is
+    # still static, so it scores exactly 0.
     values, _ = band_energy_from_frames(np.full((12, 16, 16), 0.4), 30.0, 2.5)
-    assert np.max(values) <= 1e-30
+    assert np.array_equal(values, np.zeros((16, 16)))
+
+
+def test_energy_ratio_zeroes_dust_and_keeps_nan():
+    m = 3
+    num = np.array([1e-70, 2e-12, 1.0, np.nan, 0.0, 1e-13])
+    den = np.array([3e-60, 4e-12, 2.0, 0.0, np.nan, 3e-12])
+    values = _energy_ratio(num, den, m)
+    # mean non-DC power <= RATIO_EPS scores 0, anything above it the ratio
+    assert values[0] == 0.0 and values[5] == 0.0
+    assert values[1] == (num[1] / m) / (den[1] / m + RATIO_EPS)
+    assert values[2] == (1.0 / m) / (2.0 / m + RATIO_EPS)
+    assert np.isnan(values[3]) and np.isnan(values[4])
 
 
 # every non-DC bin k < N//2, for even and odd N: the maps correlate only
