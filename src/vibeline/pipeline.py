@@ -19,7 +19,7 @@ from .core import INWARD, UsSequence, _bilinear_clamped
 from .errors import GeometryError, NoTipError, ValidationError
 from .hough import (HoughGrid, HoughMap, _deg_cos_sin, hough_transform,
                     render_tip_gt, shaft_from_hough)
-from .spectral import (_energy_ratio, _window_band_powers,
+from .spectral import (_band_power_sums, _energy_ratio,
                        band_energy_from_frames, dft_basis, nearest_band)
 
 CONFIDENCE_EPS = 1e-12
@@ -217,7 +217,7 @@ def _detect_run(frames01: np.ndarray, fps: float, cfg: DetectConfig):
     Callers that export the maps reuse the ones the detection came from.
     """
     t0 = time.perf_counter()
-    # inf frames give inf - inf; _vote raises the typed error instead
+    # inf * 0 in the matmul makes an inf frame NaN; _vote raises the error
     with np.errstate(invalid="ignore"):
         values, _ = band_energy_from_frames(
             np.asarray(frames01, dtype=np.float64), fps,
@@ -241,8 +241,11 @@ def detect_frames(frames01: np.ndarray, fps: float, cfg: DetectConfig | None = N
     """Detection on float frames (T, H, W); returns (Detection, timing).
 
     This is the affine-safe entry point: scaling frame values by a > 0
-    and adding any offset leaves the result unchanged up to float noise.
-    Timing is reported per stage in milliseconds.
+    and adding an offset leaves the result unchanged up to float noise.
+    No mean is removed, so a huge offset lifts static pixels' rounding
+    dust above RATIO_EPS: on a fullsize phantom confidence held up to an
+    offset of 1e8 and fell from 189 to 27 at 1e9.  Timing is reported
+    per stage in milliseconds.
     """
     return _detect_run(frames01, fps, cfg or DetectConfig())[:2]
 
@@ -282,19 +285,22 @@ def _hough_channels(det: Detection, grid: HoughGrid, hough: np.ndarray,
 class StreamState:
     """Frame-by-frame detection on the trailing `warmup` frames.
 
-    Each push computes the newest window with batch's window kernel, so
-    an emission is batch detection of the last `warmup` frames at hop 1
-    (cfg.hop must be 1) up to rounding, with no recurrence to drift.
-    The frame ring holds the last N frames in write order, a circular
-    shift of the time-ordered window, which changes no bin power beyond
-    rounding.  Running sums of the ring of per-window (num_w, den_w)
-    are rebuilt from it once per turn.
+    Each push runs batch's kernel, _band_power_sums, on the N-frame ring
+    as one window, so an emission is batch detection of the last
+    `warmup` frames at hop 1 (cfg.hop must be 1) up to rounding, with no
+    recurrence to drift.  The ring holds frames in write order, a
+    circular shift of the window, and running sums of the last
+    warmup - N + 1 window powers are updated in place and re-summed from
+    their ring once per turn; both differ from batch only in rounding.
     """
 
     def __init__(self, height: int, width: int, fps: float,
                  cfg: DetectConfig | None = None, warmup: int = DEFAULT_WARMUP):
         if cfg is None:
             cfg = DetectConfig()
+        if height < 1 or width < 1:
+            raise ValidationError(
+                f"stream frames must be at least 1x1, got {height}x{width}")
         if warmup < cfg.window_len:
             raise ValidationError("warmup must be >= window_len")
         if cfg.hop != 1:
@@ -312,8 +318,7 @@ class StreamState:
         self._frame_ring = np.zeros((n, npix), dtype=np.float64)
         self._stat_len = self.warmup - n + 1
         self._power_ring = np.zeros((self._stat_len, 2, npix), dtype=np.float64)
-        self._num_sum = np.zeros(npix, dtype=np.float64)
-        self._den_sum = np.zeros(npix, dtype=np.float64)
+        self._sums = np.zeros((2, npix), dtype=np.float64)  # num, den
 
     def push(self, frame: np.ndarray):
         """Absorb one uint8 (H, W) frame; returns a Detection once warmed up."""
@@ -331,19 +336,15 @@ class StreamState:
         self.frames_seen += 1
         if self.frames_seen < n:
             return None
-        num_w, den_w = _window_band_powers(self._rows, self._frame_ring,
-                                           self.k_star)
+        power = _band_power_sums(self._rows, self._frame_ring, self.k_star)
         pos = (self.frames_seen - n) % self._stat_len
-        self._num_sum += num_w - self._power_ring[pos, 0]
-        self._den_sum += den_w - self._power_ring[pos, 1]
-        self._power_ring[pos, 0] = num_w
-        self._power_ring[pos, 1] = den_w
+        self._sums += power - self._power_ring[pos]
+        self._power_ring[pos] = power
         if pos == self._stat_len - 1:
-            self._num_sum = self._power_ring[:, 0].sum(axis=0)
-            self._den_sum = self._power_ring[:, 1].sum(axis=0)
+            self._sums = self._power_ring.sum(axis=0)
         if self.frames_seen < self.warmup:
             return None
-        values = _energy_ratio(self._num_sum, self._den_sum, self._stat_len)
+        values = _energy_ratio(*self._sums, self._stat_len)
         values = values.reshape(self.height, self.width)
         grid, hough = _vote(values, self.cfg)
         return _decode(values, grid, hough, self.cfg)

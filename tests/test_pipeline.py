@@ -87,8 +87,8 @@ def test_all_zero_frames_give_flagged_empty_detection():
 
 
 def test_constant_frames_score_zero_in_batch_and_stream():
-    # a static pixel's non-DC power is rounding dust (batch ~2e-62,
-    # stream ~1e-31), which must not vote a shaft
+    # a static pixel's non-DC power is rounding dust (<= ~1.3e-30 in
+    # batch and stream alike), which must not vote a shaft
     frames = np.full((30, 64, 64), 102, dtype=np.uint8)
     values, _ = band_energy_from_frames(frames / 255.0, 30.0, 2.5)
     assert not values.any()
@@ -96,8 +96,7 @@ def test_constant_frames_score_zero_in_batch_and_stream():
     state = StreamState(64, 64, 30.0)
     for frame in frames:
         stream = state.push(frame)
-    assert not _energy_ratio(state._num_sum, state._den_sum,
-                             state._stat_len).any()
+    assert not _energy_ratio(*state._sums, state._stat_len).any()
     empty = Detection(theta=0.0, rho=0.0, tip_x=None, tip_y=None,
                       confidence=0.0, low_confidence_flag=True)
     assert batch == empty and stream == empty
@@ -297,6 +296,18 @@ def test_stream_rejects_wrong_frame_shape():
         state.push(np.zeros((64, 65), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("height,width", [(-3, 5), (0, 8), (8, 0)])
+def test_stream_rejects_an_empty_frame_size(height, width):
+    # (0, 8) used to be accepted and fail only at the first emission
+    with pytest.raises(ValidationError, match="at least 1x1"):
+        StreamState(height, width, 30.0)
+
+
+def test_detect_frames_rejects_frames_that_are_not_3d():
+    with pytest.raises(ValidationError, match=r"\(30, 64\)"):
+        detect_frames(np.zeros((30, 64)), 30.0)
+
+
 def test_stream_rejects_non_uint8_frames():
     # a float frame already in [0, 1] must not be divided by 255 again
     seq, _ = small_phantom(seed=21)
@@ -326,7 +337,7 @@ def test_stream_rejects_a_non_finite_energy_map():
     state = StreamState(seq.height, seq.width, seq.fps, CFG3)
     for t in range(seq.frame_count):
         state.push(seq.frames[t])
-    state._num_sum[123] = np.nan
+    state._sums[0, 123] = np.nan
     with pytest.raises(ValidationError, match="non-finite"):
         state.push(seq.frames[-1])
 

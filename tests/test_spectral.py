@@ -217,13 +217,13 @@ def test_nearest_band_picks_closest_non_dc_bin():
 
 
 def test_constant_sequence_gives_zero_map():
-    # 0.5 is exactly representable, so mean removal cancels exactly.
+    # A constant pixel leaves only rounding dust in the non-DC bins (mean
+    # power <= ~1.3e-30 over the uint8 levels), below RATIO_EPS.
     values, k_star = band_energy_from_frames(np.full((12, 16, 16), 0.5),
                                              30.0, 2.5)
     assert k_star == 1
     assert np.array_equal(values, np.zeros((16, 16)))
-    # A level like 0.4 leaves rounding dust in the mean; the pixel is
-    # still static, so it scores exactly 0.
+    # the same holds at a level with no exact binary form
     values, _ = band_energy_from_frames(np.full((12, 16, 16), 0.4), 30.0, 2.5)
     assert np.array_equal(values, np.zeros((16, 16)))
 
@@ -264,8 +264,11 @@ def test_band_energy_is_affine_invariant():
     rng = np.random.default_rng(19)
     frames = rng.uniform(size=(30, 14, 15))
     base, _ = band_energy_from_frames(frames, 30.0, 2.5)
-    scaled, _ = band_energy_from_frames(0.5 * frames + 0.1, 30.0, 2.5)
-    assert np.max(np.abs(base - scaled)) <= 1e-6
+    # no mean is removed, so the offset rides through the correlation and
+    # cancels only in the basis rows' zero sums
+    for affine in (0.5 * frames + 0.1, frames + 1e3):
+        moved, _ = band_energy_from_frames(affine, 30.0, 2.5)
+        assert np.max(np.abs(base - moved)) <= 1e-6
 
 
 def test_band_energy_rejects_out_of_range_target():
@@ -276,6 +279,9 @@ def test_band_energy_rejects_out_of_range_target():
         band_energy_from_frames(frames, 30.0, 15.0)
     with pytest.raises(ValidationError):
         band_energy_from_frames(frames[:5], 30.0, 2.5, window_len=10)
+    for bad in (frames[:, 0], frames[..., None]):  # 2-D and 4-D
+        with pytest.raises(ValidationError, match=r"\(T, H, W\)"):
+            band_energy_from_frames(bad, 30.0, 2.5)
 
 
 def _whole_image_band_energy(frames01, k_star, window_len, hop):
@@ -283,7 +289,6 @@ def _whole_image_band_energy(frames01, k_star, window_len, hop):
     basis = dft_basis(window_len)
     t, h, w = frames01.shape
     z = frames01.reshape(t, h * w)
-    z = z - z.mean(axis=0)
     m = window_count(t, window_len, hop)
     num = np.zeros(h * w)
     den = np.zeros(h * w)
@@ -298,15 +303,18 @@ def _whole_image_band_energy(frames01, k_star, window_len, hop):
 
 
 # 2000 pixels (one partial block), exactly 4096 (one full block) and
-# 4690 (a full block plus a partial one)
+# 4690 (a full block plus a partial one); T == window_len is the one
+# window a stream push correlates
 @pytest.mark.parametrize("h,w", [(40, 50), (64, 64), (70, 67)])
 @pytest.mark.parametrize("window_len,hop", [(10, 1), (10, 3), (12, 1), (12, 3)])
 def test_pixel_blocks_match_whole_image_formula_bit_for_bit(h, w, window_len, hop):
     frames = np.random.default_rng(h * w + window_len + hop).uniform(
         size=(31, h, w))
-    values, k_star = band_energy_from_frames(frames, 30.0, 2.5, window_len, hop)
-    assert np.array_equal(
-        values, _whole_image_band_energy(frames, k_star, window_len, hop))
+    for t in (31, window_len):
+        values, k_star = band_energy_from_frames(frames[:t], 30.0, 2.5,
+                                                 window_len, hop)
+        assert np.array_equal(
+            values, _whole_image_band_energy(frames[:t], k_star, window_len, hop))
 
 
 def test_vibrating_segment_dominates_energy_map():
