@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NoDetectionError, ValidationError
 
@@ -172,7 +173,8 @@ def render_tip_gt(grid: HoughGrid, tip_x: float, tip_y: float,
 
     Each row's Gaussian is centered on the bin nearest rho(theta) (the
     same floor(v + 0.5) quantization the forward transform uses), so
-    every row attains exactly 1.0 there.
+    every row attains exactly 1.0 there.  Each row is a slice of one
+    Gaussian over the offsets -(rho_bins - 1) .. rho_bins - 1.
     """
     if sigma <= 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
@@ -183,10 +185,12 @@ def render_tip_gt(grid: HoughGrid, tip_x: float, tip_y: float,
         )
     cos_t, sin_t = grid.theta_trig()
     rho_units = (tip_x * cos_t + tip_y * sin_t) / grid.rho_step
-    centers = np.floor(rho_units + 0.5) + grid.rho_offset
-    ri = np.arange(grid.rho_bins, dtype=np.float64)
-    d2 = (ri[None, :] - centers[:, None]) ** 2
-    return np.exp(-d2 / (2.0 * sigma * sigma))
+    centers = np.floor(rho_units + 0.5).astype(np.intp) + grid.rho_offset
+    n = grid.rho_bins
+    offsets = np.arange(1 - n, n, dtype=np.float64)
+    profile = np.exp(-offsets ** 2 / (2.0 * sigma * sigma))
+    # an in-image tip keeps every center in [0, n), so no slice runs off
+    return sliding_window_view(profile, n)[n - 1 - centers]
 
 
 def shaft_from_hough(shaft_channel: np.ndarray, grid: HoughGrid):

@@ -8,6 +8,10 @@ tip plane), optional static bright distractor lines, and an optional
 additive ridge that makes the needle itself visible.  At visibility 0
 the needle leaves no per-frame signature at all; only the warped
 speckle carries it, which is the regime the detector is built for.
+
+Only the needle changes anything from frame to frame, so synthesis builds
+the static frame once and recomputes just each frame's active pixels,
+with the same bytes as a full-frame computation (see synth_sequence).
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from .errors import FormatError, ValidationError
 
 NEEDLE_RIDGE_SIGMA = 1.0  # px, additive brightness profile of the shaft
 NEEDLE_RIDGE_PEAK = 0.5
+# exp(-746) rounds to 0.0 in float64, so the ridge adds exactly 0.0 to
+# every pixel farther than this from its segment
+_RIDGE_REACH = NEEDLE_RIDGE_SIGMA * math.sqrt(2.0 * 746.0)
 
 
 @dataclass(frozen=True)
@@ -195,21 +202,28 @@ def background_speckle(h: int, w: int, grain: float, seed: int) -> np.ndarray:
     return _speckle_from_rng(np.random.default_rng(seed), h, w, grain)
 
 
-def _segment_fields(h: int, w: int, p0: np.ndarray, p1: np.ndarray):
-    """Along-segment coordinate s and distance to the segment, per pixel.
+def _pixel_grid(h: int, w: int):
+    """Column and row coordinates (xs, ys) that broadcast to an h x w image."""
+    return (np.arange(w, dtype=np.float64)[None, :],
+            np.arange(h, dtype=np.float64)[:, None])
+
+
+def _segment_fields(xs: np.ndarray, ys: np.ndarray, p0: np.ndarray,
+                    p1: np.ndarray):
+    """Along-segment coordinate s and distance to the segment at (xs, ys).
 
     s is the projection onto the unit direction from p0 toward p1
     (s < 0 behind p0, s > |p1 - p0| past p1).  The distance is the true
     point-to-segment distance: perpendicular alongside, radial from the
-    nearer endpoint beyond either end.
+    nearer endpoint beyond either end.  Each point's values depend on its
+    own coordinates alone, so a gathered subset of pixels gets the same
+    bits as the full grid.
     """
     seg = p1 - p0
     length = float(np.hypot(*seg))
     d_hat = seg / length
-    xs = np.arange(w, dtype=np.float64)
-    ys = np.arange(h, dtype=np.float64)
-    vx = xs[None, :] - p0[0]
-    vy = ys[:, None] - p0[1]
+    vx = xs - p0[0]
+    vy = ys - p0[1]
     s = vx * d_hat[0] + vy * d_hat[1]
     t = np.clip(s, 0.0, length)
     dx = vx - t * d_hat[0]
@@ -218,19 +232,22 @@ def _segment_fields(h: int, w: int, p0: np.ndarray, p1: np.ndarray):
     return s, dist, length
 
 
-def _co_motion_falloff(spec: PhantomSpec) -> np.ndarray:
-    """Static spatial envelope of the tissue displacement, in [0, 1].
+def _co_motion_falloff(spec: PhantomSpec):
+    """(envelope, dist): the static spatial envelope of the tissue
+    displacement, in [0, 1], and each pixel's distance to the rest-position
+    segment.
 
-    Gaussian in the distance to the needle segment, hard zero past the
+    The envelope is Gaussian in that distance, with a hard zero past the
     tip plane: the shaft drags tissue along its length, but nothing
     pushes the tissue beyond the tip, and the sharp motion boundary
     there is what makes the tip localizable from energy alone.
     """
     entry, _, tip, _ = needle_geometry(spec)
-    s, dist, length = _segment_fields(spec.height, spec.width, entry, tip)
+    s, dist, length = _segment_fields(*_pixel_grid(spec.height, spec.width),
+                                      entry, tip)
     envelope = np.exp(-(dist ** 2) / (2.0 * spec.motion_sigma ** 2))
     envelope[s > length] = 0.0
-    return envelope
+    return envelope, dist
 
 
 def displacement_field(spec: PhantomSpec, t: int) -> np.ndarray:
@@ -239,23 +256,39 @@ def displacement_field(spec: PhantomSpec, t: int) -> np.ndarray:
         raise ValidationError(f"frame index {t} outside 0..{spec.frame_count - 1}")
     _, _, _, normal = needle_geometry(spec)
     amp = spec.vib_amplitude * math.sin(2.0 * math.pi * spec.vib_freq * t / spec.fps)
-    envelope = amp * _co_motion_falloff(spec)
+    envelope = amp * _co_motion_falloff(spec)[0]
     field = np.empty((spec.height, spec.width, 2), dtype=np.float64)
     field[:, :, 0] = envelope * normal[0]
     field[:, :, 1] = envelope * normal[1]
     return field
 
 
+def _resample_moved(tex: np.ndarray, xs, ys, dx, dy, out: np.ndarray):
+    """Backward-warp the pixels (xs, ys) whose sample point moves.
+
+    out holds the texels of those pixels.  Where the sample coordinate
+    (xs - dx, ys - dy) differs from the pixel's own, out gets the
+    edge-clamped bilinear sample there; returns that mask.  Skipping the
+    other pixels is exact for a finite texture: at an integer coordinate
+    the sampler's weights are 1.0 and 0.0, and v * 1.0 + u * 0.0 is v.
+    A displacement of -0.0, or one too small to move the coordinate
+    (x - 1e-300 == x for x >= 1), resamples nothing.
+    """
+    sx = xs - dx
+    sy = ys - dy
+    moved = (sx != xs) | (sy != ys)
+    out[moved] = _bilinear_clamped(tex, sx[moved], sy[moved])
+    return moved
+
+
 def warp_bilinear(texture: np.ndarray, field: np.ndarray) -> np.ndarray:
     """Backward warp: output(p) = texture sampled at p - field(p).
 
     Bilinear interpolation with sample coordinates clamped to the image,
-    so border pixels replicate edge values.
-
-    Only pixels with a non-zero displacement component are resampled;
-    every other pixel copies its texel (-0.0 counts as zero).  For a
-    finite texture this is exact: at an integer coordinate the sampler's
-    weights are 1.0 and 0.0, and v * 1.0 + u * 0.0 is v.
+    so border pixels replicate edge values.  Only pixels whose sample
+    coordinate differs from their own go through the sampler; every
+    other pixel copies its texel, which is exact (`_resample_moved`, the
+    rule `synth_sequence` uses as well).
     """
     tex = np.asarray(texture, dtype=np.float64)
     h, w = tex.shape
@@ -263,26 +296,25 @@ def warp_bilinear(texture: np.ndarray, field: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"field shape {field.shape} does not match texture {(h, w)}"
         )
-    moving = np.flatnonzero((field[:, :, 0] != 0) | (field[:, :, 1] != 0))
-    shift = field.reshape(-1, 2)[moving]
-    ys, xs = np.divmod(moving, w)
     out = tex.copy()
-    out.reshape(-1)[moving] = _bilinear_clamped(tex, xs - shift[:, 0],
-                                                ys - shift[:, 1])
+    _resample_moved(tex, *_pixel_grid(h, w), field[:, :, 0], field[:, :, 1],
+                    out)
     return out
 
 
-def _ridge(h: int, w: int, p0: np.ndarray, p1: np.ndarray,
-           sigma: float = NEEDLE_RIDGE_SIGMA,
-           peak: float = NEEDLE_RIDGE_PEAK) -> np.ndarray:
-    """Gaussian-profile bright line segment between two points."""
-    _, dist, _ = _segment_fields(h, w, p0, p1)
-    return peak * np.exp(-(dist ** 2) / (2.0 * sigma * sigma))
+def _ridge(xs: np.ndarray, ys: np.ndarray, p0: np.ndarray,
+           p1: np.ndarray) -> np.ndarray:
+    """Gaussian-profile bright line segment between two points, at (xs, ys);
+    exactly 0.0 farther than _RIDGE_REACH from the segment."""
+    _, dist, _ = _segment_fields(xs, ys, p0, p1)
+    return NEEDLE_RIDGE_PEAK * np.exp(
+        -(dist ** 2) / (2.0 * NEEDLE_RIDGE_SIGMA * NEEDLE_RIDGE_SIGMA))
 
 
 def _artifact_image(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
     """Static distractor lines, same ridge profile as the needle."""
     img = np.zeros((spec.height, spec.width), dtype=np.float64)
+    grid = _pixel_grid(spec.height, spec.width)
     for _ in range(spec.artifact_count):
         cx = rng.uniform(0.2 * spec.width, 0.8 * spec.width)
         cy = rng.uniform(0.2 * spec.height, 0.8 * spec.height)
@@ -291,7 +323,7 @@ def _artifact_image(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
         d = np.array([math.cos(ang), math.sin(ang)])
         p0 = np.array([cx, cy]) - half * d
         p1 = np.array([cx, cy]) + half * d
-        np.maximum(img, _ridge(spec.height, spec.width, p0, p1), out=img)
+        np.maximum(img, _ridge(*grid, p0, p1), out=img)
     return img
 
 
@@ -305,6 +337,10 @@ def ground_truth_of(spec: PhantomSpec) -> GroundTruth:
     )
 
 
+def _to_uint8(frame: np.ndarray) -> np.ndarray:
+    return np.rint(np.clip(frame, 0.0, 1.0) * 255.0).astype(np.uint8)
+
+
 def synth_sequence(spec: PhantomSpec):
     """Generate (UsSequence, GroundTruth); pure function of the parameters.
 
@@ -313,30 +349,43 @@ def synth_sequence(spec: PhantomSpec):
     rounded to the nearest 8-bit value.  The RNG stream is consumed in a
     fixed order (speckle, then artifacts), so every field of the output
     is reproducible from the seed alone.
+
+    Every frame starts as a copy of the static frame (speckle plus
+    artifacts), and only its active pixels are recomputed: those whose
+    warp sample coordinate moves in that frame, and, at visibility > 0,
+    those within _RIDGE_REACH + vib_amplitude of the rest-position
+    segment.  Everywhere else the warp returns the texel and the ridge
+    adds 0.0, so the bytes equal those of a full-frame computation with
+    the same expression order.
     """
     validate_spec(spec)
     rng = np.random.default_rng(spec.seed)
     base = _speckle_from_rng(rng, spec.height, spec.width, spec.speckle_grain)
     artifacts = _artifact_image(spec, rng)
     entry, _, tip, normal = needle_geometry(spec)
-    envelope = _co_motion_falloff(spec)
+    envelope, dist = _co_motion_falloff(spec)
+    in_reach = (dist <= _RIDGE_REACH + spec.vib_amplitude) & (spec.visibility > 0)
+    # every pixel that is active in some frame, gathered once
+    idx = np.flatnonzero((envelope != 0) | in_reach)
+    ys, xs = (v.astype(np.float64) for v in np.divmod(idx, spec.width))
+    env, texels, art, ridged = (a.reshape(-1)[idx] for a in
+                                (envelope, base, artifacts, in_reach))
+    rx, ry = xs[ridged], ys[ridged]
     frames = np.empty((spec.frame_count, spec.height, spec.width), dtype=np.uint8)
-    field = np.empty((spec.height, spec.width, 2), dtype=np.float64)
+    frames[:] = _to_uint8(base + artifacts)
     for t in range(spec.frame_count):
         amp = spec.vib_amplitude * math.sin(
             2.0 * math.pi * spec.vib_freq * t / spec.fps
         )
-        field[:, :, 0] = (amp * normal[0]) * envelope
-        field[:, :, 1] = (amp * normal[1]) * envelope
-        frame = warp_bilinear(base, field)
+        frame = texels.copy()
+        moved = _resample_moved(base, xs, ys, (amp * normal[0]) * env,
+                                (amp * normal[1]) * env, frame)
         if spec.visibility > 0:
             shift = amp * normal
-            frame = frame + spec.visibility * _ridge(
-                spec.height, spec.width, entry + shift, tip + shift
-            )
-        if spec.artifact_count > 0:
-            frame = frame + artifacts
-        np.clip(frame, 0.0, 1.0, out=frame)
-        frames[t] = np.rint(frame * 255.0).astype(np.uint8)
+            frame[ridged] = frame[ridged] + spec.visibility * _ridge(
+                rx, ry, entry + shift, tip + shift)
+        active = moved | ridged
+        frames[t].reshape(-1)[idx[active]] = _to_uint8(frame[active]
+                                                       + art[active])
     seq = make_sequence(frames, spec.fps, spec.pixel_spacing)
     return seq, ground_truth_of(spec)

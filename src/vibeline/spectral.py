@@ -203,6 +203,8 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
     [0, 1].  An exactly static pixel scores exactly 0 (see RATIO_EPS).
     """
     k_star = nearest_band(window_len, fps, target_freq)
+    if hop < 1:
+        raise ValidationError("hop must be >= 1")
     if frames01.ndim != 3 or frames01.shape[0] < window_len:
         raise ValidationError(f"frames must have shape (T, H, W) with "
                               f"T >= {window_len}, got {frames01.shape}")

@@ -246,6 +246,31 @@ def test_tip_render_at_origin_is_constant_center_column():
     assert np.all(np.argmax(img, axis=1) == grid.rho_offset)
 
 
+def _tip_render_formula(grid, tip_x, tip_y, sigma):
+    """Every cell's Gaussian computed on its own, as render_tip_gt once did."""
+    cos_t, sin_t = grid.theta_trig()
+    rho_units = (tip_x * cos_t + tip_y * sin_t) / grid.rho_step
+    centers = np.floor(rho_units + 0.5) + grid.rho_offset
+    ri = np.arange(grid.rho_bins, dtype=np.float64)
+    d2 = (ri[None, :] - centers[:, None]) ** 2
+    return np.exp(-d2 / (2.0 * sigma * sigma))
+
+
+@pytest.mark.parametrize("grid", [small_grid(),
+                                  small_grid(40, 33, theta_step=2.5,
+                                             rho_step=0.7)],
+                         ids=["unit-steps", "coarse-theta-fine-rho"])
+@pytest.mark.parametrize("sigma", [0.6, 2.0])
+def test_tip_render_slices_equal_the_per_cell_formula(grid, sigma):
+    w, h = grid.image_w - 1.0, grid.image_h - 1.0
+    tips = [(0.0, 0.0), (w, 0.0), (0.0, h), (w, h),  # the corners
+            (12.3, 8.6), (w / 2, h / 2 + 0.5)]
+    for x, y in tips:
+        got = render_tip_gt(grid, x, y, sigma)
+        assert got.shape == grid.shape()
+        assert got.tobytes() == _tip_render_formula(grid, x, y, sigma).tobytes()
+
+
 def test_tip_render_rejects_outside_image():
     grid = small_grid()
     with pytest.raises(ValidationError):

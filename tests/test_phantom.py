@@ -1,7 +1,10 @@
 """Synthetic speckle phantoms: determinism, motion model, ground truth."""
 
+import hashlib
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from vibeline import (
     load_ground_truth,
     preset,
     save_ground_truth,
+    save_sequence,
     synth_sequence,
     warp_bilinear,
 )
@@ -223,20 +227,128 @@ def test_warp_equals_the_dense_sampler_bit_for_bit(h, w, kind):
 # Sequence synthesis
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("side,entry", [
-    ("top", (70.0, 0.0)), ("right", (95.0, 20.0)), ("bottom", (30.0, 95.0)),
-])
-def test_synth_matches_a_dense_warp_reference(monkeypatch, side, entry):
-    # a visible needle and an artifact on every entry side, beyond the
-    # defaults that the gen digests cover
-    spec = small_vibrating_spec(height=96, width=96, frame_count=12,
-                                needle_entry=entry, needle_length=60.0,
-                                entry_side=side, visibility=0.5,
-                                artifact_count=1, seed=23)
+def _dense_segment_fields(h, w, p0, p1):
+    """Along-segment coordinate and point-to-segment distance, every pixel."""
+    seg = p1 - p0
+    length = float(np.hypot(*seg))
+    d_hat = seg / length
+    vx = np.arange(w, dtype=np.float64)[None, :] - p0[0]
+    vy = np.arange(h, dtype=np.float64)[:, None] - p0[1]
+    s = vx * d_hat[0] + vy * d_hat[1]
+    t = np.clip(s, 0.0, length)
+    return s, np.hypot(vx - t * d_hat[0], vy - t * d_hat[1]), length
+
+
+def _dense_ridge(h, w, p0, p1):
+    _, dist, _ = _dense_segment_fields(h, w, p0, p1)
+    sigma = phantom.NEEDLE_RIDGE_SIGMA
+    return phantom.NEEDLE_RIDGE_PEAK * np.exp(-(dist ** 2) / (2.0 * sigma * sigma))
+
+
+def _dense_synth(spec):
+    """Frames of the full-frame loop that synth_sequence gathers from:
+    warp every pixel, add the whole ridge and the artifacts, clip, round."""
+    h, w = spec.height, spec.width
+    rng = np.random.default_rng(spec.seed)
+    base = phantom._speckle_from_rng(rng, h, w, spec.speckle_grain)
+    artifacts = np.zeros((h, w))
+    for _ in range(spec.artifact_count):
+        cx = rng.uniform(0.2 * w, 0.8 * w)
+        cy = rng.uniform(0.2 * h, 0.8 * h)
+        ang = rng.uniform(0.0, math.pi)
+        half = rng.uniform(30.0, 90.0)
+        d = np.array([math.cos(ang), math.sin(ang)])
+        c = np.array([cx, cy])
+        np.maximum(artifacts, _dense_ridge(h, w, c - half * d, c + half * d),
+                   out=artifacts)
+    entry, _, tip, normal = needle_geometry(spec)
+    s, dist, length = _dense_segment_fields(h, w, entry, tip)
+    envelope = np.exp(-(dist ** 2) / (2.0 * spec.motion_sigma ** 2))
+    envelope[s > length] = 0.0
+    frames = np.empty((spec.frame_count, h, w), dtype=np.uint8)
+    field = np.empty((h, w, 2))
+    for t in range(spec.frame_count):
+        amp = spec.vib_amplitude * math.sin(
+            2.0 * math.pi * spec.vib_freq * t / spec.fps)
+        field[:, :, 0] = (amp * normal[0]) * envelope
+        field[:, :, 1] = (amp * normal[1]) * envelope
+        frame = _dense_warp(base, field)
+        if spec.visibility > 0:
+            shift = amp * normal
+            frame = frame + spec.visibility * _dense_ridge(
+                h, w, entry + shift, tip + shift)
+        if spec.artifact_count > 0:
+            frame = frame + artifacts
+        np.clip(frame, 0.0, 1.0, out=frame)
+        frames[t] = np.rint(frame * 255.0).astype(np.uint8)
+    return frames
+
+
+def _dense_case(**overrides):
+    spec = dict(height=64, width=72, frame_count=10, needle_entry=(0.0, 50.0),
+                needle_length=50.0, visibility=0.5, artifact_count=1, seed=23)
+    spec.update(overrides)
+    return small_vibrating_spec(**spec)
+
+
+_DENSE_CASES = {
+    "visibility-0": _dense_case(visibility=0.0),
+    "visibility-0.5": _dense_case(),
+    "visibility-1": _dense_case(visibility=1.0),
+    "artifacts-0": _dense_case(artifact_count=0),
+    "artifacts-3": _dense_case(artifact_count=3, visibility=1.0),
+    "top": _dense_case(entry_side="top", needle_entry=(40.0, 0.0)),
+    "right": _dense_case(entry_side="right", needle_entry=(71.0, 20.0),
+                         needle_length=40.0),
+    "bottom": _dense_case(entry_side="bottom", needle_entry=(30.0, 63.0)),
+    "amplitude-0": _dense_case(vib_amplitude=0.0, visibility=1.0),
+    "16x16": _dense_case(height=16, width=16, needle_entry=(0.0, 12.0),
+                         needle_length=10.0, visibility=1.0),
+    # a horizontal needle spanning the image: nothing lies past its tip
+    "whole-frame-envelope": _dense_case(needle_angle=90.0,
+                                        needle_entry=(0.0, 30.0),
+                                        needle_length=71.0,
+                                        motion_sigma=1000.0, vib_amplitude=2.5),
+    "tip-on-border": _dense_case(entry_side="top", needle_angle=0.0,
+                                 needle_entry=(30.0, 0.0), needle_length=63.0,
+                                 visibility=1.0),
+    "fullsize-preset": preset("fullsize"),
+}
+
+
+@pytest.mark.parametrize("spec", _DENSE_CASES.values(), ids=_DENSE_CASES.keys())
+def test_synth_matches_the_dense_frame_reference(spec):
     seq, _ = synth_sequence(spec)
-    monkeypatch.setattr(phantom, "warp_bilinear", _dense_warp)
-    dense, _ = synth_sequence(spec)
-    assert seq.frames.tobytes() == dense.frames.tobytes()
+    assert seq.frames.tobytes() == _dense_synth(spec).tobytes()
+
+
+def test_dense_cases_cover_what_they_name():
+    envelope, _ = phantom._co_motion_falloff(_DENSE_CASES["whole-frame-envelope"])
+    assert np.all(envelope != 0)
+    _, _, tip, _ = needle_geometry(_DENSE_CASES["tip-on-border"])
+    assert tip[1] == 63.0
+    still, _ = synth_sequence(_DENSE_CASES["amplitude-0"])
+    assert np.all(still.frames == still.frames[0])
+
+
+# the benchmark's gen phantoms: fullsize, invisible needle, one artifact
+_GEN_REFERENCE = (Path(__file__).resolve().parents[1]
+                  / "perfbench" / "gen_reference.json")
+
+
+@pytest.mark.parametrize("index", [0, 51, 102, 153, 204, 255])
+def test_fullsize_generator_matches_the_benchmark_digests(tmp_path, index):
+    entry = json.loads(_GEN_REFERENCE.read_text())["full"][index]
+    spec = replace(preset("fullsize"), height=328, width=335, frame_count=30,
+                   needle_entry=(0.0, 280.0), needle_length=260.0,
+                   visibility=0.0, artifact_count=1, seed=entry["seed"])
+    seq, gt = synth_sequence(spec)
+    save_sequence(seq, tmp_path / "s.vibseq")
+    save_ground_truth(gt, tmp_path / "s.gt.json")
+    for name, key in (("s.vibseq", "digest"), ("s.gt.json", "gt_digest")):
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == entry[key], name
+
 
 def test_synth_is_deterministic():
     spec = small_vibrating_spec(seed=19, artifact_count=2)

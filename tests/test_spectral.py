@@ -284,6 +284,14 @@ def test_band_energy_rejects_out_of_range_target():
             band_energy_from_frames(bad, 30.0, 2.5)
 
 
+@pytest.mark.parametrize("hop", [0, -1])
+def test_band_energy_rejects_hop_below_one(hop):
+    # hop 0 once divided by zero in window_count; hop -1 returned -0.0s
+    frames = np.random.default_rng(8).uniform(size=(30, 8, 8))
+    with pytest.raises(ValidationError, match="hop must be >= 1"):
+        band_energy_from_frames(frames, 30.0, 2.5, hop=hop)
+
+
 def _whole_image_band_energy(frames01, k_star, window_len, hop):
     """band_energy_from_frames' formula on all pixels at once (no blocks)."""
     basis = dft_basis(window_len)
