@@ -18,13 +18,14 @@ __version__ = "0.1.0"
 # numeric library before the CLI has applied --threads
 _EXPORTS = {
     "core": ("UsSequence", "load_sequence", "make_sequence", "pixel_signal",
-             "save_sequence", "validate_sequence"),
+             "save_sequence", "validate_sequence", "write_vibmap",
+             "read_vibmap"),
     "errors": ("VibelineError", "ValidationError", "FormatError",
                "SizeMismatchError", "BoundsError", "GeometryError",
                "NoDetectionError", "NoTipError"),
     "spectral": ("SpectralBasis", "Spectrogram", "SlidingDft", "dft_basis",
                  "nearest_band", "stft", "window_count",
-                 "band_energy_from_frames", "write_vibmap", "read_vibmap"),
+                 "band_energy_from_frames"),
     "hough": ("HoughGrid", "HoughMap", "hough_transform", "line_from_cell",
               "shaft_from_hough", "render_shaft_gt", "render_tip_gt",
               "render_truth_map", "inverse_hough_accumulate",

@@ -134,9 +134,8 @@ def cmd_gen(args, config: dict) -> int:
 
 
 def cmd_detect(args, config: dict) -> int:
-    from .core import load_sequence
+    from .core import load_sequence, write_vibmap
     from .pipeline import _detect_run, _hough_channels
-    from .spectral import write_vibmap
 
     import numpy as np
 
@@ -216,8 +215,8 @@ def cmd_eval(args, config: dict) -> int:
 def cmd_spectro(args, config: dict) -> int:
     import csv
 
-    from .core import load_sequence, pixel_signal
-    from .spectral import dft_basis, stft, write_vibmap
+    from .core import load_sequence, pixel_signal, write_vibmap
+    from .spectral import dft_basis, stft
 
     cfg = _build_detect_config(args, config)
     seq = load_sequence(args.input)

@@ -1,15 +1,17 @@
-"""Sequence container, the VIBSEQ01 format, and shared image-plane helpers.
+"""Sequence container, the VIBSEQ01/VIBMAP01 formats, and shared rules.
 
 A sequence is T grayscale frames of H x W 8-bit samples plus the two
 acquisition constants everything downstream needs: frame rate (fps) and
-pixel spacing (mm per pixel).  Intensities become floats as value / 255,
-in `pixel_signal` / `frames_float` here and in `StreamState.push`.  The
+pixel spacing (mm per pixel).  Every uint8 sample becomes a float by one
+rule, _unit_float (value / 255), and every snapped cos / sin comes from
+_snapped_cos_sin.  Both file formats share one framing, kept here.  The
 phantom generator and the detector share the entry-border table and the
 bilinear sampler kept here, so detection never imports the generator.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -20,6 +22,8 @@ from .errors import BoundsError, FormatError, SizeMismatchError, ValidationError
 
 MAGIC = b"VIBSEQ01"
 _HEADER = struct.Struct("<III ff")  # H, W, T, fps, pixel_spacing_mm
+VIBMAP_MAGIC = b"VIBMAP01"
+_VIBMAP_HEADER = struct.Struct("<III")  # rows, cols, channels
 
 # entry side -> unit (x, y) vector from that border into the image
 INWARD = {"left": (1.0, 0.0), "right": (-1.0, 0.0),
@@ -55,17 +59,39 @@ class UsSequence:
     def __post_init__(self):
         # The file header stores fps and spacing as 32-bit floats; coerce
         # here so save -> load round-trips compare equal field for field.
-        object.__setattr__(self, "fps", float(np.float32(self.fps)))
-        object.__setattr__(self, "pixel_spacing", float(np.float32(self.pixel_spacing)))
+        # A value past float32's range becomes inf, which validation rejects.
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "fps", float(np.float32(self.fps)))
+            object.__setattr__(self, "pixel_spacing",
+                               float(np.float32(self.pixel_spacing)))
         validate_sequence(self)
         # Freeze the pixel buffer so a loaded sequence is safe to share.
         self.frames.setflags(write=False)
 
     def frames_float(self) -> np.ndarray:
         """All frames as float64 in [0, 1], shape (T, H, W)."""
-        out = self.frames.astype(np.float64)
-        out /= 255.0
-        return out
+        return _unit_float(self.frames)
+
+
+def _unit_float(u8: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """uint8 samples as float64 value / 255 in [0, 1], written into out if given."""
+    return np.divide(u8, 255.0, out=out, dtype=np.float64)
+
+
+def _snapped_cos_sin(rad: np.ndarray):
+    """cos / sin of a 1-D angle array, snapped to exact 0 and +-1.
+
+    Floating-point pi leaves np.cos(pi/2) a 6e-17 dust value; snapping
+    |v| < 1e-14 to 0 and v within 1e-15 of +-1 to +-1 makes axis-aligned
+    Hough lines and quarter-turn DFT phases exact.
+    """
+    c = np.cos(rad)
+    s = np.sin(rad)
+    for arr in (c, s):
+        arr[np.abs(arr) < 1e-14] = 0.0
+        arr[np.abs(arr - 1.0) < 1e-15] = 1.0
+        arr[np.abs(arr + 1.0) < 1e-15] = -1.0
+    return c, s
 
 
 def validate_sequence(seq: UsSequence) -> None:
@@ -75,10 +101,11 @@ def validate_sequence(seq: UsSequence) -> None:
         )
     if seq.frame_count < 1:
         raise ValidationError("frame_count must be positive")
-    if not (seq.fps > 0):
-        raise ValidationError(f"fps must be > 0, got {seq.fps}")
-    if not (seq.pixel_spacing > 0):
-        raise ValidationError(f"pixel_spacing must be > 0, got {seq.pixel_spacing}")
+    if not (0 < seq.fps < math.inf):
+        raise ValidationError(f"fps must be finite and > 0, got {seq.fps}")
+    if not (0 < seq.pixel_spacing < math.inf):
+        raise ValidationError(
+            f"pixel_spacing must be finite and > 0, got {seq.pixel_spacing}")
     if seq.frames.dtype != np.uint8:
         raise ValidationError(f"frames must be uint8, got {seq.frames.dtype}")
     expect = (seq.frame_count, seq.height, seq.width)
@@ -98,6 +125,46 @@ def make_sequence(frames: np.ndarray, fps: float, pixel_spacing: float) -> UsSeq
     )
 
 
+def _read_framed(path, magic: bytes, header: struct.Struct, dtype):
+    """(header fields f, payload of shape (f[2], f[0], f[1])) of a framed file.
+
+    A framed file is magic, a little-endian header, then the raw payload.
+    Raises FormatError on a bad magic, SizeMismatchError on a truncated
+    header or a payload of any size other than the header promises; both
+    checks come before the payload buffer is allocated.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(len(magic) + header.size)
+        if head[: len(magic)] != magic:
+            raise FormatError(f"{path}: not a {magic.decode()} file (bad magic)")
+        if len(head) < len(magic) + header.size:
+            raise SizeMismatchError(f"{path}: truncated header")
+        f = header.unpack_from(head, len(magic))
+        shape = (f[2], f[0], f[1])
+        need = math.prod(shape) * np.dtype(dtype).itemsize
+        have = fh.seek(0, os.SEEK_END) - len(head)
+        fh.seek(len(head))
+        if have != need:
+            raise SizeMismatchError(
+                f"{path}: header promises {need} payload bytes, file has {have}"
+            )
+        payload = np.empty(shape, dtype=dtype)
+        got = fh.readinto(payload)
+        if got != need:
+            raise SizeMismatchError(f"{path}: read {got} of {need} payload bytes")
+    return f, payload
+
+
+def _write_framed(path, magic: bytes, header: struct.Struct,
+                  payload: np.ndarray, *extra) -> None:
+    """Write magic, header (shape[1], shape[2], shape[0], *extra), payload."""
+    t, h, w = payload.shape
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(header.pack(h, w, t, *extra))
+        fh.write(np.ascontiguousarray(payload))
+
+
 def load_sequence(path) -> UsSequence:
     """Read a VIBSEQ01 file.
 
@@ -106,31 +173,7 @@ def load_sequence(path) -> UsSequence:
     pixel buffer is allocated), ValidationError on nonsense
     header fields.  A missing file raises the usual OSError family.
     """
-    with open(path, "rb") as fh:
-        head = fh.read(len(MAGIC) + _HEADER.size)
-        if len(head) < len(MAGIC) or head[: len(MAGIC)] != MAGIC:
-            raise FormatError(f"{path}: not a VIBSEQ01 file (bad magic)")
-        if len(head) < len(MAGIC) + _HEADER.size:
-            raise SizeMismatchError(f"{path}: truncated header")
-        h, w, t, fps, spacing = _HEADER.unpack_from(head, len(MAGIC))
-        need = t * h * w
-        have = fh.seek(0, os.SEEK_END) - len(head)
-        fh.seek(len(head))
-        if have < need:
-            raise SizeMismatchError(
-                f"{path}: header promises {need} pixel bytes, file has {have}"
-            )
-        if have > need:
-            raise SizeMismatchError(
-                f"{path}: {have - need} trailing bytes after pixel payload"
-            )
-        # the one copy of the pixels: read straight into the frame buffer
-        frames = np.empty((t, h, w), dtype=np.uint8)
-        got = fh.readinto(frames)
-        if got != need:
-            raise SizeMismatchError(
-                f"{path}: read {got} of {need} pixel bytes"
-            )
+    (h, w, t, fps, spacing), frames = _read_framed(path, MAGIC, _HEADER, np.uint8)
     return UsSequence(
         height=h, width=w, frame_count=t, fps=fps,
         pixel_spacing=spacing, frames=frames,
@@ -140,11 +183,26 @@ def load_sequence(path) -> UsSequence:
 def save_sequence(seq: UsSequence, path) -> None:
     """Write a VIBSEQ01 file; load_sequence(save_sequence(x)) is bit-exact."""
     validate_sequence(seq)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_HEADER.pack(seq.height, seq.width, seq.frame_count,
-                              seq.fps, seq.pixel_spacing))
-        fh.write(seq.frames.tobytes())
+    _write_framed(path, MAGIC, _HEADER, seq.frames, seq.fps, seq.pixel_spacing)
+
+
+def write_vibmap(path, array: np.ndarray) -> None:
+    """Write a (rows, cols) or (channels, rows, cols) array as VIBMAP01.
+
+    VIBMAP01 holds energy maps, spectrograms and Hough channels as
+    little-endian float32, channel-major then row-major.
+    """
+    arr = np.asarray(array, dtype="<f4")
+    if arr.ndim == 2:
+        arr = arr[None]
+    if arr.ndim != 3:
+        raise ValidationError(f"expected 2-D or 3-D array, got shape {arr.shape}")
+    _write_framed(path, VIBMAP_MAGIC, _VIBMAP_HEADER, arr)
+
+
+def read_vibmap(path) -> np.ndarray:
+    """Read a VIBMAP01 file; always returns shape (channels, rows, cols)."""
+    return _read_framed(path, VIBMAP_MAGIC, _VIBMAP_HEADER, "<f4")[1]
 
 
 def pixel_signal(seq: UsSequence, x: int, y: int) -> np.ndarray:
@@ -156,7 +214,7 @@ def pixel_signal(seq: UsSequence, x: int, y: int) -> np.ndarray:
         raise BoundsError(
             f"pixel ({x}, {y}) outside {seq.width}x{seq.height} image"
         )
-    return seq.frames[:, y, x].astype(np.float64) / 255.0
+    return _unit_float(seq.frames[:, y, x])
 
 
 def _bilinear_clamped(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -19,19 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .core import _snapped_cos_sin
 from .errors import NoDetectionError, ValidationError
-
-
-def _deg_cos_sin(theta_deg: np.ndarray):
-    """cos/sin of angles in degrees, snapped at exact axis alignments."""
-    rad = np.deg2rad(theta_deg)
-    c = np.cos(rad)
-    s = np.sin(rad)
-    for arr in (c, s):
-        arr[np.abs(arr) < 1e-14] = 0.0
-        arr[np.abs(arr - 1.0) < 1e-15] = 1.0
-        arr[np.abs(arr + 1.0) < 1e-15] = -1.0
-    return c, s
 
 
 @dataclass(frozen=True)
@@ -63,7 +52,7 @@ class HoughGrid:
         return np.arange(self.theta_bins) * self.theta_step
 
     def theta_trig(self):
-        return _deg_cos_sin(self.thetas_deg())
+        return _snapped_cos_sin(np.deg2rad(self.thetas_deg()))
 
     def shape(self):
         return (self.theta_bins, self.rho_bins)

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INWARD, UsSequence, _bilinear_clamped
+from .core import (INWARD, UsSequence, _bilinear_clamped, _snapped_cos_sin,
+                   _unit_float)
 from .errors import GeometryError, NoTipError, ValidationError
-from .hough import (HoughGrid, HoughMap, _deg_cos_sin, hough_transform,
+from .hough import (HoughGrid, HoughMap, hough_transform,
                     render_tip_gt, shaft_from_hough)
 from .spectral import (_band_power_sums, _energy_ratio,
                        band_energy_from_frames, dft_basis, nearest_band)
@@ -103,7 +104,8 @@ def _clip_line(theta: float, rho: float, h: int, w: int):
 
     Returns (base, direction, s0, s1) with points p(s) = base + s * dir.
     """
-    cos_t, sin_t = _deg_cos_sin(np.array([theta], dtype=np.float64))
+    rad = np.deg2rad(np.array([theta], dtype=np.float64))
+    cos_t, sin_t = _snapped_cos_sin(rad)
     c, s = float(cos_t[0]), float(sin_t[0])
     base = np.array([rho * c, rho * s])
     d = np.array([-s, c])
@@ -332,7 +334,8 @@ class StreamState:
                 f"stream frames must be uint8, got {frame.dtype}"
             )
         n = self.cfg.window_len
-        self._frame_ring[self.frames_seen % n] = frame.ravel() / 255.0
+        _unit_float(frame, out=self._frame_ring[self.frames_seen % n]
+                    .reshape(self.height, self.width))
         self.frames_seen += 1
         if self.frames_seen < n:
             return None

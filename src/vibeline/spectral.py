@@ -1,28 +1,28 @@
 """Fixed Fourier basis, STFT as correlation, sliding DFT, band energy maps.
 
 The transform never calls an FFT: every window is correlated with an
-explicit matrix of cosine / negative-sine rows (one pair per retained
-bin, Nyquist excluded), so the tests' oracles can redo the arithmetic.
+explicit matrix of cosine / negative-sine rows (one pair per bin
+k < N//2, see SpectralBasis), so the tests' oracles can redo the arithmetic.
 Batch and stream energy maps share one kernel, _band_power_sums, which
 correlates the raw frames with the non-DC pairs alone (detection reads
 only non-DC power); the STFT uses every row.  No temporal mean is
 removed: the non-DC rows cancel a constant up to rounding dust, which
 the energy ratio zeroes (see RATIO_EPS).
 
-All trig values whose phase is an exact quarter turn are snapped to
-{-1, 0, 1}; floating-point pi makes np.cos(pi/2) a 6e-17 dust value
-otherwise, and small-window bases are nicer to reason about when the
-zeros are real zeros.
+Trig values go through core's snap, so a phase that is an exact quarter
+turn gives exactly -1, 0 or 1; floating-point pi makes np.cos(pi/2) a
+6e-17 dust value otherwise.
 """
 
 from __future__ import annotations
 
-import struct
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, SizeMismatchError, ValidationError
+from .core import _snapped_cos_sin
+from .errors import ValidationError
 
 # Division guard, and the mean non-DC power at or below which a pixel
 # scores exactly 0: a static pixel's is rounding dust (at most ~1.3e-30
@@ -36,27 +36,6 @@ RATIO_EPS = 1e-12
 # per window (a repeat: 48.1 vs 69.3 ms; one BLAS thread, 2-core VM).
 _PIXEL_BLOCK = 4096
 
-_COS_QUARTER = np.array([1.0, 0.0, -1.0, 0.0])
-_SIN_QUARTER = np.array([0.0, 1.0, 0.0, -1.0])
-
-
-def _cos_sin_exact(num, den: int):
-    """cos / sin of 2*pi*num/den with exact values at quarter turns.
-
-    num is an integer array (any sign); den a positive integer.
-    """
-    num = np.asarray(num, dtype=np.int64) % den
-    ang = 2.0 * np.pi * num / den
-    c = np.cos(ang)
-    s = np.sin(ang)
-    quad, rem = np.divmod(4 * num, den)
-    exact = rem == 0
-    quad = np.where(exact, quad, 0)  # keep the table index in range
-    c = np.where(exact, _COS_QUARTER[quad], c)
-    s = np.where(exact, _SIN_QUARTER[quad], s)
-    return c, s
-
-
 @dataclass(frozen=True)
 class SpectralBasis:
     """Correlation kernels for one window length.
@@ -65,7 +44,9 @@ class SpectralBasis:
     rows[2k+1] = -sin(2*pi*n*k/N)
     so correlating a window with the pair (2k, 2k+1) yields the real and
     imaginary parts of the standard forward DFT bin k.  k runs over
-    0..floor(N/2)-1: the Nyquist bin is excluded.
+    0..floor(N/2)-1: for even N that excludes the Nyquist bin N/2.  Odd
+    N has no Nyquist bin, yet bin (N-1)/2, below fs/2, is dropped too,
+    so the energy ratio's non-DC total then omits that bin's power.
     """
 
     window_len: int
@@ -87,7 +68,7 @@ def dft_basis(window_len: int) -> SpectralBasis:
     n = np.arange(window_len)
     rows = np.empty((2 * n_bins, window_len), dtype=np.float64)
     for k in range(n_bins):
-        c, s = _cos_sin_exact(k * n, window_len)
+        c, s = _snapped_cos_sin(2.0 * np.pi * (k * n % window_len) / window_len)
         rows[2 * k] = c
         rows[2 * k + 1] = -s
     rows.setflags(write=False)
@@ -101,6 +82,8 @@ def nearest_band(window_len: int, fs: float, target_freq: float) -> int:
     and target_freq in (0, fs/2); every detection entry point resolves
     its band here, so this is the one place that check lives.
     """
+    if not (0 < fs < math.inf):
+        raise ValidationError(f"fps must be finite and > 0, got {fs}")
     if not (0 < target_freq < fs / 2):
         raise ValidationError(
             f"frequency {target_freq} Hz must lie in (0, fps/2) = (0, {fs / 2}) Hz"
@@ -169,7 +152,7 @@ class SlidingDft:
             raise ValidationError(f"window_len must be >= 2, got {window_len}")
         self.window_len = window_len
         self.n_bins = window_len // 2
-        c, s = _cos_sin_exact(np.arange(self.n_bins), window_len)
+        c, s = _snapped_cos_sin(2.0 * np.pi * np.arange(self.n_bins) / window_len)
         self._rot = c + 1j * s
         self._ring = np.zeros(window_len, dtype=np.float64)
         self._pos = 0
@@ -247,49 +230,3 @@ def _energy_ratio(num: np.ndarray, den: np.ndarray, m: int) -> np.ndarray:
     values *= den / m > RATIO_EPS
     np.clip(values, 0.0, 1.0, out=values)
     return values
-
-
-# --------------------------------------------------------------------------
-# VIBMAP01: small float-image container used for energy maps, spectrograms
-# and Hough channels.
-# --------------------------------------------------------------------------
-
-VIBMAP_MAGIC = b"VIBMAP01"
-_VIBMAP_HEADER = struct.Struct("<III")  # rows, cols, channels
-
-
-def write_vibmap(path, array: np.ndarray) -> None:
-    """Write a (rows, cols) or (channels, rows, cols) array as VIBMAP01.
-
-    Data is stored as little-endian float32, channel-major then row-major.
-    """
-    arr = np.asarray(array, dtype=np.float32)
-    if arr.ndim == 2:
-        arr = arr[None]
-    if arr.ndim != 3:
-        raise ValidationError(f"expected 2-D or 3-D array, got shape {arr.shape}")
-    ch, rows, cols = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(VIBMAP_MAGIC)
-        fh.write(_VIBMAP_HEADER.pack(rows, cols, ch))
-        fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def read_vibmap(path) -> np.ndarray:
-    """Read a VIBMAP01 file; always returns shape (channels, rows, cols)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(VIBMAP_MAGIC) or blob[: len(VIBMAP_MAGIC)] != VIBMAP_MAGIC:
-        raise FormatError(f"{path}: not a VIBMAP01 file (bad magic)")
-    off = len(VIBMAP_MAGIC)
-    if len(blob) < off + _VIBMAP_HEADER.size:
-        raise SizeMismatchError(f"{path}: truncated header")
-    rows, cols, ch = _VIBMAP_HEADER.unpack_from(blob, off)
-    off += _VIBMAP_HEADER.size
-    need = rows * cols * ch * 4
-    if len(blob) - off != need:
-        raise SizeMismatchError(
-            f"{path}: header promises {need} data bytes, file has {len(blob) - off}"
-        )
-    data = np.frombuffer(blob, dtype="<f4", count=rows * cols * ch, offset=off)
-    return data.reshape(ch, rows, cols).copy()

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -287,6 +288,24 @@ def test_stream_warmup_zero_exits_1(tmp_path, capsys):
     assert cli.main(["stream", str(seq), "--vib-hz", "3",
                      "--warmup", "0"]) == 1
     assert "warmup" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", [3, 4])  # fps, pixel spacing
+def test_detect_on_a_non_finite_header_exits_1(tmp_path, capsys, field):
+    from vibeline import cli
+
+    seq = make_sequence(np.zeros((12, 16, 16), np.uint8), 30.0, 0.1)
+    path = tmp_path / "inf.vibseq"
+    save_sequence(seq, path)
+    blob = bytearray(path.read_bytes())
+    fields = list(struct.unpack_from("<III ff", blob, 8))
+    fields[field] = math.inf
+    struct.pack_into("<III ff", blob, 8, *fields)
+    path.write_bytes(bytes(blob))
+    out = tmp_path / "inf.json"
+    assert cli.main(DETECT_3HZ + [str(path), "--out", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stream_too_short_input_exits_3(tmp_path):

@@ -1,9 +1,14 @@
-"""Sequence container and VIBSEQ01 round-trip behavior."""
+"""Sequence container, the shared VIBSEQ01/VIBMAP01 framing, the
+intensity rule."""
 
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vibeline import (
     BoundsError,
@@ -14,8 +19,11 @@ from vibeline import (
     load_sequence,
     make_sequence,
     pixel_signal,
+    read_vibmap,
     save_sequence,
+    write_vibmap,
 )
+from vibeline.core import _unit_float
 
 
 def random_sequence(seed=0, t=7, h=20, w=24, fps=30.0, spacing=0.15):
@@ -118,6 +126,43 @@ def test_truncated_header_raises_size_mismatch(tmp_path):
         load_sequence(path)
 
 
+def test_every_truncation_and_one_extra_byte_raise(tmp_path):
+    seq_path, map_path = tmp_path / "f.vibseq", tmp_path / "f.vibmap"
+    save_sequence(random_sequence(seed=14, t=1, h=16, w=16), seq_path)
+    write_vibmap(map_path, np.arange(24, dtype=np.float32).reshape(2, 3, 4))
+    for path, load in [(seq_path, load_sequence), (map_path, read_vibmap)]:
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            # a cut inside the magic is a bad magic; any later one a size error
+            with pytest.raises(FormatError if cut < 8 else SizeMismatchError):
+                load(path)
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(SizeMismatchError):
+            load(path)
+
+
+def test_lying_vibmap_header_raises_before_allocating(tmp_path, monkeypatch):
+    path = tmp_path / "lie.vibmap"
+    # 2**96 floats: allocating first would fail with a numpy error instead
+    path.write_bytes(b"VIBMAP01" + struct.pack("<III", *[2**32 - 1] * 3)
+                     + b"\x00" * 4)
+    with pytest.raises(SizeMismatchError):
+        read_vibmap(path)
+    allocs = []
+    real_empty = np.empty
+
+    def spy(*args, **kw):
+        allocs.append(args)
+        return real_empty(*args, **kw)
+
+    monkeypatch.setattr(np, "empty", spy)
+    path.write_bytes(b"VIBMAP01" + struct.pack("<III", 4, 4, 2) + b"\x00" * 8)
+    with pytest.raises(SizeMismatchError):
+        read_vibmap(path)
+    assert allocs == []
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_sequence(tmp_path / "nope.vibseq")
@@ -138,6 +183,28 @@ def test_nonpositive_fps_and_spacing_rejected():
         make_sequence(frames, 0.0, 0.1)
     with pytest.raises(ValidationError):
         make_sequence(frames, 30.0, -1.0)
+
+
+@pytest.mark.parametrize("fps, spacing", [
+    (math.inf, 0.1), (30.0, math.inf), (math.nan, 0.1), (30.0, math.nan),
+    (-math.inf, 0.1), (1e300, 0.1), (30.0, 1e300),  # 1e300 overflows float32
+])
+def test_non_finite_fps_and_spacing_rejected(fps, spacing):
+    with pytest.raises(ValidationError):
+        make_sequence(np.zeros((2, 16, 16), np.uint8), fps, spacing)
+
+
+@pytest.mark.parametrize("field", [3, 4])  # fps, pixel spacing
+def test_non_finite_header_field_rejected_on_load(tmp_path, field):
+    path = tmp_path / "inf.vibseq"
+    save_sequence(random_sequence(seed=15), path)
+    blob = bytearray(path.read_bytes())
+    fields = list(struct.unpack_from("<III ff", blob, 8))
+    fields[field] = math.inf
+    struct.pack_into("<III ff", blob, 8, *fields)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValidationError, match="finite"):
+        load_sequence(path)
 
 
 def test_wrong_dtype_rejected():
@@ -202,3 +269,59 @@ def test_frames_float_matches_pixel_signal():
     assert f.shape == (seq.frame_count, seq.height, seq.width)
     assert np.array_equal(f[:, 4, 7], pixel_signal(seq, 7, 4))
     assert np.array_equal(f, seq.frames.astype(np.float64) / 255.0)
+
+
+def test_unit_float_equals_astype_divide_on_every_level():
+    levels = np.arange(256, dtype=np.uint8)
+    expect = levels.astype(np.float64) / 255
+    got = _unit_float(levels)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+    # out= into a strided ring row, as a stream writes one frame
+    ring = np.full((3, 512), np.nan)
+    row = ring[1, ::2]
+    assert _unit_float(levels, out=row) is row
+    assert np.array_equal(row.view(np.int64), expect.view(np.int64))
+    assert np.isnan(ring[1, 1::2]).all() and np.isnan(ring[[0, 2]]).all()
+    square = ring[2].reshape(16, 32)[:, ::2]
+    _unit_float(levels.reshape(16, 16), out=square)
+    assert np.array_equal(square.ravel().view(np.int64), expect.view(np.int64))
+
+
+# --------------------------------------------------------------------------
+# Round trips of random files (Hypothesis)
+# --------------------------------------------------------------------------
+
+positive_f32 = st.floats(min_value=2.0**-100, max_value=2.0**100, width=32)
+
+
+@settings(max_examples=40, deadline=None)
+@given(frames=st.tuples(st.integers(1, 4), st.integers(16, 21),
+                        st.integers(16, 21)).flatmap(
+                            lambda shape: arrays(np.uint8, shape)),
+       fps=positive_f32, spacing=positive_f32)
+def test_vibseq_round_trip_is_bit_exact(tmp_path_factory, frames, fps, spacing):
+    seq = make_sequence(frames, fps, spacing)
+    path = tmp_path_factory.mktemp("seq") / "r.vibseq"
+    save_sequence(seq, path)
+    back = load_sequence(path)
+    assert back == seq
+    assert (back.fps, back.pixel_spacing) == (fps, spacing)
+    assert path.stat().st_size == 8 + 20 + frames.size
+
+
+@settings(max_examples=40, deadline=None)
+@given(arr=st.tuples(st.integers(0, 3), st.integers(0, 6),
+                     st.integers(0, 6)).flatmap(
+                         lambda shape: arrays(np.float32, shape)))
+def test_vibmap_round_trip_is_bit_exact(tmp_path_factory, arr):
+    path = tmp_path_factory.mktemp("map") / "r.vibmap"
+    write_vibmap(path, arr)
+    back = read_vibmap(path)
+    assert back.shape == arr.shape
+    # bit patterns, so NaN payloads and -0.0 count too
+    assert np.array_equal(back.view(np.uint32), arr.view(np.uint32))
+    if arr.shape[0] == 1:
+        write_vibmap(path, arr[0])
+        assert np.array_equal(read_vibmap(path).view(np.uint32),
+                              arr.view(np.uint32))

@@ -146,6 +146,15 @@ def test_detect_validates_frequency_against_fps(tmp_path):
             nearest_band(10, 30.0, target)
 
 
+def test_detect_rejects_a_non_finite_fps():
+    # at fps = inf every target lies below fs/2 and every bin sits at inf Hz
+    seq, _ = small_phantom(seed=15)
+    with pytest.raises(ValidationError, match="finite"):
+        detect_frames(seq.frames_float(), math.inf)
+    with pytest.raises(ValidationError, match="finite"):
+        StreamState(seq.height, seq.width, fps=math.inf)
+
+
 def test_timing_report_structure():
     seq, _ = small_phantom(seed=15)
     _, timing = detect_with_timing(seq, CFG3)

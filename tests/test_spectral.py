@@ -19,6 +19,7 @@ from vibeline import (
     window_count,
     write_vibmap,
 )
+from vibeline.core import _snapped_cos_sin
 from vibeline.phantom import needle_geometry, synth_sequence
 from vibeline.spectral import RATIO_EPS, _energy_ratio
 
@@ -61,6 +62,50 @@ def test_basis_orthogonality_and_norms(n):
         assert abs(cos_row @ sin_row) <= 1e-10
         assert abs(cos_row @ cos_row - n / 2) <= 1e-10
         assert abs(sin_row @ sin_row - n / 2) <= 1e-10
+
+
+# The quarter-turn table the basis used before the snap moved into core,
+# kept verbatim as the oracle the shared rule must reproduce bit for bit.
+_COS_QUARTER = np.array([1.0, 0.0, -1.0, 0.0])
+_SIN_QUARTER = np.array([0.0, 1.0, 0.0, -1.0])
+
+
+def _quarter_table_cos_sin(num, den: int):
+    num = np.asarray(num, dtype=np.int64) % den
+    ang = 2.0 * np.pi * num / den
+    c = np.cos(ang)
+    s = np.sin(ang)
+    quad, rem = np.divmod(4 * num, den)
+    exact = rem == 0
+    quad = np.where(exact, quad, 0)
+    c = np.where(exact, _COS_QUARTER[quad], c)
+    s = np.where(exact, _SIN_QUARTER[quad], s)
+    return c, s
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def test_snap_reproduces_the_quarter_table_for_every_phase():
+    # every phase any basis of N <= 2048 uses is some 2*pi*r/N, 0 <= r < N
+    for n in range(2, 2049):
+        num = np.arange(n)
+        got = _snapped_cos_sin(2.0 * np.pi * num / n)
+        want = _quarter_table_cos_sin(num, n)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1]), n
+
+
+@pytest.mark.parametrize("n", [*range(2, 65), 97, 360, 1000, 1023, 2048])
+def test_basis_and_sliding_rotation_equal_the_quarter_table(n):
+    rows = np.empty((2 * (n // 2), n))
+    for k in range(n // 2):
+        c, s = _quarter_table_cos_sin(k * np.arange(n), n)
+        rows[2 * k], rows[2 * k + 1] = c, -s
+    assert _same_bits(dft_basis(n).rows, rows)
+    c, s = _quarter_table_cos_sin(np.arange(n // 2), n)
+    assert _same_bits(SlidingDft(n)._rot, c + 1j * s)
 
 
 def test_basis_bin_freqs():
@@ -208,6 +253,12 @@ def test_sliding_dft_rejects_tiny_window():
 # --------------------------------------------------------------------------
 # Band energy
 # --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fs", [math.inf, math.nan, 0.0, -30.0])
+def test_nearest_band_rejects_a_non_finite_or_non_positive_fps(fs):
+    with pytest.raises(ValidationError):
+        nearest_band(10, fs, 3.0)
+
 
 def test_nearest_band_picks_closest_non_dc_bin():
     # 10-sample window at 30 fps: bins at 0, 3, 6, 9, 12 Hz.
