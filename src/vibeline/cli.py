@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from .errors import (BoundsError, FormatError, GeometryError,
-                     NoDetectionError, ValidationError)
+                     NoDetectionError, ValidationError, _check_setting)
 from .metrics import ANGLE_THRESH_DEG, TIP_THRESH_MM
 
 _THREAD_ENV_VARS = (
@@ -49,8 +49,7 @@ def _apply_threads(n) -> None:
     """Write --threads to the BLAS/OpenMP variables before numpy loads."""
     if n is None:
         return
-    if n < 1:
-        raise ValidationError(f"--threads must be >= 1, got {n}")
+    _check_setting("--threads", n, 1, lo_closed=True, integer=True)
     for var in _THREAD_ENV_VARS:
         os.environ[var] = str(n)
 
@@ -94,14 +93,14 @@ def _build_phantom_spec(args, config: dict):
         entry = config["needle_entry"]
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise ValidationError("needle_entry must be a 2-element [x, y]")
-        config = {**config, "needle_entry": (float(entry[0]), float(entry[1]))}
+        config = {**config, "needle_entry": tuple(entry)}
     spec = _configured(preset(args.preset) if args.preset else PhantomSpec(),
                        args, config)
     if args.entry_x is None and args.entry_y is None:
         return spec
     ex = spec.needle_entry[0] if args.entry_x is None else args.entry_x
     ey = spec.needle_entry[1] if args.entry_y is None else args.entry_y
-    return dataclasses.replace(spec, needle_entry=(float(ex), float(ey)))
+    return dataclasses.replace(spec, needle_entry=(ex, ey))
 
 
 def _build_detect_config(args, config: dict):
@@ -135,15 +134,15 @@ def cmd_gen(args, config: dict) -> int:
 
 def cmd_detect(args, config: dict) -> int:
     from .core import load_sequence, write_vibmap
-    from .pipeline import _detect_run, _hough_channels
+    from .pipeline import _hough_channels, detect_with_timing
 
     import numpy as np
 
     cfg = _build_detect_config(args, config)
     seq = load_sequence(args.input)
     # one run feeds the record and every --emit-* map
-    det, timing, values, grid, hough = _detect_run(seq.frames_float(),
-                                                   seq.fps, cfg)
+    det, timing, values, grid, hough = detect_with_timing(
+        seq.frames_float(), seq.fps, cfg)
 
     out = _prepared(args.out) if args.out \
         else Path(args.input).with_suffix(".json")

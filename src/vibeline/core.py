@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundsError, FormatError, SizeMismatchError, ValidationError
+from .errors import (BoundsError, FormatError, SizeMismatchError,
+                     ValidationError, _check_setting)
 
 MAGIC = b"VIBSEQ01"
 _HEADER = struct.Struct("<III ff")  # H, W, T, fps, pixel_spacing_mm
@@ -95,17 +96,10 @@ def _snapped_cos_sin(rad: np.ndarray):
 
 
 def validate_sequence(seq: UsSequence) -> None:
-    if seq.height < 16 or seq.width < 16:
-        raise ValidationError(
-            f"image must be at least 16x16, got {seq.height}x{seq.width}"
-        )
-    if seq.frame_count < 1:
-        raise ValidationError("frame_count must be positive")
-    if not (0 < seq.fps < math.inf):
-        raise ValidationError(f"fps must be finite and > 0, got {seq.fps}")
-    if not (0 < seq.pixel_spacing < math.inf):
-        raise ValidationError(
-            f"pixel_spacing must be finite and > 0, got {seq.pixel_spacing}")
+    for name, lo in (("height", 16), ("width", 16), ("frame_count", 1)):
+        _check_setting(name, getattr(seq, name), lo, lo_closed=True, integer=True)
+    _check_setting("fps", seq.fps, 0)
+    _check_setting("pixel_spacing", seq.pixel_spacing, 0)
     if seq.frames.dtype != np.uint8:
         raise ValidationError(f"frames must be uint8, got {seq.frames.dtype}")
     expect = (seq.frame_count, seq.height, seq.width)

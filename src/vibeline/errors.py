@@ -1,9 +1,17 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one settings rule.
 
 The CLI maps these onto process exit codes (see cli.py), so new error
 conditions should reuse one of the families below instead of raising a
 bare Exception.
+
+Every numeric setting, from a flag, a config file or a library call, is
+checked by _check_setting: its type, its finiteness and its range, with
+a ValidationError that names the setting.  This module imports no
+numeric library, so the CLI and metrics can use the rule without one.
 """
+
+import math
+import numbers
 
 
 class VibelineError(Exception):
@@ -12,6 +20,29 @@ class VibelineError(Exception):
 
 class ValidationError(VibelineError, ValueError):
     """A parameter or field violates a documented precondition."""
+
+
+def _check_setting(name, value, lo=-math.inf, hi=math.inf, *, lo_closed=False,
+                   hi_closed=False, integer=False, message=None) -> None:
+    """Raise ValidationError unless value is a real number in the range.
+
+    Each end of the range is open unless *_closed, so an infinite end
+    makes the value finite.  With integer=True the value must be an
+    integer.  A bool or a str always fails, and NaN fails every
+    comparison.  The error names the setting, its range and the value,
+    unless a message is given.
+    """
+    if (isinstance(value, numbers.Integral if integer else numbers.Real)
+            and not isinstance(value, bool)
+            and (lo <= value if lo_closed else lo < value)
+            and (value <= hi if hi_closed else value < hi)):
+        return
+    ends = ([f"{'>=' if lo_closed else '>'} {lo:g}"] * (lo > -math.inf)
+            + [f"{'<=' if hi_closed else '<'} {hi:g}"] * (hi < math.inf))
+    kind = ["an integer"] if integer else ["finite"] * (len(ends) < 2)
+    got = value if isinstance(value, numbers.Number) else repr(value)
+    raise ValidationError(
+        message or f"{name} must be {' and '.join(ends + kind)}, got {got}")
 
 
 class FormatError(VibelineError, ValueError):

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import _snapped_cos_sin
-from .errors import NoDetectionError, ValidationError
+from .errors import NoDetectionError, ValidationError, _check_setting
 
 
 @dataclass(frozen=True)
@@ -36,12 +36,10 @@ class HoughGrid:
     rho_offset: int = field(init=False)
 
     def __post_init__(self):
-        if self.image_h < 1 or self.image_w < 1:
-            raise ValidationError("image dimensions must be positive")
-        if not (0 < self.theta_step <= 180):
-            raise ValidationError(f"theta_step out of range: {self.theta_step}")
-        if self.rho_step <= 0:
-            raise ValidationError(f"rho_step must be positive: {self.rho_step}")
+        for name in ("image_h", "image_w"):
+            _check_setting(name, getattr(self, name), 1, lo_closed=True,
+                           integer=True)
+        _check_steps(self.theta_step, self.rho_step)
         object.__setattr__(self, "theta_bins", math.ceil(180.0 / self.theta_step))
         diag = math.hypot(self.image_h, self.image_w)
         half = math.ceil(diag / self.rho_step)
@@ -56,6 +54,12 @@ class HoughGrid:
 
     def shape(self):
         return (self.theta_bins, self.rho_bins)
+
+
+def _check_steps(theta_step: float, rho_step: float) -> None:
+    """The grid's resolution rule, which DetectConfig applies as well."""
+    _check_setting("theta_step", theta_step, 0, 180, hi_closed=True)
+    _check_setting("rho_step", rho_step, 0)
 
 
 @dataclass(frozen=True)
@@ -146,8 +150,7 @@ def render_shaft_gt(grid: HoughGrid, theta: float, rho: float,
     exactly 1 when the target sits on a bin center.  No wrap-around in
     theta: a target near the 0/180 seam blurs toward one side only.
     """
-    if sigma <= 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
+    _check_setting("sigma", sigma, 0)
     tc = theta / grid.theta_step
     rc = rho / grid.rho_step + grid.rho_offset
     ti = np.arange(grid.theta_bins, dtype=np.float64)
@@ -165,8 +168,7 @@ def render_tip_gt(grid: HoughGrid, tip_x: float, tip_y: float,
     every row attains exactly 1.0 there.  Each row is a slice of one
     Gaussian over the offsets -(rho_bins - 1) .. rho_bins - 1.
     """
-    if sigma <= 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
+    _check_setting("sigma", sigma, 0)
     if not (0 <= tip_x <= grid.image_w - 1 and 0 <= tip_y <= grid.image_h - 1):
         raise ValidationError(
             f"tip ({tip_x}, {tip_y}) outside image "
@@ -242,8 +244,7 @@ def tip_from_hough(tip_channel: np.ndarray, grid: HoughGrid,
     pixel of the accumulator as (tip_x, tip_y).  Ties break toward the
     smallest (y, then x).
     """
-    if not (0 < top_p <= 100):
-        raise ValidationError(f"top_p must be in (0, 100], got {top_p}")
+    _check_setting("top_p", top_p, 0, 100, hi_closed=True)
     chan = np.asarray(tip_channel, dtype=np.float64)
     if chan.shape != grid.shape():
         raise ValidationError(

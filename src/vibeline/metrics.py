@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, _check_setting
 
 ANGLE_THRESH_DEG = 15.0
 TIP_THRESH_MM = 10.0
@@ -43,13 +43,9 @@ class ErrorRecord:
             raise ValidationError(
                 f"record {self.sequence_id!r} lacks errors but is not missing"
             )
-        if not (math.isfinite(self.angle_error)
-                and 0.0 <= self.angle_error <= 90.0):
-            raise ValidationError(
-                f"angle_error {self.angle_error} outside [0, 90]"
-            )
-        if not (math.isfinite(self.tip_error) and self.tip_error >= 0.0):
-            raise ValidationError(f"tip_error {self.tip_error} must be >= 0")
+        _check_setting("angle_error", self.angle_error, 0, 90,
+                       lo_closed=True, hi_closed=True)
+        _check_setting("tip_error", self.tip_error, 0, lo_closed=True)
 
     def exceeds(self, angle_thresh: float = ANGLE_THRESH_DEG,
                 tip_thresh: float = TIP_THRESH_MM) -> bool:
@@ -66,8 +62,7 @@ def angle_error(pred_theta: float, gt_theta: float) -> float:
 
 def tip_error(pred: tuple, gt: tuple, spacing: float) -> float:
     """Euclidean tip distance in mm given a mm/px spacing."""
-    if not spacing > 0:
-        raise ValidationError(f"spacing must be > 0, got {spacing}")
+    _check_setting("spacing", spacing, 0)
     return spacing * math.hypot(pred[0] - gt[0], pred[1] - gt[1])
 
 
@@ -147,6 +142,8 @@ def evaluate_batch(pred_dir, gt_dir, angle_thresh: float = ANGLE_THRESH_DEG,
     only one side are excluded and reported with a warning; FormatError
     names a file that is not a well-formed record.
     """
+    _check_setting("angle_thresh", angle_thresh, 0, lo_closed=True)
+    _check_setting("tip_thresh", tip_thresh, 0, lo_closed=True)
     pred_dir = Path(pred_dir)
     gt_dir = Path(gt_dir)
     preds = {

@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .core import INWARD, _bilinear_clamped, make_sequence
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, _check_setting
 
 NEEDLE_RIDGE_SIGMA = 1.0  # px, additive brightness profile of the shaft
 NEEDLE_RIDGE_PEAK = 0.5
@@ -131,39 +130,27 @@ def needle_geometry(spec: PhantomSpec):
 
 
 def validate_spec(spec: PhantomSpec) -> None:
-    if spec.height < 16 or spec.width < 16:
-        raise ValidationError("phantom must be at least 16x16")
-    if spec.frame_count < 1:
-        raise ValidationError("frame_count must be positive")
-    if spec.fps <= 0:
-        raise ValidationError("fps must be positive")
-    if spec.pixel_spacing <= 0:
-        raise ValidationError("pixel_spacing must be positive")
-    if not (0.0 <= spec.needle_angle < 180.0):
-        raise ValidationError(
-            f"needle_angle must be in [0, 180), got {spec.needle_angle}"
-        )
+    """Check every field; synth_sequence calls this before any synthesis."""
+    for name, lo in (("height", 16), ("width", 16), ("frame_count", 1),
+                     ("artifact_count", 0), ("seed", 0)):
+        _check_setting(name, getattr(spec, name), lo, lo_closed=True, integer=True)
+    for name in ("fps", "pixel_spacing", "vib_freq", "motion_sigma",
+                 "needle_length"):
+        _check_setting(name, getattr(spec, name), 0)
+    _check_setting("needle_angle", spec.needle_angle, 0, 180, lo_closed=True)
+    _check_setting("vib_amplitude", spec.vib_amplitude, 0, lo_closed=True)
+    _check_setting("visibility", spec.visibility, 0, 1,
+                   lo_closed=True, hi_closed=True)
+    _check_setting("speckle_grain", spec.speckle_grain, 1, lo_closed=True)
+    for axis, value in zip("xy", spec.needle_entry):
+        _check_setting(f"needle_entry {axis}", value)
     if not (spec.vib_freq < spec.fps / 2):
         raise ValidationError(
             f"vib_freq {spec.vib_freq} violates the Nyquist limit fps/2 = "
             f"{spec.fps / 2}"
         )
-    if spec.vib_freq <= 0:
-        raise ValidationError("vib_freq must be positive")
-    if spec.vib_amplitude < 0:
-        raise ValidationError("vib_amplitude must be >= 0")
-    if spec.motion_sigma <= 0:
-        raise ValidationError("motion_sigma must be positive")
-    if not (0.0 <= spec.visibility <= 1.0):
-        raise ValidationError(f"visibility must be in [0,1], got {spec.visibility}")
-    if spec.artifact_count < 0:
-        raise ValidationError("artifact_count must be >= 0")
-    if spec.speckle_grain < 1:
-        raise ValidationError("speckle_grain must be >= 1 px")
     if spec.entry_side not in INWARD:
         raise ValidationError(f"entry_side must be one of {tuple(INWARD)}")
-    if spec.needle_length <= 0:
-        raise ValidationError("needle_length must be positive")
     ex, ey = spec.needle_entry
     # distance from the entry border, along the one axis INWARD crosses
     border = sum(abs(p - (n - 1 if u < 0 else 0.0)) for p, u, n in zip(
@@ -185,6 +172,9 @@ def validate_spec(spec: PhantomSpec) -> None:
 
 def _speckle_from_rng(rng: np.random.Generator, h: int, w: int,
                       grain: float) -> np.ndarray:
+    # imported here, so reading a spec or a ground truth loads no scipy
+    from scipy.ndimage import gaussian_filter
+
     noise = rng.standard_normal((h, w))
     smooth = gaussian_filter(noise, sigma=grain, mode="reflect")
     span = smooth.max() - smooth.min()
@@ -195,10 +185,10 @@ def _speckle_from_rng(rng: np.random.Generator, h: int, w: int,
 
 def background_speckle(h: int, w: int, grain: float, seed: int) -> np.ndarray:
     """Spatially correlated texture in [0, 1]; deterministic per seed."""
-    if h < 16 or w < 16:
-        raise ValidationError("speckle image must be at least 16x16")
-    if grain < 1:
-        raise ValidationError("grain must be >= 1 px")
+    for name, value in (("h", h), ("w", w)):
+        _check_setting(name, value, 16, lo_closed=True, integer=True)
+    _check_setting("grain", grain, 1, lo_closed=True)
+    _check_setting("seed", seed, 0, lo_closed=True, integer=True)
     return _speckle_from_rng(np.random.default_rng(seed), h, w, grain)
 
 
@@ -252,8 +242,8 @@ def _co_motion_falloff(spec: PhantomSpec):
 
 def displacement_field(spec: PhantomSpec, t: int) -> np.ndarray:
     """(H, W, 2) displacement in pixels at frame t; zero when A = 0."""
-    if not (0 <= t < spec.frame_count):
-        raise ValidationError(f"frame index {t} outside 0..{spec.frame_count - 1}")
+    _check_setting("frame index t", t, 0, spec.frame_count,
+                   lo_closed=True, integer=True)
     _, _, _, normal = needle_geometry(spec)
     amp = spec.vib_amplitude * math.sin(2.0 * math.pi * spec.vib_freq * t / spec.fps)
     envelope = amp * _co_motion_falloff(spec)[0]

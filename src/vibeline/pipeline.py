@@ -17,8 +17,8 @@ import numpy as np
 
 from .core import (INWARD, UsSequence, _bilinear_clamped, _snapped_cos_sin,
                    _unit_float)
-from .errors import GeometryError, NoTipError, ValidationError
-from .hough import (HoughGrid, HoughMap, hough_transform,
+from .errors import GeometryError, NoTipError, ValidationError, _check_setting
+from .hough import (HoughGrid, HoughMap, _check_steps, hough_transform,
                     render_tip_gt, shaft_from_hough)
 from .spectral import (_band_power_sums, _energy_ratio,
                        band_energy_from_frames, dft_basis, nearest_band)
@@ -54,16 +54,15 @@ class DetectConfig:
     tip_sigma: float = 2.0
 
     def __post_init__(self):
-        if self.vib_freq <= 0:
-            raise ValidationError("vib_freq must be positive")
-        if self.window_len < 4:
-            raise ValidationError("window_len must be >= 4 (need a non-DC bin)")
-        if self.hop < 1:
-            raise ValidationError("hop must be >= 1")
-        if not (0.0 < self.profile_threshold < 1.0):
-            raise ValidationError("profile_threshold must be in (0, 1)")
-        if self.profile_smooth < 1:
-            raise ValidationError("profile_smooth must be >= 1")
+        # window_len >= 4 leaves a non-DC bin to target
+        for name, lo in (("window_len", 4), ("hop", 1), ("profile_smooth", 1)):
+            _check_setting(name, getattr(self, name), lo, lo_closed=True,
+                           integer=True)
+        for name in ("vib_freq", "tip_sigma"):
+            _check_setting(name, getattr(self, name), 0)
+        _check_steps(self.theta_step, self.rho_step)
+        _check_setting("profile_threshold", self.profile_threshold, 0, 1)
+        _check_setting("confidence_min", self.confidence_min)
         if self.entry_side not in INWARD:
             raise ValidationError(f"entry_side must be one of "
                                   f"{tuple(INWARD)}, got {self.entry_side!r}")
@@ -156,7 +155,7 @@ def tip_along_line(energy_values: np.ndarray, theta: float, rho: float,
     xs = base[0] + svals * d[0]
     ys = base[1] + svals * d[1]
     profile = _bilinear_clamped(np.asarray(energy_values, dtype=np.float64), xs, ys)
-    k = int(cfg.profile_smooth)
+    k = cfg.profile_smooth
     if k > 1:
         # the centred n samples of the full convolution: mode="same" for
         # n >= k, and aligned with the line's samples for n < k too
@@ -173,6 +172,8 @@ def tip_along_line(energy_values: np.ndarray, theta: float, rho: float,
     p_lo = base + svals[starts[best]] * d
     p_hi = base + svals[ends[best] - 1] * d
     tip = p_hi if (p_hi - p_lo) @ INWARD[cfg.entry_side] >= 0 else p_lo
+    # an end on the border can land a rounding step outside the image
+    tip = np.clip(tip, 0.0, (w - 1.0, h - 1.0))
     return float(tip[0]), float(tip[1])
 
 
@@ -213,11 +214,15 @@ def _decode(values: np.ndarray, grid: HoughGrid, hough: np.ndarray,
                      confidence=confidence, low_confidence_flag=bool(flagged))
 
 
-def _detect_run(frames01: np.ndarray, fps: float, cfg: DetectConfig):
+def detect_with_timing(frames01: np.ndarray, fps: float,
+                       cfg: DetectConfig | None = None):
     """One timed batch run: (Detection, timing, energy, grid, Hough image).
 
-    Callers that export the maps reuse the ones the detection came from.
+    Callers that export the maps reuse the ones the detection came from;
+    perfbench/tracing.py wraps this name.  Timing is reported per stage
+    in milliseconds.
     """
+    cfg = cfg or DetectConfig()
     t0 = time.perf_counter()
     # inf * 0 in the matmul makes an inf frame NaN; _vote raises the error
     with np.errstate(invalid="ignore"):
@@ -246,20 +251,14 @@ def detect_frames(frames01: np.ndarray, fps: float, cfg: DetectConfig | None = N
     and adding an offset leaves the result unchanged up to float noise.
     No mean is removed, so a huge offset lifts static pixels' rounding
     dust above RATIO_EPS: on a fullsize phantom confidence held up to an
-    offset of 1e8 and fell from 189 to 27 at 1e9.  Timing is reported
-    per stage in milliseconds.
+    offset of 1e8 and fell from 189 to 27 at 1e9.
     """
-    return _detect_run(frames01, fps, cfg or DetectConfig())[:2]
-
-
-def detect_with_timing(seq: UsSequence, cfg: DetectConfig | None = None):
-    """detect_frames on a sequence; perfbench/tracing.py wraps this name."""
-    return detect_frames(seq.frames_float(), seq.fps, cfg)
+    return detect_with_timing(frames01, fps, cfg)[:2]
 
 
 def detect(seq: UsSequence, cfg: DetectConfig | None = None) -> Detection:
     """End-to-end batch detection on a sequence."""
-    return detect_with_timing(seq, cfg)[0]
+    return detect_frames(seq.frames_float(), seq.fps, cfg)[0]
 
 
 def _hough_channels(det: Detection, grid: HoughGrid, hough: np.ndarray,
@@ -300,9 +299,11 @@ class StreamState:
                  cfg: DetectConfig | None = None, warmup: int = DEFAULT_WARMUP):
         if cfg is None:
             cfg = DetectConfig()
-        if height < 1 or width < 1:
-            raise ValidationError(
-                f"stream frames must be at least 1x1, got {height}x{width}")
+        size = f"stream frames must be at least 1x1, got {height}x{width}"
+        for value in (height, width):
+            _check_setting("frame size", value, 1, lo_closed=True,
+                           integer=True, message=size)
+        _check_setting("warmup", warmup, integer=True)
         if warmup < cfg.window_len:
             raise ValidationError("warmup must be >= window_len")
         if cfg.hop != 1:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_setting
 
 POSITIVE_CUTOFF = 1.0 - 1e-9
 
@@ -26,14 +26,10 @@ class LossParams:
     clamp_eps: float = 1e-6
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValidationError("alpha and beta must be >= 0")
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ValidationError(f"gamma must be in [0,1], got {self.gamma}")
-        if not (0.0 < self.clamp_eps < 0.5):
-            raise ValidationError(
-                f"clamp_eps must be in (0, 0.5), got {self.clamp_eps}"
-            )
+        for name in ("alpha", "beta"):
+            _check_setting(name, getattr(self, name), 0, lo_closed=True)
+        _check_setting("gamma", self.gamma, 0, 1, lo_closed=True, hi_closed=True)
+        _check_setting("clamp_eps", self.clamp_eps, 0, 0.5)
 
 
 def _check_pair(pred: np.ndarray, gt: np.ndarray):

@@ -16,13 +16,12 @@ turn gives exactly -1, 0 or 1; floating-point pi makes np.cos(pi/2) a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import _snapped_cos_sin
-from .errors import ValidationError
+from .errors import ValidationError, _check_setting
 
 # Division guard, and the mean non-DC power at or below which a pixel
 # scores exactly 0: a static pixel's is rounding dust (at most ~1.3e-30
@@ -62,8 +61,7 @@ class SpectralBasis:
 
 
 def dft_basis(window_len: int) -> SpectralBasis:
-    if window_len < 2:
-        raise ValidationError(f"window_len must be >= 2, got {window_len}")
+    _check_setting("window_len", window_len, 2, lo_closed=True, integer=True)
     n_bins = window_len // 2
     n = np.arange(window_len)
     rows = np.empty((2 * n_bins, window_len), dtype=np.float64)
@@ -82,18 +80,13 @@ def nearest_band(window_len: int, fs: float, target_freq: float) -> int:
     and target_freq in (0, fs/2); every detection entry point resolves
     its band here, so this is the one place that check lives.
     """
-    if not (0 < fs < math.inf):
-        raise ValidationError(f"fps must be finite and > 0, got {fs}")
+    _check_setting("window_len", window_len, 4, lo_closed=True, integer=True)
+    _check_setting("fps", fs, 0)
     if not (0 < target_freq < fs / 2):
         raise ValidationError(
             f"frequency {target_freq} Hz must lie in (0, fps/2) = (0, {fs / 2}) Hz"
         )
-    n_bins = window_len // 2
-    if n_bins < 2:
-        raise ValidationError(
-            f"window_len={window_len} leaves no non-DC bin to target"
-        )
-    freqs = np.arange(1, n_bins) * float(fs) / window_len
+    freqs = np.arange(1, window_len // 2) * float(fs) / window_len
     return 1 + int(np.argmin(np.abs(freqs - target_freq)))
 
 
@@ -123,13 +116,12 @@ def stft(signal, window_len: int, hop: int = 1) -> Spectrogram:
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise ValidationError(f"signal must be 1-D, got shape {x.shape}")
-    if hop < 1:
-        raise ValidationError(f"hop must be >= 1, got {hop}")
+    _check_setting("hop", hop, 1, lo_closed=True, integer=True)
+    basis = dft_basis(window_len)
     if x.size < window_len:
         raise ValidationError(
             f"signal length {x.size} shorter than window {window_len}"
         )
-    basis = dft_basis(window_len)
     m = window_count(x.size, window_len, hop)
     starts = hop * np.arange(m)
     segs = x[starts[:, None] + np.arange(window_len)[None, :]]  # (M, N)
@@ -148,8 +140,7 @@ class SlidingDft:
     """
 
     def __init__(self, window_len: int):
-        if window_len < 2:
-            raise ValidationError(f"window_len must be >= 2, got {window_len}")
+        _check_setting("window_len", window_len, 2, lo_closed=True, integer=True)
         self.window_len = window_len
         self.n_bins = window_len // 2
         c, s = _snapped_cos_sin(2.0 * np.pi * np.arange(self.n_bins) / window_len)
@@ -186,8 +177,7 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
     [0, 1].  An exactly static pixel scores exactly 0 (see RATIO_EPS).
     """
     k_star = nearest_band(window_len, fps, target_freq)
-    if hop < 1:
-        raise ValidationError("hop must be >= 1")
+    _check_setting("hop", hop, 1, lo_closed=True, integer=True)
     if frames01.ndim != 3 or frames01.shape[0] < window_len:
         raise ValidationError(f"frames must have shape (T, H, W) with "
                               f"T >= {window_len}, got {frames01.shape}")

@@ -733,3 +733,109 @@ def test_output_directories_are_created(tmp_path):
     proc = run(DETECT_3HZ + [str(seq), "--out", str(out)])
     assert proc.returncode == 0
     assert out.exists()
+
+
+# --------------------------------------------------------------------------
+# settings: one error line naming the setting, and nothing written
+# --------------------------------------------------------------------------
+
+# (global flags, subcommand flags, config, the setting the error names)
+BAD_SETTINGS = {
+    # a NaN threshold turned the low-confidence flag off
+    "confidence_min_nan": ([], ["--confidence-min", "nan"], None,
+                           "confidence_min"),
+    # wrote an all-NaN tip channel
+    "tip_sigma_nan": ([], ["--tip-sigma", "nan"], None, "tip_sigma"),
+    # these crashed with a traceback
+    "rho_step_nan": ([], ["--rho-step", "nan"], None, "rho_step"),
+    "amplitude_nan": ([], ["--amplitude", "nan"], None, "vib_amplitude"),
+    "motion_sigma_nan": ([], ["--motion-sigma", "nan"], None, "motion_sigma"),
+    "seed_negative": (["--seed", "-1"], [], None, "seed"),
+    "config_hop_nan": ([], [], '{"hop": NaN}', "hop"),
+    "config_vib_freq_text": ([], [], '{"vib_freq": "2.5"}', "vib_freq"),
+    "config_window_len_fraction": ([], [], '{"window_len": 10.5}',
+                                   "window_len"),
+    "config_frame_count_fraction": ([], [], '{"frame_count": 2.5}',
+                                    "frame_count"),
+    "config_seed_fraction": ([], [], '{"seed": 1.5}', "seed"),
+    # was truncated to 2
+    "config_profile_smooth_fraction": ([], [], '{"profile_smooth": 2.5}',
+                                       "profile_smooth"),
+    # synthesized the whole sequence before the fps was rejected
+    "fps_inf": ([], ["--fps", "inf"], None, "fps"),
+    # reported a TER of 0% for a 40 degree error
+    "angle_thresh_nan": ([], ["--angle-thresh", "nan"], None, "angle_thresh"),
+    "tip_thresh_nan": ([], ["--tip-thresh", "nan"], None, "tip_thresh"),
+}
+GEN_FIELDS = {"vib_amplitude", "motion_sigma", "seed", "frame_count", "fps"}
+EVAL_FIELDS = {"angle_thresh", "tip_thresh"}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
+def test_bad_setting_exits_1_naming_it_and_writes_nothing(tmp_path, capsys,
+                                                          monkeypatch, case):
+    from vibeline import cli, phantom
+
+    global_flags, flags, config, name = BAD_SETTINGS[case]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        global_flags = global_flags + ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    if name in GEN_FIELDS:
+        args = ["gen", "--out", str(out / "g.vibseq")]
+    elif name in EVAL_FIELDS:
+        for d, record in (("pred", {**GOOD_PRED, "theta_deg": 70.0}),
+                          ("gt", GOOD_GT)):
+            (tmp_path / d).mkdir()
+            suffix = ".json" if d == "pred" else ".gt.json"
+            (tmp_path / d / f"a{suffix}").write_text(json.dumps(record))
+        args = ["eval", "--pred", str(tmp_path / "pred"),
+                "--gt", str(tmp_path / "gt"),
+                "--out-csv", str(out / "r.csv"),
+                "--out-json", str(out / "a.json")]
+    else:
+        seq_path = _noise_sequence(tmp_path / "a.vibseq")
+        args = ["detect", str(seq_path), "--out", str(out / "d.json"),
+                "--timing", str(out / "t.json"),
+                "--emit-energy", str(out / "e.vibmap"),
+                "--emit-hough", str(out / "h.vibmap")]
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesis started")
+
+    monkeypatch.setattr(phantom, "_speckle_from_rng", no_synthesis)
+    assert cli.main(global_flags + args + flags) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {name} must be "), err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_readme_quick_start_reproduces_its_printed_record(tmp_path,
+                                                          monkeypatch):
+    import re
+    import shlex
+    from pathlib import Path
+
+    from vibeline import cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if re.match(r"vibeline (--seed \d+ )?(gen|detect) ", line)]
+    assert len(commands) == 2
+    # the record as printed: '#   "key": value,' lines
+    shown = dict(re.findall(r'^#   "(\w+)": ([^,\n]+)', block, re.M))
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv) == 0
+    record = json.loads((tmp_path / "demo.json").read_text())
+    assert record.keys() == shown.keys()
+    for key, value in record.items():
+        text = shown[key]
+        if text.endswith("..."):  # to the digits shown
+            assert repr(value).startswith(text[:-3]), (key, value, text)
+        else:
+            assert value == json.loads(text), (key, value, text)

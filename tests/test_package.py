@@ -47,6 +47,28 @@ def test_detection_loads_neither_the_generator_nor_scipy(tmp_path):
     assert proc.stderr.splitlines()[-1] == "[3, 3] []"
 
 
+def test_reading_a_config_or_a_ground_truth_loads_no_scipy(tmp_path):
+    # detect --config checks its keys against PhantomSpec, and --hough-gt
+    # reads the truth with phantom.load_ground_truth; only synthesis
+    # needs scipy's filter
+    from vibeline import GroundTruth, save_ground_truth
+
+    cfg, gt = tmp_path / "cfg.json", tmp_path / "a.gt.json"
+    cfg.write_text('{"vib_freq": 3.0, "seed": 4}')
+    save_ground_truth(GroundTruth(30.0, 50.0, 10.0, 12.0, 0.1), gt)
+    code = (
+        "import sys\n"
+        "from vibeline import cli, load_ground_truth\n"
+        f"cli._load_config({str(cfg)!r})\n"
+        f"load_ground_truth({str(gt)!r})\n"
+        "print('vibeline.phantom' in sys.modules, 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
+
+
 def test_detection_does_not_load_numpy_ma(tmp_path):
     # np.percentile imports numpy.ma on first use, ~10 ms of every cold
     # detect; the tip walk takes its 95th percentile from a sort instead

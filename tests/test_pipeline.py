@@ -22,7 +22,6 @@ from vibeline import (
     band_energy_from_frames,
     detect,
     detect_frames,
-    detect_with_timing,
     hybrid_loss,
     nearest_band,
     preset,
@@ -157,7 +156,7 @@ def test_detect_rejects_a_non_finite_fps():
 
 def test_timing_report_structure():
     seq, _ = small_phantom(seed=15)
-    _, timing = detect_with_timing(seq, CFG3)
+    _, timing = detect_frames(seq.frames_float(), seq.fps, CFG3)
     assert set(timing) == {"spectral_ms", "hough_ms", "post_ms", "total_ms"}
     assert all(v >= 0.0 for v in timing.values())
     assert timing["total_ms"] >= timing["hough_ms"]
@@ -183,6 +182,15 @@ def test_tip_along_line_respects_entry_side():
     x, y = tip_along_line(energy, 90.0, 40.0, cfg)
     assert abs(x - 68.0) <= 1.0
     assert abs(y - 40.0) <= 0.5
+
+
+def test_a_tip_on_the_border_stays_inside_the_image():
+    # this run's tip once came back at x = 15.000000000000002 on a 16 px
+    # wide image, so rendering its tip channel raised "outside image"
+    frames = 0.5 + 0.2 * np.random.default_rng(5).standard_normal((12, 16, 16))
+    det, _ = detect_frames(frames, 30.0, DetectConfig(rho_step=8.0))
+    assert 0.0 <= det.tip_x <= 15.0 and 0.0 <= det.tip_y <= 15.0
+    assert det.tip_x == 15.0
 
 
 @pytest.mark.parametrize("side, tip", [
