@@ -31,17 +31,16 @@ _EXPORTS = {
               "render_truth_map", "inverse_hough_accumulate",
               "tip_from_hough"),
     "scoring": ("LossParams", "focal_loss", "focal_loss_grad", "hybrid_loss"),
-    "phantom": ("PhantomSpec", "GroundTruth", "preset", "needle_geometry",
-                "validate_spec", "background_speckle", "displacement_field",
-                "warp_bilinear", "ground_truth_of", "synth_sequence",
-                "save_ground_truth", "load_ground_truth"),
-    "pipeline": ("DetectConfig", "Detection", "StreamState", "stream_push",
-                 "detect", "detect_frames", "detect_with_timing",
-                 "tip_along_line", "DEFAULT_CONFIDENCE_MIN",
-                 "DEFAULT_WARMUP"),
-    "metrics": ("ErrorRecord", "angle_error", "tip_error", "ter", "aggregate",
-                "record_from_jsons", "evaluate_batch", "write_report_csv",
-                "write_aggregate_json"),
+    "phantom": ("PhantomSpec", "preset", "needle_geometry", "validate_spec",
+                "background_speckle", "displacement_field", "warp_bilinear",
+                "ground_truth_of", "synth_sequence"),
+    "pipeline": ("DetectConfig", "StreamState", "stream_push", "detect",
+                 "detect_frames", "detect_with_timing", "tip_along_line",
+                 "DEFAULT_CONFIDENCE_MIN", "DEFAULT_WARMUP"),
+    "metrics": ("Detection", "GroundTruth", "save_ground_truth",
+                "load_ground_truth", "ErrorRecord", "angle_error", "tip_error",
+                "ter", "aggregate", "record_from_jsons", "evaluate_batch",
+                "write_report_csv", "write_aggregate_json"),
 }
 _SUBMODULES = (*_EXPORTS, "cli")
 _ORIGIN = {name: mod for mod, names in _EXPORTS.items() for name in names}

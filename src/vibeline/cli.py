@@ -27,7 +27,8 @@ from pathlib import Path
 
 from .errors import (BoundsError, FormatError, GeometryError,
                      NoDetectionError, ValidationError, _check_setting)
-from .metrics import ANGLE_THRESH_DEG, TIP_THRESH_MM
+from .metrics import (ANGLE_THRESH_DEG, GT_SUFFIX, TIP_THRESH_MM, _read_json,
+                      _write_json, load_ground_truth, save_ground_truth)
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -58,10 +59,7 @@ def _load_config(path) -> dict:
     from .phantom import PhantomSpec
     from .pipeline import DetectConfig
 
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"config {path} is not valid JSON: {exc}") from exc
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise FormatError(f"config {path} must hold a JSON object")
     known = _field_names(PhantomSpec) | _field_names(DetectConfig)
@@ -109,10 +107,6 @@ def _build_detect_config(args, config: dict):
     return _configured(DetectConfig(), args, config)
 
 
-def _gt_path_for(out_path: Path) -> Path:
-    return out_path.with_name(out_path.stem + ".gt.json")
-
-
 def _prepared(path) -> Path:
     """Make the parent directory of a CLI output path."""
     p = Path(path)
@@ -122,13 +116,13 @@ def _prepared(path) -> Path:
 
 def cmd_gen(args, config: dict) -> int:
     from .core import save_sequence
-    from .phantom import save_ground_truth, synth_sequence
+    from .phantom import synth_sequence
 
     spec = _build_phantom_spec(args, config)
     seq, gt = synth_sequence(spec)
     out = _prepared(args.out)
     save_sequence(seq, out)
-    save_ground_truth(gt, _gt_path_for(out))
+    save_ground_truth(gt, out.with_name(out.stem + GT_SUFFIX))
     return EXIT_OK
 
 
@@ -146,20 +140,13 @@ def cmd_detect(args, config: dict) -> int:
 
     out = _prepared(args.out) if args.out \
         else Path(args.input).with_suffix(".json")
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(det.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(out, det.to_dict())
     if args.timing:
-        with open(_prepared(args.timing), "w", encoding="utf-8") as fh:
-            json.dump(timing, fh, indent=2)
-            fh.write("\n")
+        _write_json(_prepared(args.timing), timing)
     if args.emit_energy:
         write_vibmap(_prepared(args.emit_energy), values)
     if args.emit_hough:
-        gt = None
-        if args.hough_gt:
-            from .phantom import load_ground_truth
-            gt = load_ground_truth(args.hough_gt)
+        gt = load_ground_truth(args.hough_gt) if args.hough_gt else None
         hmap = _hough_channels(det, grid, hough, cfg, gt)
         write_vibmap(_prepared(args.emit_hough), np.stack([hmap.shaft, hmap.tip]))
     if det.low_confidence_flag:

@@ -22,7 +22,7 @@ from .errors import (BoundsError, FormatError, SizeMismatchError,
                      ValidationError, _check_setting)
 
 MAGIC = b"VIBSEQ01"
-_HEADER = struct.Struct("<III ff")  # H, W, T, fps, pixel_spacing_mm
+_HEADER = struct.Struct("<III ff")  # H, W, T, fps, pixel spacing (mm)
 VIBMAP_MAGIC = b"VIBMAP01"
 _VIBMAP_HEADER = struct.Struct("<III")  # rows, cols, channels
 

@@ -22,6 +22,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import _snapped_cos_sin
 from .errors import NoDetectionError, ValidationError, _check_setting
 
+# a theta or rho bin index fits in 2 bytes, so the rho-index table is uint16
+_MAX_BINS = 65536
+
 
 @dataclass(frozen=True)
 class HoughGrid:
@@ -40,8 +43,19 @@ class HoughGrid:
             _check_setting(name, getattr(self, name), 1, lo_closed=True,
                            integer=True)
         _check_steps(self.theta_step, self.rho_step)
-        object.__setattr__(self, "theta_bins", math.ceil(180.0 / self.theta_step))
         diag = math.hypot(self.image_h, self.image_w)
+        # theta_bins = ceil(180 / step), rho_bins = 2 ceil(diag / step) + 1
+        for name, span, units in (("theta_step", 180.0, _MAX_BINS),
+                                  ("rho_step", diag, _MAX_BINS // 2 - 1)):
+            step, least = getattr(self, name), span / units
+            while span / least > units:  # the quotient rounded up
+                least = math.nextafter(least, math.inf)
+            if span / step > units:
+                raise ValidationError(
+                    f"{name} must be >= {least!r} on a {self.image_h}x"
+                    f"{self.image_w} image (at most {_MAX_BINS} bins), "
+                    f"got {step}")
+        object.__setattr__(self, "theta_bins", math.ceil(180.0 / self.theta_step))
         half = math.ceil(diag / self.rho_step)
         object.__setattr__(self, "rho_bins", 2 * half + 1)
         object.__setattr__(self, "rho_offset", half)

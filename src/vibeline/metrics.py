@@ -1,4 +1,8 @@
-"""Detection quality metrics and batch report generation.
+"""Detection quality metrics, batch reports, and every JSON record.
+
+The detection, the ground truth (<stem>.gt.json) and the report records are
+spelled, read and written here alone, as UTF-8 JSON with indent 2 and a
+trailing newline; a file that does not parse raises FormatError naming it.
 
 All arithmetic here is plain Python floats (sum loops, math.sqrt) so a
 recount with an independent loop reproduces every aggregate bit for
@@ -27,6 +31,72 @@ TIP_THRESH_MM = 10.0
 GT_SUFFIX = ".gt.json"
 
 CSV_HEADER = ["sequence_id", "angle_err_deg", "tip_err_mm", "exceeds_ter"]
+
+
+# each record's JSON key -> dataclass field, in the order the file lists them
+_DETECTION_FIELDS = {"theta_deg": "theta", "rho_px": "rho",
+                     "tip_x_px": "tip_x", "tip_y_px": "tip_y",
+                     "confidence": "confidence",
+                     "low_confidence": "low_confidence_flag"}
+_TRUTH_FIELDS = {"theta_deg": "theta", "rho_px": "rho", "tip_x_px": "tip_x",
+                 "tip_y_px": "tip_y", "pixel_spacing_mm": "pixel_spacing"}
+
+
+@dataclass(frozen=True)
+class Detection:
+    theta: float
+    rho: float
+    tip_x: float | None
+    tip_y: float | None
+    confidence: float
+    low_confidence_flag: bool
+
+    def to_dict(self) -> dict:
+        return {k: getattr(self, f) for k, f in _DETECTION_FIELDS.items()}
+
+
+@dataclass(frozen=True)
+class GroundTruth:
+    theta: float
+    rho: float
+    tip_x: float
+    tip_y: float
+    pixel_spacing: float
+
+    def to_dict(self) -> dict:
+        return {k: getattr(self, f) for k, f in _TRUTH_FIELDS.items()}
+
+    @staticmethod
+    def from_dict(d: dict) -> "GroundTruth":
+        return GroundTruth(**{f: float(d[k])
+                              for k, f in _TRUTH_FIELDS.items()})
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def _read_json(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def save_ground_truth(gt: GroundTruth, path) -> None:
+    _write_json(path, gt.to_dict())
+
+
+def load_ground_truth(path) -> GroundTruth:
+    """Read a .gt.json file; FormatError names a file that does not parse."""
+    d = _read_json(path)
+    try:
+        return GroundTruth.from_dict(d)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: not a ground-truth record: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -112,8 +182,7 @@ def record_from_jsons(sequence_id: str, pred: dict, gt: dict) -> ErrorRecord:
     tip-less prediction is missing, a malformed record a FormatError."""
     what = "ground truth"
     try:
-        gt_theta, gt_x, gt_y, spacing = (float(gt[k]) for k in (
-            "theta_deg", "tip_x_px", "tip_y_px", "pixel_spacing_mm"))
+        truth = GroundTruth.from_dict(gt)
         what = "prediction"
         if pred.get("low_confidence") or pred.get("tip_x_px") is None \
                 or pred.get("tip_y_px") is None:
@@ -123,15 +192,9 @@ def record_from_jsons(sequence_id: str, pred: dict, gt: dict) -> ErrorRecord:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{what} {sequence_id!r} is malformed: {exc!r}") from exc
     return ErrorRecord(sequence_id=sequence_id,
-                       angle_error=angle_error(theta, gt_theta),
-                       tip_error=tip_error((x, y), (gt_x, gt_y), spacing))
-
-
-def _read_json(path: Path):
-    try:
-        return json.loads(path.read_text())
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+                       angle_error=angle_error(theta, truth.theta),
+                       tip_error=tip_error((x, y), (truth.tip_x, truth.tip_y),
+                                           truth.pixel_spacing))
 
 
 def evaluate_batch(pred_dir, gt_dir, angle_thresh: float = ANGLE_THRESH_DEG,
@@ -179,7 +242,7 @@ def evaluate_batch(pred_dir, gt_dir, angle_thresh: float = ANGLE_THRESH_DEG,
 def write_report_csv(records: list, path,
                      angle_thresh: float = ANGLE_THRESH_DEG,
                      tip_thresh: float = TIP_THRESH_MM) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         out = csv.writer(fh)
         out.writerow(CSV_HEADER)
         for r in records:
@@ -192,6 +255,4 @@ def write_report_csv(records: list, path,
 
 
 def write_aggregate_json(agg: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(agg, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, agg)

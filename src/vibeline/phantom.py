@@ -12,18 +12,20 @@ speckle carries it, which is the regime the detector is built for.
 Only the needle changes anything from frame to frame, so synthesis builds
 the static frame once and recomputes just each frame's active pixels,
 with the same bytes as a full-frame computation (see synth_sequence).
+The GroundTruth it returns, and its .gt.json file, are defined in metrics.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import INWARD, _bilinear_clamped, make_sequence
-from .errors import FormatError, ValidationError, _check_setting
+from .errors import ValidationError, _check_setting
+# moved to metrics; perfbench resolves phantom.save_ground_truth
+from .metrics import GroundTruth, load_ground_truth, save_ground_truth
 
 NEEDLE_RIDGE_SIGMA = 1.0  # px, additive brightness profile of the shaft
 NEEDLE_RIDGE_PEAK = 0.5
@@ -50,47 +52,6 @@ class PhantomSpec:
     speckle_grain: float = 1.5
     entry_side: str = "left"
     seed: int = 0
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    theta: float
-    rho: float
-    tip_x: float
-    tip_y: float
-    pixel_spacing: float
-
-    def to_dict(self) -> dict:
-        return {
-            "theta_deg": self.theta,
-            "rho_px": self.rho,
-            "tip_x_px": self.tip_x,
-            "tip_y_px": self.tip_y,
-            "pixel_spacing_mm": self.pixel_spacing,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "GroundTruth":
-        return GroundTruth(
-            theta=float(d["theta_deg"]), rho=float(d["rho_px"]),
-            tip_x=float(d["tip_x_px"]), tip_y=float(d["tip_y_px"]),
-            pixel_spacing=float(d["pixel_spacing_mm"]),
-        )
-
-
-def save_ground_truth(gt: GroundTruth, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(gt.to_dict(), fh, indent=2)
-        fh.write("\n")
-
-
-def load_ground_truth(path) -> GroundTruth:
-    """Read a .gt.json file; FormatError names a file that does not parse."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return GroundTruth.from_dict(json.load(fh))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: not a ground-truth record: {exc!r}") from exc
 
 
 def preset(name: str) -> PhantomSpec:

@@ -4,7 +4,8 @@ The detector is fully deterministic.  Its confidence is the ratio of the
 Hough peak to the mean Hough cell; the default threshold below sits
 under the weakest true-needle confidence and above that of a Hough map
 of uniform noise, so scenes with no coherent vibration raise the
-low-confidence flag rather than a hard error.
+low-confidence flag rather than a hard error.  The Detection record and
+its JSON form are defined in metrics.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .core import (INWARD, UsSequence, _bilinear_clamped, _snapped_cos_sin,
 from .errors import GeometryError, NoTipError, ValidationError, _check_setting
 from .hough import (HoughGrid, HoughMap, _check_steps, hough_transform,
                     render_tip_gt, shaft_from_hough)
+# moved to metrics; perfbench resolves pipeline.Detection
+from .metrics import Detection
 from .spectral import (_band_power_sums, _energy_ratio,
                        band_energy_from_frames, dft_basis, nearest_band)
 
@@ -66,36 +69,6 @@ class DetectConfig:
         if self.entry_side not in INWARD:
             raise ValidationError(f"entry_side must be one of "
                                   f"{tuple(INWARD)}, got {self.entry_side!r}")
-
-
-@dataclass(frozen=True)
-class Detection:
-    theta: float
-    rho: float
-    tip_x: float | None
-    tip_y: float | None
-    confidence: float
-    low_confidence_flag: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "theta_deg": self.theta,
-            "rho_px": self.rho,
-            "tip_x_px": self.tip_x,
-            "tip_y_px": self.tip_y,
-            "confidence": self.confidence,
-            "low_confidence": self.low_confidence_flag,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Detection":
-        return Detection(
-            theta=float(d["theta_deg"]), rho=float(d["rho_px"]),
-            tip_x=None if d["tip_x_px"] is None else float(d["tip_x_px"]),
-            tip_y=None if d["tip_y_px"] is None else float(d["tip_y_px"]),
-            confidence=float(d["confidence"]),
-            low_confidence_flag=bool(d["low_confidence"]),
-        )
 
 
 def _clip_line(theta: float, rho: float, h: int, w: int):

@@ -354,11 +354,16 @@ GOOD_GT = {"theta_deg": 30.0, "rho_px": 50.0, "tip_x_px": 50.0,
 GOOD_PRED = {"theta_deg": 31.0, "rho_px": 50.5, "tip_x_px": 53.0,
              "tip_y_px": 17.4, "confidence": 80.0, "low_confidence": False}
 MALFORMED = {
-    "list": "[1, 2]",
-    "theta_only": json.dumps({"theta_deg": 1}),  # a tip-less prediction
-    "no_theta": json.dumps({"tip_x_px": 1, "tip_y_px": 2}),
-    "not_json": "{not json",
-    "text_theta": json.dumps({**GOOD_GT, **GOOD_PRED, "theta_deg": "abc"}),
+    "list": b"[1, 2]",
+    # a tip-less prediction
+    "theta_only": json.dumps({"theta_deg": 1}).encode(),
+    "no_theta": json.dumps({"tip_x_px": 1, "tip_y_px": 2}).encode(),
+    "not_json": b"{not json",
+    "text_theta": json.dumps({**GOOD_GT, **GOOD_PRED,
+                              "theta_deg": "abc"}).encode(),
+    # every field present, but the file is Latin-1, not UTF-8
+    "not_utf8": json.dumps({**GOOD_GT, **GOOD_PRED, "note": "\u00e9"},
+                           ensure_ascii=False).encode("latin-1"),
 }
 
 
@@ -383,7 +388,7 @@ def test_eval_malformed_record_exits_2_and_writes_no_report(tmp_path, capsys,
     pred.write_text(json.dumps(GOOD_PRED))
     gt.write_text(json.dumps(GOOD_GT))
     bad = pred if side == "pred" else gt
-    bad.write_text(MALFORMED[case])
+    bad.write_bytes(MALFORMED[case])
     out_csv, out_json = tmp_path / "r.csv", tmp_path / "a.json"
     assert cli.main(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir),
                      "--out-csv", str(out_csv),
@@ -402,11 +407,30 @@ def test_eval_malformed_truth_of_a_missing_prediction_exits_2(tmp_path,
     gt_dir.mkdir()
     (pred_dir / "s.json").write_text(
         json.dumps({**GOOD_PRED, "low_confidence": True}))
-    (gt_dir / "s.gt.json").write_text(MALFORMED["theta_only"])
+    (gt_dir / "s.gt.json").write_bytes(MALFORMED["theta_only"])
     assert cli.main(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir),
                      "--out-csv", str(tmp_path / "r.csv"),
                      "--out-json", str(tmp_path / "a.json")]) == 2
     _assert_one_format_error(capsys, gt_dir / "s.gt.json")
+
+
+def test_eval_truth_without_rho_px_exits_2(tmp_path, capsys):
+    # every truth gen writes holds rho_px, and eval reads it as one record
+    from vibeline import cli
+
+    pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+    pred_dir.mkdir()
+    gt_dir.mkdir()
+    (pred_dir / "s.json").write_text(json.dumps(GOOD_PRED))
+    truth = gt_dir / "s.gt.json"
+    truth.write_text(json.dumps(
+        {k: v for k, v in GOOD_GT.items() if k != "rho_px"}))
+    out_csv, out_json = tmp_path / "r.csv", tmp_path / "a.json"
+    assert cli.main(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir),
+                     "--out-csv", str(out_csv),
+                     "--out-json", str(out_json)]) == 2
+    _assert_one_format_error(capsys, truth)
+    assert not out_csv.exists() and not out_json.exists()
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -416,7 +440,7 @@ def test_detect_malformed_hough_gt_exits_2_and_writes_no_hough(tmp_path,
 
     seq_path = _noise_sequence(tmp_path / "a.vibseq")
     gt, hough = tmp_path / "a.gt.json", tmp_path / "h.vibmap"
-    gt.write_text(MALFORMED[case])
+    gt.write_bytes(MALFORMED[case])
     assert cli.main(DETECT_3HZ + [str(seq_path), "--out",
                                   str(tmp_path / "a.json"),
                                   "--emit-hough", str(hough),
@@ -563,6 +587,17 @@ def test_config_malformed_json_is_io_error(tmp_path):
     proc = run(["--config", str(cfg)] + GEN_SMALL
                + ["--out", str(tmp_path / "a.vibseq")])
     assert proc.returncode == 2
+
+
+def test_config_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    from vibeline import cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes('{"seed": 4, "entry_side": "l\u00e9ft"}'.encode("latin-1"))
+    out = tmp_path / "a.vibseq"
+    assert cli.main(["--config", str(cfg), "gen", "--out", str(out)]) == 2
+    _assert_one_format_error(capsys, cfg)
+    assert not out.exists()
 
 
 def test_flags_override_config_values(tmp_path):
@@ -748,6 +783,9 @@ BAD_SETTINGS = {
     "tip_sigma_nan": ([], ["--tip-sigma", "nan"], None, "tip_sigma"),
     # these crashed with a traceback
     "rho_step_nan": ([], ["--rho-step", "nan"], None, "rho_step"),
+    # more than 65,536 bins: numpy refused the array, or built a huge table
+    "rho_step_tiny": ([], ["--rho-step", "1e-300"], None, "rho_step"),
+    "theta_step_tiny": ([], ["--theta-step", "1e-6"], None, "theta_step"),
     "amplitude_nan": ([], ["--amplitude", "nan"], None, "vib_amplitude"),
     "motion_sigma_nan": ([], ["--motion-sigma", "nan"], None, "motion_sigma"),
     "seed_negative": (["--seed", "-1"], [], None, "seed"),

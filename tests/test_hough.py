@@ -56,6 +56,36 @@ def test_grid_validation():
         HoughGrid(image_h=5, image_w=5, rho_step=-1.0)
 
 
+@pytest.mark.parametrize("name, step", [("rho_step", 1e-300),
+                                        ("rho_step", 5e-324),
+                                        ("theta_step", 1e-6)])
+def test_grid_rejects_more_bins_than_a_two_byte_index(name, step):
+    # numpy refused a 1e-300 rho step's array; a tiny theta step sized a
+    # theta_bins x H*W table before any check
+    with pytest.raises(ValidationError) as info:
+        HoughGrid(image_h=16, image_w=16, **{name: step})
+    msg = str(info.value)
+    assert msg.startswith(f"{name} must be >= ") and "16x16" in msg
+    least = float(msg.split(">= ")[1].split()[0])
+    grid = HoughGrid(image_h=16, image_w=16, **{name: least})
+    assert max(grid.theta_bins, grid.rho_bins) <= 65536
+    with pytest.raises(ValidationError):
+        HoughGrid(image_h=16, image_w=16, **{name: math.nextafter(least, 0)})
+
+
+def test_grid_at_the_smallest_rho_step_votes_with_two_byte_indices():
+    from vibeline.hough import _rho_index_table
+
+    with pytest.raises(ValidationError) as info:
+        HoughGrid(image_h=16, image_w=16, rho_step=1e-300)
+    least = float(str(info.value).split(">= ")[1].split()[0])
+    grid = HoughGrid(image_h=16, image_w=16, theta_step=30.0, rho_step=least)
+    feat = np.zeros((16, 16))
+    feat[3, 5] = 1.0
+    assert hough_transform(feat, grid).sum() == grid.theta_bins
+    assert _rho_index_table(grid).dtype == np.uint16
+
+
 # --------------------------------------------------------------------------
 # Forward transform
 # --------------------------------------------------------------------------

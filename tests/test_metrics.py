@@ -7,15 +7,21 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import recount_report
 from vibeline import (
+    Detection,
     ErrorRecord,
+    GroundTruth,
     ValidationError,
     aggregate,
     angle_error,
     evaluate_batch,
+    load_ground_truth,
     record_from_jsons,
+    save_ground_truth,
     ter,
     tip_error,
     write_aggregate_json,
@@ -214,6 +220,39 @@ def test_record_from_jsons_flags_missing():
                "tip_y_px": 17.4, "confidence": 2.0, "low_confidence": True}
     assert record_from_jsons("s1", no_tip, gt).missing
     assert record_from_jsons("s2", flagged, gt).missing
+
+
+# the records' writers pinned against their readers
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_COORD = st.floats(-1e4, 1e4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gt=st.builds(GroundTruth, _FINITE, _FINITE, _FINITE, _FINITE, _FINITE))
+def test_saved_ground_truth_loads_equal(tmp_path_factory, gt):
+    path = tmp_path_factory.getbasetemp() / "round_trip.gt.json"
+    save_ground_truth(gt, path)
+    assert load_ground_truth(path) == gt
+
+
+@settings(max_examples=200, deadline=None)
+@given(det=st.builds(Detection, theta=st.floats(-720, 720), rho=_COORD,
+                     tip_x=st.none() | _COORD, tip_y=st.none() | _COORD,
+                     confidence=st.floats(0, 1e3),
+                     low_confidence_flag=st.booleans()),
+       gt=st.builds(GroundTruth, theta=st.floats(-720, 720), rho=_COORD,
+                    tip_x=_COORD, tip_y=_COORD,
+                    pixel_spacing=st.floats(1e-3, 10)))
+def test_record_from_jsons_scores_the_written_records(det, gt):
+    rec = record_from_jsons("s", json.loads(json.dumps(det.to_dict())),
+                            gt.to_dict())
+    if det.low_confidence_flag or det.tip_x is None or det.tip_y is None:
+        assert rec.missing
+        return
+    assert not rec.missing
+    assert rec.angle_error == angle_error(det.theta, gt.theta)
+    assert rec.tip_error == tip_error((det.tip_x, det.tip_y),
+                                      (gt.tip_x, gt.tip_y), gt.pixel_spacing)
 
 
 # --------------------------------------------------------------------------

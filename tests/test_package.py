@@ -48,9 +48,9 @@ def test_detection_loads_neither_the_generator_nor_scipy(tmp_path):
 
 
 def test_reading_a_config_or_a_ground_truth_loads_no_scipy(tmp_path):
-    # detect --config checks its keys against PhantomSpec, and --hough-gt
-    # reads the truth with phantom.load_ground_truth; only synthesis
-    # needs scipy's filter
+    # detect --config checks its keys against PhantomSpec, so it loads the
+    # generator, but only synthesis needs scipy's filter; the truth record
+    # lives in metrics
     from vibeline import GroundTruth, save_ground_truth
 
     cfg, gt = tmp_path / "cfg.json", tmp_path / "a.gt.json"
@@ -67,6 +67,30 @@ def test_reading_a_config_or_a_ground_truth_loads_no_scipy(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "False"]
+
+
+def test_detect_with_a_hough_truth_loads_no_generator(tmp_path):
+    # --hough-gt reads the truth with metrics.load_ground_truth
+    from vibeline import save_ground_truth, save_sequence, synth_sequence
+    from helpers import small_vibrating_spec
+
+    seq, truth = synth_sequence(small_vibrating_spec())
+    seq_path, gt = tmp_path / "a.vibseq", tmp_path / "a.gt.json"
+    save_sequence(seq, seq_path)
+    save_ground_truth(truth, gt)
+    code = (
+        "import sys\n"
+        "from vibeline import cli\n"
+        f"code = cli.main(['detect', {str(seq_path)!r}, '--vib-hz', '3', "
+        f"'--out', {str(tmp_path / 'a.json')!r}, '--emit-hough', "
+        f"{str(tmp_path / 'h.vibmap')!r}, '--hough-gt', {str(gt)!r}])\n"
+        "print(code, 'vibeline.phantom' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+    assert (tmp_path / "h.vibmap").exists()
 
 
 def test_detection_does_not_load_numpy_ma(tmp_path):
