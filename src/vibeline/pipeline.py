@@ -150,8 +150,8 @@ def tip_along_line(energy_values: np.ndarray, theta: float, rho: float,
     return float(tip[0]), float(tip[1])
 
 
-def _vote(values: np.ndarray, cfg: DetectConfig):
-    """Vote step of batch and stream detection: (grid, Hough image).
+def _vote(values: np.ndarray, grid: HoughGrid) -> np.ndarray:
+    """Vote step of batch and stream detection: the Hough image.
 
     A NaN or inf frame value reaches the energy map, and a non-finite
     map would give a NaN confidence, so it is rejected here.
@@ -162,10 +162,7 @@ def _vote(values: np.ndarray, cfg: DetectConfig):
             f"energy map has {finite.size - np.count_nonzero(finite)} "
             f"non-finite value(s); frames must be finite"
         )
-    h, w = values.shape
-    grid = HoughGrid(image_h=h, image_w=w,
-                     theta_step=cfg.theta_step, rho_step=cfg.rho_step)
-    return grid, hough_transform(values, grid)
+    return hough_transform(values, grid)
 
 
 def _decode(values: np.ndarray, grid: HoughGrid, hough: np.ndarray,
@@ -196,15 +193,18 @@ def detect_with_timing(frames01: np.ndarray, fps: float,
     in milliseconds.
     """
     cfg = cfg or DetectConfig()
+    frames = np.asarray(frames01, dtype=np.float64)
+    # a grid the image size rejects fails before any frame work; a frame
+    # stack that is not 3-D is named by band_energy_from_frames
+    grid = HoughGrid(*frames.shape[1:], cfg.theta_step,
+                     cfg.rho_step) if frames.ndim == 3 else None
     t0 = time.perf_counter()
     # inf * 0 in the matmul makes an inf frame NaN; _vote raises the error
     with np.errstate(invalid="ignore"):
-        values, _ = band_energy_from_frames(
-            np.asarray(frames01, dtype=np.float64), fps,
-            cfg.vib_freq, cfg.window_len, cfg.hop,
-        )
+        values, _ = band_energy_from_frames(frames, fps, cfg.vib_freq,
+                                            cfg.window_len, cfg.hop)
     t1 = time.perf_counter()
-    grid, hough = _vote(values, cfg)
+    hough = _vote(values, grid)
     t2 = time.perf_counter()
     det = _decode(values, grid, hough, cfg)
     t3 = time.perf_counter()
@@ -222,9 +222,9 @@ def detect_frames(frames01: np.ndarray, fps: float, cfg: DetectConfig | None = N
 
     This is the affine-safe entry point: scaling frame values by a > 0
     and adding an offset leaves the result unchanged up to float noise.
-    No mean is removed, so a huge offset lifts static pixels' rounding
-    dust above RATIO_EPS: on a fullsize phantom confidence held up to an
-    offset of 1e8 and fell from 189 to 27 at 1e9.
+    A static pixel scores exactly 0 at any offset, so on the fullsize
+    preset shaft and tip held up to an offset of 1e12, and confidence
+    read 129.44 from 0 to 1e10 and 129.57 at 1e12.
     """
     return detect_with_timing(frames01, fps, cfg)[:2]
 
@@ -290,6 +290,7 @@ class StreamState:
         n = cfg.window_len
         npix = height * width
         self.k_star = nearest_band(n, fps, cfg.vib_freq)
+        self._grid = HoughGrid(height, width, cfg.theta_step, cfg.rho_step)
         self._rows = dft_basis(n).rows
         self._frame_ring = np.zeros((n, npix), dtype=np.float64)
         self._stat_len = self.warmup - n + 1
@@ -323,8 +324,7 @@ class StreamState:
             return None
         values = _energy_ratio(*self._sums, self._stat_len)
         values = values.reshape(self.height, self.width)
-        grid, hough = _vote(values, self.cfg)
-        return _decode(values, grid, hough, self.cfg)
+        return _decode(values, self._grid, _vote(values, self._grid), self.cfg)
 
 
 def stream_push(state: StreamState, frame: np.ndarray):

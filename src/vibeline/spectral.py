@@ -7,7 +7,8 @@ Batch and stream energy maps share one kernel, _band_power_sums, which
 correlates the raw frames with the non-DC pairs alone (detection reads
 only non-DC power); the STFT uses every row.  No temporal mean is
 removed: the non-DC rows cancel a constant up to rounding dust, which
-the energy ratio zeroes (see RATIO_EPS).
+the energy ratio zeroes (see RATIO_EPS).  Batch maps skip the pixels
+whose samples are all equal, so those score exactly 0 at any offset.
 
 Trig values go through core's snap, so a phase that is an exact quarter
 turn gives exactly -1, 0 or 1; floating-point pi makes np.cos(pi/2) a
@@ -25,8 +26,8 @@ from .errors import ValidationError, _check_setting
 
 # Division guard, and the mean non-DC power at or below which a pixel
 # scores exactly 0: a static pixel's is rounding dust (at most ~1.3e-30
-# over the uint8 levels, in batch and stream alike), far below that of
-# any pixel that moves.
+# over the uint8 levels; only the stream correlates static pixels), far
+# below that of any pixel that moves.
 RATIO_EPS = 1e-12
 
 # Pixels per column block of _band_power_sums, for cache locality (~0.3
@@ -174,7 +175,8 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
     frames01 has shape (T, H, W).  Returns (values, target_bin) where
     values is the H x W map: mean-over-windows power in the target bin
     divided by mean-over-windows total non-DC power (+ eps), clipped to
-    [0, 1].  An exactly static pixel scores exactly 0 (see RATIO_EPS).
+    [0, 1].  A pixel whose T samples are all equal and finite is never
+    correlated and scores exactly 0, whatever its level.
     """
     k_star = nearest_band(window_len, fps, target_freq)
     _check_setting("hop", hop, 1, lo_closed=True, integer=True)
@@ -182,10 +184,18 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
         raise ValidationError(f"frames must have shape (T, H, W) with "
                               f"T >= {window_len}, got {frames01.shape}")
     t, h, w = frames01.shape
-    num, den = _band_power_sums(dft_basis(window_len).rows,
-                                frames01.reshape(t, h * w), k_star, hop)
+    flat, rows = frames01.reshape(t, h * w), dft_basis(window_len).rows
+    moving = ~np.isfinite(flat[0])  # an inf pixel moves: the kernel NaNs it
+    for frame in flat[1:]:
+        moving |= frame != flat[0]
+    if moving.all():  # noisy input: the kernel reads the caller's frames
+        sums = _band_power_sums(rows, flat, k_star, hop)
+    else:  # exactly static pixels keep sums of exactly 0
+        sums = np.zeros((2, h * w))
+        if moving.any():
+            sums[:, moving] = _band_power_sums(rows, flat[:, moving], k_star, hop)
     m = window_count(t, window_len, hop)
-    return _energy_ratio(num, den, m).reshape(h, w), k_star
+    return _energy_ratio(*sums, m).reshape(h, w), k_star
 
 
 def _band_power_sums(rows: np.ndarray, frames: np.ndarray, k_star: int,
@@ -194,14 +204,17 @@ def _band_power_sums(rows: np.ndarray, frames: np.ndarray, k_star: int,
     each summed oldest first over its windows of len(rows[0]) samples.
 
     rows is a dft_basis table; its DC pair (rows 0 and 1) is skipped.
-    The column blocks change speed, not a bit of output.
+    Blocks, none one column wide, change speed, not a bit of output.
     """
     n = rows.shape[1]
     t, p = frames.shape
+    if p == 1:  # numpy sends a one-column matmul to gemv, which rounds apart
+        return _band_power_sums(rows, np.repeat(frames, 2, 1), k_star, hop)[:, :1]
     sums = np.zeros((2, p), dtype=np.float64)
-    for b0 in range(0, p, _PIXEL_BLOCK):
-        block = frames[:, b0: b0 + _PIXEL_BLOCK]
-        num_b, den_b = sums[:, b0: b0 + _PIXEL_BLOCK]
+    edges = [*range(0, p - 1, _PIXEL_BLOCK), p]  # a one-column tail joins its block
+    for b0, b1 in zip(edges, edges[1:]):
+        block = frames[:, b0: b1]
+        num_b, den_b = sums[:, b0: b1]
         for j in range(window_count(t, n, hop)):
             spec = rows[2:] @ block[j * hop: j * hop + n]  # bins 1..K-1
             power = spec[0::2] ** 2 + spec[1::2] ** 2

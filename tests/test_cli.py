@@ -850,6 +850,37 @@ def test_bad_setting_exits_1_naming_it_and_writes_nothing(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,owner,stage", [
+    ("detect", "pipeline", "band_energy_from_frames"),  # ran it first
+    ("stream", "StreamState", "push"),  # pushed the whole warm-up first
+])
+def test_a_grid_the_image_rejects_exits_1_before_any_frame_work(
+        tmp_path, capsys, monkeypatch, command, owner, stage):
+    from vibeline import cli, pipeline
+
+    frames = np.random.default_rng(9).integers(0, 256, (40, 64, 64),
+                                               dtype=np.uint8)
+    seq_path = tmp_path / "n.vibseq"
+    save_sequence(make_sequence(frames, fps=30.0, pixel_spacing=0.1), seq_path)
+    owner = pipeline if owner == "pipeline" else pipeline.StreamState
+    work, calls = getattr(owner, stage), []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return work(*args, **kwargs)
+
+    monkeypatch.setattr(owner, stage, counted)
+    out = tmp_path / "d.json"
+    args = [command, str(seq_path), "--rho-step", "1e-300"]
+    if command == "detect":
+        args += ["--out", str(out)]
+    assert cli.main(args) == 1
+    assert calls == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: rho_step must be ")
+    assert not out.exists()
+
+
 def test_readme_quick_start_reproduces_its_printed_record(tmp_path,
                                                           monkeypatch):
     import re

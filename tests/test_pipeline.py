@@ -111,6 +111,20 @@ def test_detect_is_affine_invariant():
                       scaled.tip_y - base.tip_y) <= 1.0
 
 
+def test_detect_holds_at_a_huge_offset():
+    # static pixels score exactly 0 at any level; before they were skipped,
+    # their rounding dust passed RATIO_EPS: confidence 28.5 at +1e9, and
+    # a flag at 8.3 with the tip moved at +1e10
+    seq, _ = synth_sequence(preset("fullsize"))
+    frames = seq.frames_float()
+    base, _ = detect_frames(frames, seq.fps)
+    lifted, _ = detect_frames(frames + 1e10, seq.fps)
+    assert not lifted.low_confidence_flag
+    assert (lifted.theta, lifted.rho, lifted.tip_x, lifted.tip_y) == \
+        (base.theta, base.rho, base.tip_x, base.tip_y)
+    assert lifted.confidence == pytest.approx(base.confidence, rel=1e-4)
+
+
 def test_detect_mirrored_scene_mirrors_the_line():
     seq, _ = small_phantom(seed=13)
     frames = seq.frames_float()

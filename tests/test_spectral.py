@@ -1,17 +1,22 @@
 """Fourier basis, STFT, sliding DFT, band-energy maps, VIBMAP01."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import naive_stft, naive_window_dft, trailing_window_bins
 from vibeline import (
+    DetectConfig,
     FormatError,
     SizeMismatchError,
     SlidingDft,
     ValidationError,
     band_energy_from_frames,
+    detect_frames,
     dft_basis,
     nearest_band,
     read_vibmap,
@@ -19,6 +24,7 @@ from vibeline import (
     window_count,
     write_vibmap,
 )
+from vibeline import spectral
 from vibeline.core import _snapped_cos_sin
 from vibeline.phantom import needle_geometry, synth_sequence
 from vibeline.spectral import RATIO_EPS, _energy_ratio
@@ -357,23 +363,87 @@ def _whole_image_band_energy(frames01, k_star, window_len, hop):
         num += power[k_star]
         den += power[1:].sum(axis=0)
     values = (num / m) / (den / m + RATIO_EPS)
+    values *= den / m > RATIO_EPS  # a static pixel's rounding dust scores 0
     np.clip(values, 0.0, 1.0, out=values)
     return values.reshape(h, w)
 
 
-# 2000 pixels (one partial block), exactly 4096 (one full block) and
-# 4690 (a full block plus a partial one); T == window_len is the one
-# window a stream push correlates
-@pytest.mark.parametrize("h,w", [(40, 50), (64, 64), (70, 67)])
+# 2000 pixels (one partial block), exactly 4096 (one full block), 4690
+# (a full block plus a partial one) and 4097 (a one-column tail, once sent
+# alone to the matmul's gemv path, which rounds differently); with one
+# moving pixel, that pixel alone reaches the kernel.  T == window_len is
+# the one window a stream push correlates
+@pytest.mark.parametrize("h,w", [(40, 50), (64, 64), (70, 67), (17, 241)])
 @pytest.mark.parametrize("window_len,hop", [(10, 1), (10, 3), (12, 1), (12, 3)])
 def test_pixel_blocks_match_whole_image_formula_bit_for_bit(h, w, window_len, hop):
-    frames = np.random.default_rng(h * w + window_len + hop).uniform(
-        size=(31, h, w))
-    for t in (31, window_len):
-        values, k_star = band_energy_from_frames(frames[:t], 30.0, 2.5,
-                                                 window_len, hop)
-        assert np.array_equal(
-            values, _whole_image_band_energy(frames[:t], k_star, window_len, hop))
+    rng = np.random.default_rng(h * w + window_len + hop)
+    frames = rng.uniform(size=(31, h, w))
+    one_moving = np.broadcast_to(frames[0], frames.shape).copy()
+    one_moving[:, h // 2, w // 3] = rng.uniform(size=31)
+    for stack in (frames, one_moving):
+        for t in (31, window_len):
+            values, k_star = band_energy_from_frames(stack[:t], 30.0, 2.5,
+                                                     window_len, hop)
+            assert np.array_equal(values, _whole_image_band_energy(
+                stack[:t], k_star, window_len, hop))
+
+
+# frames in [0, 1] with a random set of exactly static pixels, including
+# none, all, and all but one; at least two pixels, so the whole-image
+# oracle never multiplies a single column
+@st.composite
+def _frames_with_static_pixels(draw):
+    window_len, hop = draw(st.sampled_from([(10, 1), (10, 3), (12, 1)]))
+    t = draw(st.integers(window_len, window_len + 8))
+    h, w = draw(st.integers(1, 9)), draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = rng.uniform(size=(t, h, w))
+    static = draw(st.sampled_from([
+        rng.uniform(size=(h, w)) < 0.5, np.zeros((h, w), bool),
+        np.ones((h, w), bool), np.arange(h * w).reshape(h, w) != h * w // 2,
+    ]))
+    frames[:, static] = frames[0, static]
+    return frames, window_len, hop
+
+
+@settings(max_examples=150, deadline=None)
+@given(_frames_with_static_pixels())
+def test_static_pixel_skip_matches_whole_image_formula_bit_for_bit(case):
+    frames, window_len, hop = case
+    values, k_star = band_energy_from_frames(frames, 30.0, 2.5, window_len, hop)
+    assert np.array_equal(values.view(np.int64), _whole_image_band_energy(
+        frames, k_star, window_len, hop).view(np.int64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_frames_with_static_pixels(), st.sampled_from([np.inf, -np.inf]))
+def test_a_pixel_inf_in_every_frame_is_rejected_without_a_warning(case, inf):
+    # an inf pixel is constant but not static: the kernel makes it NaN
+    frames, window_len, hop = case
+    frames[:, 0, -1] = inf
+    cfg = DetectConfig(window_len=window_len, hop=hop)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-finite"):
+            detect_frames(frames, 30.0, cfg)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_frames_with_static_pixels())
+def test_every_moving_pixel_reaches_the_kernel_without_a_copy(case):
+    frames, window_len, hop = case
+    frames[-1] = (frames[0] + 0.5) % 1.0  # no pixel is static
+    seen = []
+    kernel = spectral._band_power_sums
+
+    def recorded(rows, flat, *args):
+        seen.append(flat)
+        return kernel(rows, flat, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_band_power_sums", recorded)
+        band_energy_from_frames(frames, 30.0, 2.5, window_len, hop)
+    assert len(seen) == 1 and seen[0].base is frames
 
 
 def test_vibrating_segment_dominates_energy_map():
