@@ -198,12 +198,12 @@ def detect_with_timing(frames01: np.ndarray, fps: float,
     # stack that is not 3-D is named by band_energy_from_frames
     grid = HoughGrid(*frames.shape[1:], cfg.theta_step,
                      cfg.rho_step) if frames.ndim == 3 else None
-    t0 = time.perf_counter()
     # inf * 0 in the matmul makes an inf frame NaN; _vote raises the error
     with np.errstate(invalid="ignore"):
+        t0 = time.perf_counter()
         values, _ = band_energy_from_frames(frames, fps, cfg.vib_freq,
                                             cfg.window_len, cfg.hop)
-    t1 = time.perf_counter()
+        t1 = time.perf_counter()
     hough = _vote(values, grid)
     t2 = time.perf_counter()
     det = _decode(values, grid, hough, cfg)

@@ -7,8 +7,8 @@ Batch and stream energy maps share one kernel, _band_power_sums, which
 correlates the raw frames with the non-DC pairs alone (detection reads
 only non-DC power); the STFT uses every row.  No temporal mean is
 removed: the non-DC rows cancel a constant up to rounding dust, which
-the energy ratio zeroes (see RATIO_EPS).  Batch maps skip the pixels
-whose samples are all equal, so those score exactly 0 at any offset.
+the energy ratio zeroes (see RATIO_EPS); batch maps zero a pixel whose
+samples are all equal outright, at any offset.
 
 Trig values go through core's snap, so a phase that is an exact quarter
 turn gives exactly -1, 0 or 1; floating-point pi makes np.cos(pi/2) a
@@ -26,7 +26,7 @@ from .errors import ValidationError, _check_setting
 
 # Division guard, and the mean non-DC power at or below which a pixel
 # scores exactly 0: a static pixel's is rounding dust (at most ~1.3e-30
-# over the uint8 levels; only the stream correlates static pixels), far
+# over the uint8 levels; batch maps zero static pixels outright), far
 # below that of any pixel that moves.
 RATIO_EPS = 1e-12
 
@@ -175,8 +175,9 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
     frames01 has shape (T, H, W).  Returns (values, target_bin) where
     values is the H x W map: mean-over-windows power in the target bin
     divided by mean-over-windows total non-DC power (+ eps), clipped to
-    [0, 1].  A pixel whose T samples are all equal and finite is never
-    correlated and scores exactly 0, whatever its level.
+    [0, 1].  A pixel whose T samples are all equal and finite scores
+    exactly 0 at any level; when at most a quarter of the pixels move,
+    only those are correlated.
     """
     k_star = nearest_band(window_len, fps, target_freq)
     _check_setting("hop", hop, 1, lo_closed=True, integer=True)
@@ -188,12 +189,13 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
     moving = ~np.isfinite(flat[0])  # an inf pixel moves: the kernel NaNs it
     for frame in flat[1:]:
         moving |= frame != flat[0]
-    if moving.all():  # noisy input: the kernel reads the caller's frames
+    if np.count_nonzero(moving) > moving.size // 4:  # noisy: no frame copy
         sums = _band_power_sums(rows, flat, k_star, hop)
-    else:  # exactly static pixels keep sums of exactly 0
+        sums[:, ~moving] = 0.0
+    else:  # a C-ordered copy of the few moving columns: flat[:, moving] is F
         sums = np.zeros((2, h * w))
-        if moving.any():
-            sums[:, moving] = _band_power_sums(rows, flat[:, moving], k_star, hop)
+        sums[:, moving] = _band_power_sums(rows, np.compress(moving, flat, 1),
+                                           k_star, hop)
     m = window_count(t, window_len, hop)
     return _energy_ratio(*sums, m).reshape(h, w), k_star
 

@@ -389,8 +389,9 @@ def test_pixel_blocks_match_whole_image_formula_bit_for_bit(h, w, window_len, ho
 
 
 # frames in [0, 1] with a random set of exactly static pixels, including
-# none, all, and all but one; at least two pixels, so the whole-image
-# oracle never multiplies a single column
+# none, all, and all but one; half or a tenth of the pixels moving takes
+# the in-place or the packed-copy branch.  At least two pixels, so the
+# whole-image oracle never multiplies a single column
 @st.composite
 def _frames_with_static_pixels(draw):
     window_len, hop = draw(st.sampled_from([(10, 1), (10, 3), (12, 1)]))
@@ -399,7 +400,8 @@ def _frames_with_static_pixels(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     frames = rng.uniform(size=(t, h, w))
     static = draw(st.sampled_from([
-        rng.uniform(size=(h, w)) < 0.5, np.zeros((h, w), bool),
+        rng.uniform(size=(h, w)) < 0.5, rng.uniform(size=(h, w)) < 0.9,
+        np.zeros((h, w), bool),
         np.ones((h, w), bool), np.arange(h * w).reshape(h, w) != h * w // 2,
     ]))
     frames[:, static] = frames[0, static]
@@ -429,10 +431,14 @@ def test_a_pixel_inf_in_every_frame_is_rejected_without_a_warning(case, inf):
 
 
 @settings(max_examples=20, deadline=None)
-@given(_frames_with_static_pixels())
-def test_every_moving_pixel_reaches_the_kernel_without_a_copy(case):
+@given(_frames_with_static_pixels(), st.booleans())
+def test_mostly_moving_frames_reach_the_kernel_without_a_copy(case, clipped):
+    # past a quarter of the pixels moving, the static ones are zeroed after
+    # the kernel instead of leaving it a packed copy of the rest
     frames, window_len, hop = case
     frames[-1] = (frames[0] + 0.5) % 1.0  # no pixel is static
+    if clipped:  # but one, as a pixel clipped at 0 in every frame would be
+        frames[:, 0, 0] = 0.0
     seen = []
     kernel = spectral._band_power_sums
 
@@ -442,8 +448,11 @@ def test_every_moving_pixel_reaches_the_kernel_without_a_copy(case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_band_power_sums", recorded)
-        band_energy_from_frames(frames, 30.0, 2.5, window_len, hop)
+        values, k_star = band_energy_from_frames(frames, 30.0, 2.5,
+                                                 window_len, hop)
     assert len(seen) == 1 and seen[0].base is frames
+    assert np.array_equal(values, _whole_image_band_energy(
+        frames, k_star, window_len, hop))
 
 
 def test_vibrating_segment_dominates_energy_map():
