@@ -136,7 +136,7 @@ def cmd_detect(args, config: dict) -> int:
     seq = load_sequence(args.input)
     # one run feeds the record and every --emit-* map
     det, timing, values, grid, hough = detect_with_timing(
-        seq.frames_float(), seq.fps, cfg)
+        seq.frames, seq.fps, cfg)
 
     out = _prepared(args.out) if args.out \
         else Path(args.input).with_suffix(".json")

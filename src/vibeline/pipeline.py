@@ -188,12 +188,16 @@ def detect_with_timing(frames01: np.ndarray, fps: float,
                        cfg: DetectConfig | None = None):
     """One timed batch run: (Detection, timing, energy, grid, Hough image).
 
-    Callers that export the maps reuse the ones the detection came from;
+    frames01 is a (T, H, W) stack of uint8 samples, passed on as they
+    are, or of values in [0, 1], taken as float64.  Callers that export
+    the maps reuse the ones the detection came from;
     perfbench/tracing.py wraps this name.  Timing is reported per stage
     in milliseconds.
     """
     cfg = cfg or DetectConfig()
-    frames = np.asarray(frames01, dtype=np.float64)
+    frames = np.asarray(frames01)
+    if frames.dtype != np.uint8:  # uint8 stays: the spectral stage scales it
+        frames = frames.astype(np.float64, copy=False)
     # a grid the image size rejects fails before any frame work; a frame
     # stack that is not 3-D is named by band_energy_from_frames
     grid = HoughGrid(*frames.shape[1:], cfg.theta_step,
@@ -218,9 +222,11 @@ def detect_with_timing(frames01: np.ndarray, fps: float,
 
 
 def detect_frames(frames01: np.ndarray, fps: float, cfg: DetectConfig | None = None):
-    """Detection on float frames (T, H, W); returns (Detection, timing).
+    """Detection on frames (T, H, W); returns (Detection, timing).
 
-    This is the affine-safe entry point: scaling frame values by a > 0
+    Frames are floats in [0, 1] or uint8 samples, which give the same
+    result bit for bit as their UsSequence.frames_float().  On floats
+    this is the affine-safe entry point: scaling frame values by a > 0
     and adding an offset leaves the result unchanged up to float noise.
     A static pixel scores exactly 0 at any offset, so on the fullsize
     preset shaft and tip held up to an offset of 1e12, and confidence
@@ -231,7 +237,7 @@ def detect_frames(frames01: np.ndarray, fps: float, cfg: DetectConfig | None = N
 
 def detect(seq: UsSequence, cfg: DetectConfig | None = None) -> Detection:
     """End-to-end batch detection on a sequence."""
-    return detect_frames(seq.frames_float(), seq.fps, cfg)[0]
+    return detect_frames(seq.frames, seq.fps, cfg)[0]
 
 
 def _hough_channels(det: Detection, grid: HoughGrid, hough: np.ndarray,

@@ -8,7 +8,8 @@ correlates the raw frames with the non-DC pairs alone (detection reads
 only non-DC power); the STFT uses every row.  No temporal mean is
 removed: the non-DC rows cancel a constant up to rounding dust, which
 the energy ratio zeroes (see RATIO_EPS); batch maps zero a pixel whose
-samples are all equal outright, at any offset.
+samples are all equal outright, at any offset, and convert uint8 frames
+to floats only in the columns they correlate.
 
 Trig values go through core's snap, so a phase that is an exact quarter
 turn gives exactly -1, 0 or 1; floating-point pi makes np.cos(pi/2) a
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _snapped_cos_sin
+from .core import _snapped_cos_sin, _unit_float
 from .errors import ValidationError, _check_setting
 
 # Division guard, and the mean non-DC power at or below which a pixel
@@ -170,14 +171,16 @@ class SlidingDft:
 
 def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float,
                             window_len: int = 10, hop: int = 1):
-    """Vibration-band energy ratio image of float frames in [0, 1].
+    """Vibration-band energy ratio image of a (T, H, W) frame stack.
 
-    frames01 has shape (T, H, W).  Returns (values, target_bin) where
-    values is the H x W map: mean-over-windows power in the target bin
-    divided by mean-over-windows total non-DC power (+ eps), clipped to
-    [0, 1].  A pixel whose T samples are all equal and finite scores
-    exactly 0 at any level; when at most a quarter of the pixels move,
-    only those are correlated.
+    frames01 holds floats in [0, 1] or uint8 samples, which become
+    floats by core's one rule, _unit_float (value / 255), so both give
+    the same map bit for bit.  Returns (values, target_bin) where values
+    is the H x W map: mean-over-windows power in the target bin divided
+    by mean-over-windows total non-DC power (+ eps), clipped to [0, 1].
+    A pixel whose T samples are all equal and finite scores exactly 0 at
+    any level; when at most a quarter of the pixels move, only those are
+    converted, correlated and scored.
     """
     k_star = nearest_band(window_len, fps, target_freq)
     _check_setting("hop", hop, 1, lo_closed=True, integer=True)
@@ -186,18 +189,22 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
                               f"T >= {window_len}, got {frames01.shape}")
     t, h, w = frames01.shape
     flat, rows = frames01.reshape(t, h * w), dft_basis(window_len).rows
-    moving = ~np.isfinite(flat[0])  # an inf pixel moves: the kernel NaNs it
+    if flat.dtype == np.uint8:  # bytes compare as their floats do; no inf
+        as_float, moving = _unit_float, np.zeros(h * w, dtype=bool)
+    else:  # an inf pixel moves: the kernel NaNs it
+        as_float, moving = np.asarray, ~np.isfinite(flat[0])
     for frame in flat[1:]:
         moving |= frame != flat[0]
-    if np.count_nonzero(moving) > moving.size // 4:  # noisy: no frame copy
-        sums = _band_power_sums(rows, flat, k_star, hop)
-        sums[:, ~moving] = 0.0
-    else:  # a C-ordered copy of the few moving columns: flat[:, moving] is F
-        sums = np.zeros((2, h * w))
-        sums[:, moving] = _band_power_sums(rows, np.compress(moving, flat, 1),
-                                           k_star, hop)
     m = window_count(t, window_len, hop)
-    return _energy_ratio(*sums, m).reshape(h, w), k_star
+    if np.count_nonzero(moving) > moving.size // 4:  # noisy: no column copy
+        sums = _band_power_sums(rows, as_float(flat), k_star, hop)
+        sums[:, ~moving] = 0.0
+        values = _energy_ratio(*sums, m)
+    else:  # a C-ordered copy of the few moving columns: flat[:, moving] is F
+        cols = as_float(np.compress(moving, flat, 1))
+        values = np.zeros(h * w)
+        values[moving] = _energy_ratio(*_band_power_sums(rows, cols, k_star, hop), m)
+    return values.reshape(h, w), k_star
 
 
 def _band_power_sums(rows: np.ndarray, frames: np.ndarray, k_star: int,

@@ -166,20 +166,21 @@ def test_detect_emits_the_maps_its_detection_used(tmp_path, monkeypatch):
 
 
 def test_detect_non_finite_frames_exit_1_without_a_record(tmp_path, monkeypatch):
-    # a .vibseq holds uint8 pixels, so the NaN is injected after loading;
-    # a NaN confidence would otherwise be written as invalid JSON
-    from vibeline import cli
-    from vibeline.core import UsSequence
+    # a .vibseq holds uint8 pixels, so the NaN is injected where the CLI
+    # hands its frames to detection; a NaN confidence would otherwise be
+    # written as invalid JSON
+    from vibeline import cli, pipeline
+    from vibeline.core import _unit_float
 
     seq_path = gen_small(tmp_path / "a.vibseq")
-    clean = UsSequence.frames_float
+    clean = pipeline.detect_with_timing
 
-    def poisoned(self):
-        frames = clean(self)
+    def poisoned(frames01, fps, cfg=None):
+        frames = _unit_float(frames01)
         frames[3, 64, 64] = np.nan
-        return frames
+        return clean(frames, fps, cfg)
 
-    monkeypatch.setattr(UsSequence, "frames_float", poisoned)
+    monkeypatch.setattr(pipeline, "detect_with_timing", poisoned)
     out = tmp_path / "a.json"
     assert cli.main(DETECT_3HZ + [str(seq_path), "--out", str(out)]) == 1
     assert not out.exists()

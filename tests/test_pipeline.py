@@ -6,10 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import small_vibrating_spec
 from vibeline import (
     DEFAULT_CONFIDENCE_MIN,
+    DEFAULT_WARMUP,
     DetectConfig,
     Detection,
     GeometryError,
@@ -297,6 +300,25 @@ def test_stream_warms_up_then_matches_batch():
     assert (final.theta, final.rho) == (batch.theta, batch.rho)
     assert math.hypot(final.tip_x - batch.tip_x,
                       final.tip_y - batch.tip_y) <= 1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.floats(15.0, 100.0))
+def test_stream_at_warmup_matches_batch_detect(seed, angle):
+    # batch converts only the moving columns of the uint8 stack, while the
+    # stream converts every frame; one emission at T == warmup must agree
+    seq, _ = small_phantom(seed=seed, needle_angle=angle,
+                           frame_count=DEFAULT_WARMUP)
+    state = StreamState(seq.height, seq.width, seq.fps, CFG3)
+    emitted = [state.push(frame) for frame in seq.frames]
+    assert emitted[:-1] == [None] * (DEFAULT_WARMUP - 1)
+    got, want = emitted[-1], detect(seq, CFG3)
+    assert (got.theta, got.rho) == (want.theta, want.rho)
+    if want.tip_x is None:
+        assert got.tip_x is None
+    else:
+        assert math.hypot(got.tip_x - want.tip_x,
+                          got.tip_y - want.tip_y) <= 1.0
 
 
 def test_stream_push_alias():

@@ -17,6 +17,7 @@ from vibeline import (
     ValidationError,
     band_energy_from_frames,
     detect_frames,
+    detect_with_timing,
     dft_basis,
     nearest_band,
     read_vibmap,
@@ -25,7 +26,7 @@ from vibeline import (
     write_vibmap,
 )
 from vibeline import spectral
-from vibeline.core import _snapped_cos_sin
+from vibeline.core import _snapped_cos_sin, _unit_float
 from vibeline.phantom import needle_geometry, synth_sequence
 from vibeline.spectral import RATIO_EPS, _energy_ratio
 
@@ -453,6 +454,47 @@ def test_mostly_moving_frames_reach_the_kernel_without_a_copy(case, clipped):
     assert len(seen) == 1 and seen[0].base is frames
     assert np.array_equal(values, _whole_image_band_energy(
         frames, k_star, window_len, hop))
+
+
+# uint8 stacks with every count of moving pixels, exactly a quarter and
+# one past it included, so both sides of the quarter rule are drawn; 1x1
+# and one-column images, T == window_len and hop > 1 among them
+@st.composite
+def _uint8_frames_with_static_pixels(draw):
+    window_len, hop = draw(st.sampled_from([(10, 1), (10, 3), (12, 1), (12, 2)]))
+    t = draw(st.sampled_from([window_len, window_len + 1, window_len + 7]))
+    h, w = draw(st.sampled_from([(1, 1), (9, 1), (1, 9)])
+                | st.tuples(st.integers(1, 9), st.integers(1, 9)))
+    n_moving = draw(st.sampled_from([h * w // 4, h * w // 4 + 1])
+                    | st.integers(0, h * w))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = rng.integers(0, 256, size=(t, h * w), dtype=np.uint8)
+    static = rng.permutation(h * w) >= n_moving
+    frames[:, static] = frames[0, static]
+    return frames.reshape(t, h, w), window_len, hop
+
+
+@settings(max_examples=200, deadline=None)
+@given(_uint8_frames_with_static_pixels())
+def test_uint8_frames_give_the_map_of_their_floats_bit_for_bit(case):
+    frames, window_len, hop = case
+    got, k_got = band_energy_from_frames(frames, 30.0, 2.5, window_len, hop)
+    want, k_want = band_energy_from_frames(_unit_float(frames), 30.0, 2.5,
+                                           window_len, hop)
+    assert k_got == k_want
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [2, 7])
+def test_detect_frames_on_uint8_equals_detect_frames_on_floats(seed):
+    seq, _ = synth_sequence(small_vibrating_spec(seed=seed))
+    cfg = DetectConfig(vib_freq=3.0)
+    got = detect_with_timing(seq.frames, seq.fps, cfg)
+    want = detect_with_timing(seq.frames_float(), seq.fps, cfg)
+    assert got[0] == want[0]
+    assert detect_frames(seq.frames, seq.fps, cfg)[0] == want[0]
+    assert got[2].tobytes() == want[2].tobytes()  # energy map
+    assert got[4].tobytes() == want[4].tobytes()  # Hough image
 
 
 def test_vibrating_segment_dominates_energy_map():
