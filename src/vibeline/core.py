@@ -7,6 +7,8 @@ rule, _unit_float (value / 255), and every snapped cos / sin comes from
 _snapped_cos_sin.  Both file formats share one framing, kept here.  The
 phantom generator and the detector share the entry-border table and the
 bilinear sampler kept here, so detection never imports the generator.
+The generator and the Hough renderers share one Gaussian reach rule
+(_EXP_ZERO_REACH, _reach_slice).
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ MAGIC = b"VIBSEQ01"
 _HEADER = struct.Struct("<III ff")  # H, W, T, fps, pixel spacing (mm)
 VIBMAP_MAGIC = b"VIBMAP01"
 _VIBMAP_HEADER = struct.Struct("<III")  # rows, cols, channels
+
+# exp(x) is exactly 0.0 in float64 for every x < -745.14, so a Gaussian
+# exp(-d**2 / (2 sigma**2)) is exactly 0.0 wherever d > sigma * this
+_EXP_ZERO_REACH = math.sqrt(2.0 * 746.0)
 
 # entry side -> unit (x, y) vector from that border into the image
 INWARD = {"left": (1.0, 0.0), "right": (-1.0, 0.0),
@@ -93,6 +99,19 @@ def _snapped_cos_sin(rad: np.ndarray):
         arr[np.abs(arr - 1.0) < 1e-15] = 1.0
         arr[np.abs(arr + 1.0) < 1e-15] = -1.0
     return c, s
+
+
+def _reach_slice(lo: float, hi: float, n: int) -> slice:
+    """Slice of the indices 0 .. n-1 that lie in [lo - 1, hi + 1].
+
+    The one-index margin absorbs rounding in the distances callers
+    compare against a reach; a NaN bound selects every index.
+    """
+    if math.isnan(lo) or math.isnan(hi):
+        return slice(0, n)
+    start = math.ceil(min(max(lo - 1.0, 0.0), n))
+    stop = math.floor(min(max(hi + 1.0, -1.0), n - 1.0)) + 1
+    return slice(start, max(start, stop))
 
 
 def validate_sequence(seq: UsSequence) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import _snapped_cos_sin
+from .core import _EXP_ZERO_REACH, _reach_slice, _snapped_cos_sin
 from .errors import NoDetectionError, ValidationError, _check_setting
 
 # a theta or rho bin index fits in 2 bytes, so the rho-index table is uint16
@@ -127,6 +127,9 @@ def hough_transform(feature: np.ndarray, grid: HoughGrid) -> np.ndarray:
     Every pixel adds its value to exactly one rho bin per theta column,
     so each theta column sums to the total feature mass (vote
     conservation).  Returns a (theta_bins, rho_bins) float64 image.
+    A NaN or inf pixel would spread NaN over the whole image, so it is
+    rejected with ValidationError (batch and stream detection vote the
+    energy map, whose non-finite values come from non-finite frames).
 
     The pixel-to-bin table is built on the first call for a grid and
     cached for the most recent grid only.  It holds theta_bins * H * W
@@ -138,6 +141,12 @@ def hough_transform(feature: np.ndarray, grid: HoughGrid) -> np.ndarray:
         raise ValidationError(
             f"feature shape {feat.shape} does not match grid "
             f"{(grid.image_h, grid.image_w)}"
+        )
+    finite = np.isfinite(feat)
+    if not finite.all():
+        raise ValidationError(
+            f"energy map has {finite.size - np.count_nonzero(finite)} "
+            f"non-finite value(s); frames must be finite"
         )
     weights = feat.ravel()
     acc = np.empty(grid.shape(), dtype=np.float64)
@@ -163,14 +172,22 @@ def render_shaft_gt(grid: HoughGrid, theta: float, rho: float,
     Distances are measured in bin units on both axes; the peak reaches
     exactly 1 when the target sits on a bin center.  No wrap-around in
     theta: a target near the 0/180 seam blurs toward one side only.
+
+    Only the cells within sigma * _EXP_ZERO_REACH bins of the target on
+    both axes are evaluated; the Gaussian is exactly 0.0 everywhere else.
     """
     _check_setting("sigma", sigma, 0)
     tc = theta / grid.theta_step
     rc = rho / grid.rho_step + grid.rho_offset
-    ti = np.arange(grid.theta_bins, dtype=np.float64)
-    ri = np.arange(grid.rho_bins, dtype=np.float64)
+    reach = sigma * _EXP_ZERO_REACH
+    rows = _reach_slice(tc - reach, tc + reach, grid.theta_bins)
+    cols = _reach_slice(rc - reach, rc + reach, grid.rho_bins)
+    ti = np.arange(rows.start, rows.stop, dtype=np.float64)
+    ri = np.arange(cols.start, cols.stop, dtype=np.float64)
     d2 = (ti - tc)[:, None] ** 2 + (ri - rc)[None, :] ** 2
-    return np.exp(-d2 / (2.0 * sigma * sigma))
+    img = np.zeros(grid.shape(), dtype=np.float64)
+    img[rows, cols] = np.exp(-d2 / (2.0 * sigma * sigma))
+    return img
 
 
 def render_tip_gt(grid: HoughGrid, tip_x: float, tip_y: float,

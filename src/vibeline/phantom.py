@@ -22,16 +22,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import INWARD, _bilinear_clamped, make_sequence
+from .core import (_EXP_ZERO_REACH, INWARD, _bilinear_clamped, _reach_slice,
+                   make_sequence)
 from .errors import ValidationError, _check_setting
 # moved to metrics; perfbench resolves phantom.save_ground_truth
 from .metrics import GroundTruth, load_ground_truth, save_ground_truth
 
 NEEDLE_RIDGE_SIGMA = 1.0  # px, additive brightness profile of the shaft
 NEEDLE_RIDGE_PEAK = 0.5
-# exp(-746) rounds to 0.0 in float64, so the ridge adds exactly 0.0 to
-# every pixel farther than this from its segment
-_RIDGE_REACH = NEEDLE_RIDGE_SIGMA * math.sqrt(2.0 * 746.0)
+# the ridge adds exactly 0.0 to every pixel farther than this from its
+# segment
+_RIDGE_REACH = NEEDLE_RIDGE_SIGMA * _EXP_ZERO_REACH
 
 
 @dataclass(frozen=True)
@@ -138,10 +139,11 @@ def _speckle_from_rng(rng: np.random.Generator, h: int, w: int,
 
     noise = rng.standard_normal((h, w))
     smooth = gaussian_filter(noise, sigma=grain, mode="reflect")
-    span = smooth.max() - smooth.min()
+    lo = smooth.min()
+    span = smooth.max() - lo
     if span == 0:
         return np.full((h, w), 0.5)
-    return (smooth - smooth.min()) / span
+    return (smooth - lo) / span
 
 
 def background_speckle(h: int, w: int, grain: float, seed: int) -> np.ndarray:
@@ -153,10 +155,20 @@ def background_speckle(h: int, w: int, grain: float, seed: int) -> np.ndarray:
     return _speckle_from_rng(np.random.default_rng(seed), h, w, grain)
 
 
-def _pixel_grid(h: int, w: int):
-    """Column and row coordinates (xs, ys) that broadcast to an h x w image."""
-    return (np.arange(w, dtype=np.float64)[None, :],
-            np.arange(h, dtype=np.float64)[:, None])
+def _pixel_grid(rows: slice, cols: slice):
+    """Column and row coordinates (xs, ys) of the pixels in image[rows, cols],
+    shaped to broadcast to that block."""
+    return (np.arange(cols.start, cols.stop, dtype=np.float64)[None, :],
+            np.arange(rows.start, rows.stop, dtype=np.float64)[:, None])
+
+
+def _segment_box(p0: np.ndarray, p1: np.ndarray, reach: float, h: int,
+                 w: int):
+    """(rows, cols) slices of an h x w image that hold every pixel within
+    reach of the segment p0-p1: its bounding box widened by reach."""
+    (x0, x1), (y0, y1) = sorted((p0[0], p1[0])), sorted((p0[1], p1[1]))
+    return (_reach_slice(y0 - reach, y1 + reach, h),
+            _reach_slice(x0 - reach, x1 + reach, w))
 
 
 def _segment_fields(xs: np.ndarray, ys: np.ndarray, p0: np.ndarray,
@@ -183,22 +195,26 @@ def _segment_fields(xs: np.ndarray, ys: np.ndarray, p0: np.ndarray,
     return s, dist, length
 
 
-def _co_motion_falloff(spec: PhantomSpec):
-    """(envelope, dist): the static spatial envelope of the tissue
+def _co_motion_falloff(spec: PhantomSpec, reach: float = 0.0):
+    """(box, envelope, dist): the static spatial envelope of the tissue
     displacement, in [0, 1], and each pixel's distance to the rest-position
-    segment.
+    segment, over the (rows, cols) box of the pixels within reach of it.
 
     The envelope is Gaussian in that distance, with a hard zero past the
     tip plane: the shaft drags tissue along its length, but nothing
     pushes the tissue beyond the tip, and the sharp motion boundary
-    there is what makes the tip localizable from energy alone.
+    there is what makes the tip localizable from energy alone.  The box
+    is widened to the envelope's own reach, motion_sigma *
+    _EXP_ZERO_REACH, so the envelope is exactly 0.0 outside it.
     """
     entry, _, tip, _ = needle_geometry(spec)
-    s, dist, length = _segment_fields(*_pixel_grid(spec.height, spec.width),
-                                      entry, tip)
+    box = _segment_box(entry, tip,
+                       max(reach, spec.motion_sigma * _EXP_ZERO_REACH),
+                       spec.height, spec.width)
+    s, dist, length = _segment_fields(*_pixel_grid(*box), entry, tip)
     envelope = np.exp(-(dist ** 2) / (2.0 * spec.motion_sigma ** 2))
     envelope[s > length] = 0.0
-    return envelope, dist
+    return box, envelope, dist
 
 
 def displacement_field(spec: PhantomSpec, t: int) -> np.ndarray:
@@ -207,11 +223,22 @@ def displacement_field(spec: PhantomSpec, t: int) -> np.ndarray:
                    lo_closed=True, integer=True)
     _, _, _, normal = needle_geometry(spec)
     amp = spec.vib_amplitude * math.sin(2.0 * math.pi * spec.vib_freq * t / spec.fps)
-    envelope = amp * _co_motion_falloff(spec)[0]
+    box, envelope, _ = _co_motion_falloff(spec)
+    full = np.zeros((spec.height, spec.width), dtype=np.float64)
+    full[box] = envelope
+    envelope = amp * full
     field = np.empty((spec.height, spec.width, 2), dtype=np.float64)
     field[:, :, 0] = envelope * normal[0]
     field[:, :, 1] = envelope * normal[1]
     return field
+
+
+def _moves(xs, ys, dx, dy):
+    """(sx, sy, moved): the warp's sample coordinates of the pixels
+    (xs, ys) and where they differ from the pixel's own."""
+    sx = xs - dx
+    sy = ys - dy
+    return sx, sy, (sx != xs) | (sy != ys)
 
 
 def _resample_moved(tex: np.ndarray, xs, ys, dx, dy, out: np.ndarray):
@@ -225,9 +252,7 @@ def _resample_moved(tex: np.ndarray, xs, ys, dx, dy, out: np.ndarray):
     A displacement of -0.0, or one too small to move the coordinate
     (x - 1e-300 == x for x >= 1), resamples nothing.
     """
-    sx = xs - dx
-    sy = ys - dy
-    moved = (sx != xs) | (sy != ys)
+    sx, sy, moved = _moves(xs, ys, dx, dy)
     out[moved] = _bilinear_clamped(tex, sx[moved], sy[moved])
     return moved
 
@@ -248,8 +273,8 @@ def warp_bilinear(texture: np.ndarray, field: np.ndarray) -> np.ndarray:
             f"field shape {field.shape} does not match texture {(h, w)}"
         )
     out = tex.copy()
-    _resample_moved(tex, *_pixel_grid(h, w), field[:, :, 0], field[:, :, 1],
-                    out)
+    _resample_moved(tex, *_pixel_grid(slice(0, h), slice(0, w)),
+                    field[:, :, 0], field[:, :, 1], out)
     return out
 
 
@@ -263,9 +288,9 @@ def _ridge(xs: np.ndarray, ys: np.ndarray, p0: np.ndarray,
 
 
 def _artifact_image(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
-    """Static distractor lines, same ridge profile as the needle."""
+    """Static distractor lines, same ridge profile as the needle; each is
+    evaluated only inside the box where it can be non-zero."""
     img = np.zeros((spec.height, spec.width), dtype=np.float64)
-    grid = _pixel_grid(spec.height, spec.width)
     for _ in range(spec.artifact_count):
         cx = rng.uniform(0.2 * spec.width, 0.8 * spec.width)
         cy = rng.uniform(0.2 * spec.height, 0.8 * spec.height)
@@ -274,7 +299,8 @@ def _artifact_image(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
         d = np.array([math.cos(ang), math.sin(ang)])
         p0 = np.array([cx, cy]) - half * d
         p1 = np.array([cx, cy]) + half * d
-        np.maximum(img, _ridge(*grid, p0, p1), out=img)
+        box = _segment_box(p0, p1, _RIDGE_REACH, spec.height, spec.width)
+        np.maximum(img[box], _ridge(*_pixel_grid(*box), p0, p1), out=img[box])
     return img
 
 
@@ -307,27 +333,41 @@ def synth_sequence(spec: PhantomSpec):
     those within _RIDGE_REACH + vib_amplitude of the rest-position
     segment.  Everywhere else the warp returns the texel and the ridge
     adds 0.0, so the bytes equal those of a full-frame computation with
-    the same expression order.
+    the same expression order.  A pixel's displacement is a rounded
+    product of the frame amplitude and its envelope, monotone in the
+    amplitude, and so is its sample coordinate; a pixel that moves at
+    neither the smallest nor the largest amplitude moves in no frame and
+    is left out of every frame's set.
     """
     validate_spec(spec)
     rng = np.random.default_rng(spec.seed)
     base = _speckle_from_rng(rng, spec.height, spec.width, spec.speckle_grain)
     artifacts = _artifact_image(spec, rng)
     entry, _, tip, normal = needle_geometry(spec)
-    envelope, dist = _co_motion_falloff(spec)
-    in_reach = (dist <= _RIDGE_REACH + spec.vib_amplitude) & (spec.visibility > 0)
+    ridge_reach = _RIDGE_REACH + spec.vib_amplitude
+    (rows, cols), envelope, dist = _co_motion_falloff(
+        spec, ridge_reach if spec.visibility > 0 else 0.0)
+    in_reach = (dist <= ridge_reach) & (spec.visibility > 0)
+    r, c = np.nonzero((envelope != 0) | in_reach)
+    env, ridged = envelope[r, c], in_reach[r, c]
+    r += rows.start
+    c += cols.start
+    xs, ys = c.astype(np.float64), r.astype(np.float64)
+    amps = [spec.vib_amplitude * math.sin(
+        2.0 * math.pi * spec.vib_freq * t / spec.fps)
+        for t in range(spec.frame_count)]
     # every pixel that is active in some frame, gathered once
-    idx = np.flatnonzero((envelope != 0) | in_reach)
-    ys, xs = (v.astype(np.float64) for v in np.divmod(idx, spec.width))
-    env, texels, art, ridged = (a.reshape(-1)[idx] for a in
-                                (envelope, base, artifacts, in_reach))
+    keep = ridged.copy()
+    for amp in {min(amps), max(amps)}:
+        keep |= _moves(xs, ys, (amp * normal[0]) * env,
+                       (amp * normal[1]) * env)[2]
+    idx = r[keep] * spec.width + c[keep]
+    xs, ys, env, ridged = xs[keep], ys[keep], env[keep], ridged[keep]
+    texels, art = base.reshape(-1)[idx], artifacts.reshape(-1)[idx]
     rx, ry = xs[ridged], ys[ridged]
     frames = np.empty((spec.frame_count, spec.height, spec.width), dtype=np.uint8)
     frames[:] = _to_uint8(base + artifacts)
-    for t in range(spec.frame_count):
-        amp = spec.vib_amplitude * math.sin(
-            2.0 * math.pi * spec.vib_freq * t / spec.fps
-        )
+    for t, amp in enumerate(amps):
         frame = texels.copy()
         moved = _resample_moved(base, xs, ys, (amp * normal[0]) * env,
                                 (amp * normal[1]) * env, frame)

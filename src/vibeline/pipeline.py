@@ -150,21 +150,6 @@ def tip_along_line(energy_values: np.ndarray, theta: float, rho: float,
     return float(tip[0]), float(tip[1])
 
 
-def _vote(values: np.ndarray, grid: HoughGrid) -> np.ndarray:
-    """Vote step of batch and stream detection: the Hough image.
-
-    A NaN or inf frame value reaches the energy map, and a non-finite
-    map would give a NaN confidence, so it is rejected here.
-    """
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise ValidationError(
-            f"energy map has {finite.size - np.count_nonzero(finite)} "
-            f"non-finite value(s); frames must be finite"
-        )
-    return hough_transform(values, grid)
-
-
 def _decode(values: np.ndarray, grid: HoughGrid, hough: np.ndarray,
             cfg: DetectConfig) -> Detection:
     """Decode step of batch and stream detection: shaft, tip, confidence."""
@@ -202,13 +187,14 @@ def detect_with_timing(frames01: np.ndarray, fps: float,
     # stack that is not 3-D is named by band_energy_from_frames
     grid = HoughGrid(*frames.shape[1:], cfg.theta_step,
                      cfg.rho_step) if frames.ndim == 3 else None
-    # inf * 0 in the matmul makes an inf frame NaN; _vote raises the error
+    # inf * 0 in the matmul makes an inf frame NaN; hough_transform
+    # raises the error
     with np.errstate(invalid="ignore"):
         t0 = time.perf_counter()
         values, _ = band_energy_from_frames(frames, fps, cfg.vib_freq,
                                             cfg.window_len, cfg.hop)
         t1 = time.perf_counter()
-    hough = _vote(values, grid)
+    hough = hough_transform(values, grid)
     t2 = time.perf_counter()
     det = _decode(values, grid, hough, cfg)
     t3 = time.perf_counter()
@@ -330,7 +316,8 @@ class StreamState:
             return None
         values = _energy_ratio(*self._sums, self._stat_len)
         values = values.reshape(self.height, self.width)
-        return _decode(values, self._grid, _vote(values, self._grid), self.cfg)
+        return _decode(values, self._grid,
+                       hough_transform(values, self._grid), self.cfg)
 
 
 def stream_push(state: StreamState, frame: np.ndarray):

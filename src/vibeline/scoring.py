@@ -40,11 +40,51 @@ def _check_pair(pred: np.ndarray, gt: np.ndarray):
     for name, arr in (("pred", pred), ("gt", gt)):
         if arr.size == 0:
             raise ValidationError(f"{name} is empty")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"{name} contains non-finite values")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        # min and max propagate NaN, and an inf is one of them
+        lo, hi = arr.min(), arr.max()
+        if not (lo >= 0.0 and hi <= 1.0):
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValidationError(f"{name} contains non-finite values")
             raise ValidationError(f"{name} values must lie in [0, 1]")
     return pred, gt
+
+
+def _cells(mask: np.ndarray, *arrays):
+    """Flat indices where mask holds (None when it holds everywhere),
+    then each array's values there as a 1-D array."""
+    if mask.all():
+        return (None, *(a.reshape(-1) for a in arrays))
+    idx = np.flatnonzero(mask)
+    return (idx, *(a.reshape(-1)[idx] for a in arrays))
+
+
+def _spread(vals: np.ndarray, idx, fill: float, like: np.ndarray):
+    """A map shaped like `like` holding vals at the flat indices idx (at
+    every cell when idx is None) and fill everywhere else."""
+    if idx is None:
+        return vals.reshape(like.shape)
+    out = np.full(like.size, fill)
+    out[idx] = vals
+    return out.reshape(like.shape)
+
+
+def _by_branch(p, g, pos_fn, neg_fn):
+    """pos_fn(p, g) on the positive cells, neg_fn(p, g) on the others.
+
+    The branch most cells take runs on every cell, and the other one
+    only on its own cells, which then overwrite theirs: the same values
+    as evaluating both everywhere and picking, without a gather of the
+    majority.
+    """
+    pos = g >= POSITIVE_CUTOFF
+    if 2 * np.count_nonzero(pos) <= pos.size:
+        few, many_fn, few_fn = pos, neg_fn, pos_fn
+    else:
+        few, many_fn, few_fn = ~pos, pos_fn, neg_fn
+    out = many_fn(p, g)
+    if few.any():
+        out[few] = few_fn(p[few], g[few])
+    return out
 
 
 def focal_loss(pred, gt, params: LossParams = LossParams()) -> float:
@@ -53,39 +93,51 @@ def focal_loss(pred, gt, params: LossParams = LossParams()) -> float:
     Positive cells (Y ~ 1):   -(1 - Yh)^alpha * log(Yh)
     All other cells:          -(1 - Y)^beta * Yh^alpha * log(1 - Yh)
     with Yh first clamped to [clamp_eps, 1 - clamp_eps].
+
+    A background cell (Y = 0, Yh clamped up to clamp_eps) has the same
+    term as every other, so that term is evaluated once; the terms are
+    then summed over the full map in row-major order.
     """
     pred, gt = _check_pair(pred, gt)
-    p = np.clip(pred, params.clamp_eps, 1.0 - params.clamp_eps)
-    pos = gt >= POSITIVE_CUTOFF
-    term = np.where(
-        pos,
-        (1.0 - p) ** params.alpha * np.log(p),
-        (1.0 - gt) ** params.beta * p ** params.alpha * np.log1p(-p),
-    )
-    return float(-term.sum() / pred.size)
+    eps, a, b = params.clamp_eps, params.alpha, params.beta
+
+    def pos_term(p, g):
+        return (1.0 - p) ** a * np.log(p)
+
+    def neg_term(p, g):
+        return (1.0 - g) ** b * p ** a * np.log1p(-p)
+
+    idx, p, g = _cells((gt != 0.0) | (pred > eps), pred, gt)
+    vals = _by_branch(np.clip(p, eps, 1.0 - eps), g, pos_term, neg_term)
+    background = neg_term(np.full(1, eps), np.zeros(1))[0]
+    return float(-_spread(vals, idx, background, pred).sum() / pred.size)
 
 
 def focal_loss_grad(pred, gt, params: LossParams = LossParams()) -> np.ndarray:
     """Elementwise d(focal_loss)/d(pred).
 
     The derivative is of the clamped loss, so cells whose prediction was
-    clipped get exactly zero gradient.
+    clipped get exactly zero gradient; only the others are evaluated.
     """
     pred, gt = _check_pair(pred, gt)
-    p = np.clip(pred, params.clamp_eps, 1.0 - params.clamp_eps)
-    pos = gt >= POSITIVE_CUTOFF
-    a = params.alpha
-    one_m_p = 1.0 - p
-    # d/dp of the positive branch term (1-p)^a log p, negated and averaged
-    grad_pos = a * one_m_p ** (a - 1.0) * np.log(p) - one_m_p ** a / p
-    # d/dp of the soft-negative branch term (1-Y)^b p^a log(1-p)
-    grad_neg = -((1.0 - gt) ** params.beta) * (
-        a * p ** (a - 1.0) * np.log1p(-p) - p ** a / one_m_p
-    )
-    grad = np.where(pos, grad_pos, grad_neg) / pred.size
-    clamped = (pred < params.clamp_eps) | (pred > 1.0 - params.clamp_eps)
-    grad[clamped] = 0.0
-    return grad
+    eps, a, b = params.clamp_eps, params.alpha, params.beta
+
+    def grad_pos(p, g):
+        # d/dp of the positive branch term (1-p)^a log p, negated and averaged
+        one_m_p = 1.0 - p
+        return a * one_m_p ** (a - 1.0) * np.log(p) - one_m_p ** a / p
+
+    def grad_neg(p, g):
+        # d/dp of the soft-negative branch term (1-Y)^b p^a log(1-p)
+        one_m_p = 1.0 - p
+        return -((1.0 - g) ** b) * (
+            a * p ** (a - 1.0) * np.log1p(-p) - p ** a / one_m_p
+        )
+
+    idx, p, g = _cells((pred >= eps) & (pred <= 1.0 - eps), pred, gt)
+    vals = _by_branch(p, g, grad_pos, grad_neg)
+    vals /= pred.size
+    return _spread(vals, idx, 0.0, pred)
 
 
 def hybrid_loss(pred_map, gt_map, params: LossParams = LossParams()) -> float:

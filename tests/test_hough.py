@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_hough
 from vibeline import (
@@ -169,6 +171,18 @@ def test_rho_index_table_is_read_only_and_compact():
     assert _rho_index_table.cache_info().currsize == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_forward_rejects_a_non_finite_feature(bad):
+    grid = small_grid()
+    feat = np.zeros((grid.image_h, grid.image_w))
+    feat[3, 4] = bad
+    feat[5, 6] = bad
+    with pytest.raises(ValidationError,
+                       match=r"^energy map has 2 non-finite value\(s\); "
+                             r"frames must be finite$"):
+        hough_transform(feat, grid)
+
+
 def test_line_mask_peaks_at_its_own_cell():
     # 80 bright pixels on the line theta=45, rho=40.
     grid = small_grid(h=80, w=80)
@@ -247,6 +261,64 @@ def test_shaft_render_tiny_sigma_concentrates_mass():
     flat = np.sort(img.ravel())
     assert flat[-1] == 1.0
     assert flat[-2] < 0.001
+
+
+def _dense_shaft_gt(grid, theta, rho, sigma):
+    """The Gaussian evaluated on every cell, as render_shaft_gt once did."""
+    tc = theta / grid.theta_step
+    rc = rho / grid.rho_step + grid.rho_offset
+    ti = np.arange(grid.theta_bins, dtype=np.float64)
+    ri = np.arange(grid.rho_bins, dtype=np.float64)
+    d2 = (ti - tc)[:, None] ** 2 + (ri - rc)[None, :] ** 2
+    return np.exp(-d2 / (2.0 * sigma * sigma))
+
+
+@st.composite
+def _shaft_targets(draw):
+    grid = HoughGrid(image_h=draw(st.integers(1, 60)),
+                     image_w=draw(st.integers(1, 60)),
+                     theta_step=draw(st.sampled_from([0.5, 1.0, 7.0, 180.0])),
+                     rho_step=draw(st.sampled_from([0.25, 1.0, 3.0])))
+    # on a bin center, anywhere on the grid, or well outside it
+    on_grid = draw(st.booleans())
+    theta_bin = draw(st.integers(-40, grid.theta_bins + 40) if on_grid else
+                     st.floats(-3.0 * grid.theta_bins, 4.0 * grid.theta_bins))
+    rho_bin = draw(st.integers(-40, grid.rho_bins + 40) if on_grid else
+                   st.floats(-3.0 * grid.rho_bins, 4.0 * grid.rho_bins))
+    theta = theta_bin * grid.theta_step
+    rho = (rho_bin - grid.rho_offset) * grid.rho_step
+    return grid, theta, rho, draw(st.floats(0.05, 200.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shaft_targets())
+def test_shaft_render_equals_the_dense_gaussian_bit_for_bit(target):
+    grid, theta, rho, sigma = target
+    got = render_shaft_gt(grid, theta, rho, sigma)
+    want = _dense_shaft_gt(grid, theta, rho, sigma)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("theta,rho", [(math.nan, 0.0), (30.0, math.inf),
+                                       (-math.inf, 5.0)])
+def test_shaft_render_of_a_non_finite_target_equals_the_dense_one(theta, rho):
+    grid = small_grid()
+    with np.errstate(invalid="ignore"):
+        got = render_shaft_gt(grid, theta, rho, 2.0)
+        want = _dense_shaft_gt(grid, theta, rho, 2.0)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_shaft_render_evaluates_only_the_reach_of_the_target():
+    # a sigma-2 peak is exactly 0.0 past 2 * sqrt(1492) ~ 77.3 bins
+    grid = HoughGrid(image_h=328, image_w=335)
+    img = render_shaft_gt(grid, 90.0, 0.0, sigma=2.0)
+    rows, cols = np.nonzero(img)
+    assert rows.min() >= 90 - 78 and rows.max() <= 90 + 78
+    assert cols.min() >= grid.rho_offset - 78
+    assert cols.max() <= grid.rho_offset + 78
+    assert img[90 - 77, grid.rho_offset] > 0.0
 
 
 def test_render_rejects_bad_sigma():

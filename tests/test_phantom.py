@@ -245,13 +245,13 @@ def _dense_ridge(h, w, p0, p1):
     return phantom.NEEDLE_RIDGE_PEAK * np.exp(-(dist ** 2) / (2.0 * sigma * sigma))
 
 
-def _dense_synth(spec):
-    """Frames of the full-frame loop that synth_sequence gathers from:
-    warp every pixel, add the whole ridge and the artifacts, clip, round."""
+def _speckle_and_artifact_segments(spec):
+    """The speckle and the artifact segments (p0, p1), drawn from the seed
+    in synth_sequence's order."""
     h, w = spec.height, spec.width
     rng = np.random.default_rng(spec.seed)
     base = phantom._speckle_from_rng(rng, h, w, spec.speckle_grain)
-    artifacts = np.zeros((h, w))
+    segments = []
     for _ in range(spec.artifact_count):
         cx = rng.uniform(0.2 * w, 0.8 * w)
         cy = rng.uniform(0.2 * h, 0.8 * h)
@@ -259,12 +259,29 @@ def _dense_synth(spec):
         half = rng.uniform(30.0, 90.0)
         d = np.array([math.cos(ang), math.sin(ang)])
         c = np.array([cx, cy])
-        np.maximum(artifacts, _dense_ridge(h, w, c - half * d, c + half * d),
-                   out=artifacts)
-    entry, _, tip, normal = needle_geometry(spec)
-    s, dist, length = _dense_segment_fields(h, w, entry, tip)
+        segments.append((c - half * d, c + half * d))
+    return base, segments
+
+
+def _dense_envelope(spec):
+    """The co-motion envelope evaluated on every pixel."""
+    entry, _, tip, _ = needle_geometry(spec)
+    s, dist, length = _dense_segment_fields(spec.height, spec.width, entry, tip)
     envelope = np.exp(-(dist ** 2) / (2.0 * spec.motion_sigma ** 2))
     envelope[s > length] = 0.0
+    return envelope
+
+
+def _dense_synth(spec):
+    """Frames of the full-frame loop that synth_sequence gathers from:
+    warp every pixel, add the whole ridge and the artifacts, clip, round."""
+    h, w = spec.height, spec.width
+    base, segments = _speckle_and_artifact_segments(spec)
+    artifacts = np.zeros((h, w))
+    for p0, p1 in segments:
+        np.maximum(artifacts, _dense_ridge(h, w, p0, p1), out=artifacts)
+    entry, _, tip, normal = needle_geometry(spec)
+    envelope = _dense_envelope(spec)
     frames = np.empty((spec.frame_count, h, w), dtype=np.uint8)
     field = np.empty((h, w, 2))
     for t in range(spec.frame_count):
@@ -312,6 +329,21 @@ _DENSE_CASES = {
     "tip-on-border": _dense_case(entry_side="top", needle_angle=0.0,
                                  needle_entry=(30.0, 0.0), needle_length=63.0,
                                  visibility=1.0),
+    # the per-frame set keeps the pixels that move at the smallest or the
+    # largest frame amplitude
+    "amplitude-1e-13": _dense_case(vib_amplitude=1e-13),
+    "one-frame": _dense_case(frame_count=1),
+    # sin(pi t / 5) over t = 0..6 peaks at +0.951 and -0.588
+    "unequal-peaks": _dense_case(frame_count=7),
+    # a zero normal component: cos 0 = 0 on y, and cos 90 deg ~ 6e-17 on x
+    "angle-0": _dense_case(entry_side="top", needle_angle=0.0,
+                           needle_entry=(30.0, 0.0)),
+    "angle-90": _dense_case(needle_angle=90.0, needle_entry=(0.0, 30.0)),
+    "motion-sigma-200": _dense_case(motion_sigma=200.0),
+    # an artifact whose reach box the border clips, in a larger image
+    "artifact-clipped": _dense_case(height=160, width=180,
+                                    needle_entry=(0.0, 120.0),
+                                    needle_length=60.0, seed=4),
     "fullsize-preset": preset("fullsize"),
 }
 
@@ -322,9 +354,38 @@ def test_synth_matches_the_dense_frame_reference(spec):
     assert seq.frames.tobytes() == _dense_synth(spec).tobytes()
 
 
+@pytest.mark.parametrize("name", ["visibility-0.5", "whole-frame-envelope",
+                                  "angle-0", "motion-sigma-200"])
+def test_displacement_field_equals_the_dense_envelope_bit_for_bit(name):
+    spec = _DENSE_CASES[name]
+    _, _, _, normal = needle_geometry(spec)
+    envelope = _dense_envelope(spec)
+    for t in (0, 2, 7):  # amplitude 0, positive and negative
+        amp = spec.vib_amplitude * math.sin(
+            2.0 * math.pi * spec.vib_freq * t / spec.fps)
+        want = np.stack([(amp * envelope) * normal[0],
+                         (amp * envelope) * normal[1]], axis=-1)
+        assert displacement_field(spec, t).tobytes() == want.tobytes()
+
+
 def test_dense_cases_cover_what_they_name():
-    envelope, _ = phantom._co_motion_falloff(_DENSE_CASES["whole-frame-envelope"])
+    spec = _DENSE_CASES["whole-frame-envelope"]
+    _, envelope, _ = phantom._co_motion_falloff(spec)
+    assert envelope.shape == (spec.height, spec.width)
     assert np.all(envelope != 0)
+    _, _, _, normal = needle_geometry(_DENSE_CASES["angle-0"])
+    assert normal[1] == 0.0
+    peaks = [math.sin(math.pi * t / 5) for t in range(7)]
+    assert max(peaks) != -min(peaks)
+    spec = _DENSE_CASES["artifact-clipped"]
+    [((x0, y0), (x1, y1))] = _speckle_and_artifact_segments(spec)[1]
+    reach = phantom._RIDGE_REACH
+    assert min(x0, x1, y0, y1) - reach < 0  # clipped at the border ...
+    rows, cols = phantom._segment_box(np.array([x0, y0]), np.array([x1, y1]),
+                                      reach, spec.height, spec.width)
+    # ... and still short of the whole image
+    assert (rows.stop - rows.start) * (cols.stop - cols.start) < 0.6 * (
+        spec.height * spec.width)
     _, _, tip, _ = needle_geometry(_DENSE_CASES["tip-on-border"])
     assert tip[1] == 63.0
     still, _ = synth_sequence(_DENSE_CASES["amplitude-0"])

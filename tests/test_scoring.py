@@ -4,15 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vibeline import (
+    HoughGrid,
     HoughMap,
     LossParams,
     ValidationError,
     focal_loss,
     focal_loss_grad,
     hybrid_loss,
+    render_shaft_gt,
 )
+from vibeline.scoring import POSITIVE_CUTOFF
 
 
 # --------------------------------------------------------------------------
@@ -130,6 +136,99 @@ def test_gradient_is_zero_and_finite_on_clamped_cells():
 
 
 # --------------------------------------------------------------------------
+# Equal bit for bit to the dense formulas
+# --------------------------------------------------------------------------
+
+def _dense_loss(pred, gt, params):
+    """Both branches on every cell, then pick, as focal_loss once did."""
+    p = np.clip(pred, params.clamp_eps, 1.0 - params.clamp_eps)
+    term = np.where(
+        gt >= POSITIVE_CUTOFF,
+        (1.0 - p) ** params.alpha * np.log(p),
+        (1.0 - gt) ** params.beta * p ** params.alpha * np.log1p(-p),
+    )
+    return float(-term.sum() / pred.size)
+
+
+def _dense_grad(pred, gt, params):
+    """Both gradient branches on every cell, clamped cells zeroed after."""
+    p = np.clip(pred, params.clamp_eps, 1.0 - params.clamp_eps)
+    a = params.alpha
+    one_m_p = 1.0 - p
+    grad_pos = a * one_m_p ** (a - 1.0) * np.log(p) - one_m_p ** a / p
+    grad_neg = -((1.0 - gt) ** params.beta) * (
+        a * p ** (a - 1.0) * np.log1p(-p) - p ** a / one_m_p
+    )
+    grad = np.where(gt >= POSITIVE_CUTOFF, grad_pos, grad_neg) / pred.size
+    clamped = ((pred < params.clamp_eps)
+               | (pred > 1.0 - params.clamp_eps))
+    grad[clamped] = 0.0
+    return grad
+
+
+def _special_values(eps):
+    """Exact 0 and 1, the clamp bounds and both sides of them, and the
+    positive cutoff."""
+    return [0.0, 1.0, eps, eps / 2.0, np.nextafter(eps, 0.0),
+            np.nextafter(eps, 1.0), 1.0 - eps, np.nextafter(1.0 - eps, 1.0),
+            5e-324, 1e-300, POSITIVE_CUTOFF, np.nextafter(POSITIVE_CUTOFF, 0.0)]
+
+
+@st.composite
+def _loss_cases(draw):
+    params = LossParams(alpha=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+                        beta=draw(st.sampled_from([0.0, 4.0])),
+                        clamp_eps=draw(st.one_of(
+                            st.sampled_from([1e-300, 1e-12, 1e-6, 0.49]),
+                            st.floats(1e-9, 0.49))))
+    eps = params.clamp_eps
+    shape = draw(st.tuples(st.integers(1, 9), st.integers(1, 13)))
+    mode = draw(st.sampled_from(["mixed", "background", "active"]))
+    if mode == "background":  # gt 0 and pred at or below the lower clamp
+        gt = np.zeros(shape)
+        value = st.sampled_from([0.0, eps, eps / 2.0, 5e-324])
+        pred = draw(arrays(np.float64, shape, elements=value))
+    elif mode == "active":  # no cell is background
+        gt = draw(arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+        value = st.floats(np.nextafter(eps, 1.0), 1.0)
+        pred = draw(arrays(np.float64, shape, elements=value))
+    else:
+        value = st.one_of(st.sampled_from(_special_values(eps)),
+                          st.floats(0.0, 1.0))
+        pred = draw(arrays(np.float64, shape, elements=value))
+        gt = draw(arrays(np.float64, shape, elements=value))
+    return pred, gt, params
+
+
+@settings(max_examples=400, deadline=None)
+@given(_loss_cases())
+def test_loss_and_gradient_equal_the_dense_formulas_bit_for_bit(case):
+    pred, gt, params = case
+    with np.errstate(all="ignore"):  # the dense branches meet log(0)
+        want_loss = _dense_loss(pred, gt, params)
+        want_grad = _dense_grad(pred, gt, params)
+        got_loss = focal_loss(pred, gt, params)
+        got_grad = focal_loss_grad(pred, gt, params)
+    assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+    assert got_grad.shape == want_grad.shape
+    assert got_grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [2.0, 40.0])
+def test_rendered_maps_equal_the_dense_formulas_bit_for_bit(sigma):
+    # the benchmark's pairs: rendered peaks, mostly background at sigma 2
+    # and none at sigma 40, against a jittered or a random prediction
+    grid = HoughGrid(image_h=64, image_w=64)
+    gt = render_shaft_gt(grid, 30.0, 5.0, sigma)
+    rng = np.random.default_rng(79)
+    for pred in (render_shaft_gt(grid, 31.3, 3.2, sigma),
+                 rng.uniform(size=gt.shape)):
+        assert focal_loss(pred, gt) == _dense_loss(pred, gt, LossParams())
+        assert (focal_loss_grad(pred, gt).tobytes()
+                == _dense_grad(pred, gt, LossParams()).tobytes())
+
+
+# --------------------------------------------------------------------------
 # Hybrid loss
 # --------------------------------------------------------------------------
 
@@ -181,6 +280,45 @@ def test_loss_rejects_bad_inputs():
         focal_loss(np.zeros((3, 3)), np.full((3, 3), -0.1))
     with pytest.raises(ValidationError):
         focal_loss(np.full((3, 3), np.nan), np.zeros((3, 3)))
+
+
+def _poked(value, at=(1, 2), fill=0.5):
+    arr = np.full((3, 3), fill)
+    arr[at] = value
+    return arr
+
+
+_BAD_PAIRS = {
+    "shape": (np.zeros((3, 3)), np.zeros((3, 4)),
+              r"shape mismatch: \(3, 3\) vs \(3, 4\)"),
+    "pred-empty": (np.zeros((0, 3)), np.zeros((0, 3)), "pred is empty"),
+    "pred-nan": (_poked(np.nan), np.zeros((3, 3)), "pred contains non-finite"),
+    "pred-inf": (_poked(np.inf), np.zeros((3, 3)), "pred contains non-finite"),
+    "pred-neg-inf": (_poked(-np.inf), np.zeros((3, 3)),
+                     "pred contains non-finite"),
+    "gt-nan": (np.zeros((3, 3)), _poked(np.nan), "gt contains non-finite"),
+    "gt-inf": (np.zeros((3, 3)), _poked(np.inf), "gt contains non-finite"),
+    "gt-neg-inf": (np.zeros((3, 3)), _poked(-np.inf), "gt contains non-finite"),
+    # NaN beside an out-of-range value still names the NaN
+    "pred-nan-and-high": (_poked(np.nan, fill=1.5), np.zeros((3, 3)),
+                          "pred contains non-finite"),
+    "pred-low-and-inf": (_poked(np.inf, fill=-0.5), np.zeros((3, 3)),
+                         "pred contains non-finite"),
+    "pred-high": (_poked(1.5), np.zeros((3, 3)), r"pred values must lie in"),
+    "pred-low": (_poked(-1e-300), np.zeros((3, 3)), r"pred values must lie in"),
+    "gt-high": (np.zeros((3, 3)), _poked(np.nextafter(1.0, 2.0)),
+                r"gt values must lie in \[0, 1\]$"),
+    "gt-low": (np.zeros((3, 3)), np.full((3, 3), -0.1),
+               r"gt values must lie in \[0, 1\]$"),
+}
+
+
+@pytest.mark.parametrize("fn", [focal_loss, focal_loss_grad])
+@pytest.mark.parametrize("pred,gt,message", _BAD_PAIRS.values(),
+                         ids=_BAD_PAIRS.keys())
+def test_loss_names_each_bad_input(fn, pred, gt, message):
+    with pytest.raises(ValidationError, match=message):
+        fn(pred, gt)
 
 
 def test_loss_params_validation():
