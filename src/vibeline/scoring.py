@@ -71,19 +71,15 @@ def _spread(vals: np.ndarray, idx, fill: float, like: np.ndarray):
 def _by_branch(p, g, pos_fn, neg_fn):
     """pos_fn(p, g) on the positive cells, neg_fn(p, g) on the others.
 
-    The branch most cells take runs on every cell, and the other one
-    only on its own cells, which then overwrite theirs: the same values
-    as evaluating both everywhere and picking, without a gather of the
-    majority.
+    Gaussian truth maps hold few positive cells, so the negative branch
+    runs on every cell and the positive one only on its own cells, which
+    then overwrite theirs: the same values as evaluating both everywhere
+    and picking, without a gather of the negatives.
     """
     pos = g >= POSITIVE_CUTOFF
-    if 2 * np.count_nonzero(pos) <= pos.size:
-        few, many_fn, few_fn = pos, neg_fn, pos_fn
-    else:
-        few, many_fn, few_fn = ~pos, pos_fn, neg_fn
-    out = many_fn(p, g)
-    if few.any():
-        out[few] = few_fn(p[few], g[few])
+    out = neg_fn(p, g)
+    if pos.any():
+        out[pos] = pos_fn(p[pos], g[pos])
     return out
 
 
