@@ -1,8 +1,9 @@
 """Command-line front end: gen, detect, stream, eval, spectro.
 
 Importing this module loads no numeric library (the package resolves
-its names lazily); numpy and scipy load after --threads has been
-written to the BLAS environment variables, so the cap takes effect.
+its names lazily); numpy, the only one the package uses, loads after
+--threads has been written to the BLAS environment variables, so the
+cap takes effect.
 
 Every settings flag stores into the PhantomSpec (gen) or DetectConfig
 (detect, stream, spectro) field it sets, which names its metavar:

@@ -175,8 +175,11 @@ def render_shaft_gt(grid: HoughGrid, theta: float, rho: float,
 
     Only the cells within sigma * _EXP_ZERO_REACH bins of the target on
     both axes are evaluated; the Gaussian is exactly 0.0 everywhere else.
+    A non-finite theta or rho is rejected.
     """
     _check_setting("sigma", sigma, 0)
+    _check_setting("theta", theta)
+    _check_setting("rho", rho)
     tc = theta / grid.theta_step
     rc = rho / grid.rho_step + grid.rho_offset
     reach = sigma * _EXP_ZERO_REACH

@@ -302,12 +302,11 @@ def test_shaft_render_equals_the_dense_gaussian_bit_for_bit(target):
 
 @pytest.mark.parametrize("theta,rho", [(math.nan, 0.0), (30.0, math.inf),
                                        (-math.inf, 5.0)])
-def test_shaft_render_of_a_non_finite_target_equals_the_dense_one(theta, rho):
-    grid = small_grid()
-    with np.errstate(invalid="ignore"):
-        got = render_shaft_gt(grid, theta, rho, 2.0)
-        want = _dense_shaft_gt(grid, theta, rho, 2.0)
-    assert got.tobytes() == want.tobytes()
+def test_shaft_render_rejects_a_non_finite_target(theta, rho):
+    # NaN once rendered an all-NaN map and inf an all-zero one
+    name = "theta" if not math.isfinite(theta) else "rho"
+    with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+        render_shaft_gt(small_grid(), theta, rho, 2.0)
 
 
 def test_shaft_render_evaluates_only_the_reach_of_the_target():

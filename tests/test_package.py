@@ -49,8 +49,8 @@ def test_detection_loads_neither_the_generator_nor_scipy(tmp_path):
 
 def test_reading_a_config_or_a_ground_truth_loads_no_scipy(tmp_path):
     # detect --config checks its keys against PhantomSpec, so it loads the
-    # generator, but only synthesis needs scipy's filter; the truth record
-    # lives in metrics
+    # generator, which imports no scipy at all; the truth record lives in
+    # metrics
     from vibeline import GroundTruth, save_ground_truth
 
     cfg, gt = tmp_path / "cfg.json", tmp_path / "a.gt.json"
@@ -67,6 +67,32 @@ def test_reading_a_config_or_a_ground_truth_loads_no_scipy(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "False"]
+
+
+def test_gen_and_detect_run_without_scipy(tmp_path):
+    # the speckle blur is numpy's own: blocking scipy changes no byte
+    gen = ["--seed", "3", "gen", "--height", "96", "--width", "112",
+           "--entry-x", "0", "--entry-y", "80", "--length", "80", "--vib-hz",
+           "3", "--visibility", "0", "--artifacts", "1"]
+    outs = []
+    for blocked in (True, False):
+        seq_path = tmp_path / f"{blocked}.vibseq"
+        code = (
+            "import sys\n"
+            f"if {blocked}:\n"
+            "    sys.modules['scipy'] = None  # any scipy import now fails\n"
+            "from vibeline import cli\n"
+            f"codes = [cli.main({gen + ['--out', str(seq_path)]!r}), "
+            f"cli.main(['detect', {str(seq_path)!r}, '--vib-hz', '3'])]\n"
+            "print(codes, 'scipy' in sys.modules and sys.modules['scipy'] is "
+            "not None)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[0,", "0]", "False"]
+        outs.append(seq_path.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_detect_with_a_hough_truth_loads_no_generator(tmp_path):

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import small_vibrating_spec
 from vibeline import (
@@ -80,6 +81,20 @@ def test_speckle_range_and_mean():
     tex = background_speckle(96, 80, 1.5, seed=7)
     assert tex.min() >= 0.0 and tex.max() <= 1.0
     assert 0.3 <= tex.mean() <= 0.7
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.integers(16, 80), w=st.integers(16, 80),
+       sigma=st.one_of(st.floats(1.0, 20.0), st.integers(1, 20)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_speckle_blur_equals_scipys_gaussian_filter_bit_for_bit(h, w, sigma,
+                                                                seed):
+    # past sigma 4 the radius int(4 sigma + 0.5) can exceed a 16-px side,
+    # so the reflection wraps with period 2n
+    gaussian_filter = pytest.importorskip("scipy.ndimage").gaussian_filter
+    x = np.random.default_rng(seed).standard_normal((h, w))
+    want = gaussian_filter(x, sigma, mode="reflect")
+    assert phantom._gaussian_blur(x, sigma).tobytes() == want.tobytes()
 
 
 def test_speckle_grain_controls_autocorrelation_length():
@@ -459,6 +474,7 @@ def test_invisible_needle_leaves_no_single_frame_signature():
     # twin (same seed, so the same tissue realization; the texture's
     # min-max renormalization makes histograms of different seeds differ
     # for reasons unrelated to the needle).  The needle must not show.
+    ks_2samp = pytest.importorskip("scipy.stats").ks_2samp
     with_needle, _ = synth_sequence(small_vibrating_spec(seed=29))
     without, _ = synth_sequence(small_vibrating_spec(seed=29,
                                                      vib_amplitude=0.0))
