@@ -131,8 +131,6 @@ def cmd_detect(args, config: dict) -> int:
     from .core import load_sequence, write_vibmap
     from .pipeline import _hough_channels, detect_with_timing
 
-    import numpy as np
-
     cfg = _build_detect_config(args, config)
     seq = load_sequence(args.input)
     # one run feeds the record and every --emit-* map
@@ -149,7 +147,7 @@ def cmd_detect(args, config: dict) -> int:
     if args.emit_hough:
         gt = load_ground_truth(args.hough_gt) if args.hough_gt else None
         hmap = _hough_channels(det, grid, hough, cfg, gt)
-        write_vibmap(_prepared(args.emit_hough), np.stack([hmap.shaft, hmap.tip]))
+        write_vibmap(_prepared(args.emit_hough), [hmap.shaft, hmap.tip])
     if det.low_confidence_flag:
         print(f"low confidence ({det.confidence:.3g} < {cfg.confidence_min:g})",
               file=sys.stderr)

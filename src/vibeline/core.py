@@ -231,13 +231,10 @@ def pixel_signal(seq: UsSequence, x: int, y: int) -> np.ndarray:
 
 
 def _bilinear_clamped(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Bilinear samples of a float64 image at (xs, ys), edge-clamped.
-
-    Clamps xs and ys in place, sparing full-size copies in the warp.
-    """
+    """Bilinear samples of a float64 image at (xs, ys), edge-clamped."""
     h, w = img.shape
-    np.clip(xs, 0.0, w - 1.0, out=xs)
-    np.clip(ys, 0.0, h - 1.0, out=ys)
+    xs = np.clip(xs, 0.0, w - 1.0)
+    ys = np.clip(ys, 0.0, h - 1.0)
     x0 = np.floor(xs).astype(np.intp)
     y0 = np.floor(ys).astype(np.intp)
     x1 = np.minimum(x0 + 1, w - 1)

@@ -6,8 +6,9 @@ bare Exception.
 
 Every numeric setting, from a flag, a config file or a library call, is
 checked by _check_setting: its type, its finiteness and its range, with
-a ValidationError that names the setting.  This module imports no
-numeric library, so the CLI and metrics can use the rule without one.
+a ValidationError that names the setting, and _check_band is the one
+Nyquist rule.  This module imports no numeric library, so the CLI and
+metrics can use the rules without one.
 """
 
 import math
@@ -43,6 +44,14 @@ def _check_setting(name, value, lo=-math.inf, hi=math.inf, *, lo_closed=False,
     got = value if isinstance(value, numbers.Number) else repr(value)
     raise ValidationError(
         message or f"{name} must be {' and '.join(ends + kind)}, got {got}")
+
+
+def _check_band(freq, fps) -> None:
+    """Raise ValidationError unless 0 < freq < fps / 2, in generator and
+    detector alike."""
+    if not (0 < freq < fps / 2):
+        raise ValidationError(f"vib_freq {freq} Hz must lie in (0, fps/2) = "
+                              f"(0, {fps / 2}) Hz, below the Nyquist limit")
 
 
 class FormatError(VibelineError, ValueError):

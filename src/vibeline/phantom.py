@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (_EXP_ZERO_REACH, INWARD, _bilinear_clamped, _reach_slice,
                    make_sequence)
-from .errors import ValidationError, _check_setting
+from .errors import ValidationError, _check_band, _check_setting
 # moved to metrics; perfbench resolves phantom.save_ground_truth
 from .metrics import GroundTruth, load_ground_truth, save_ground_truth
 
@@ -103,14 +103,11 @@ def validate_spec(spec: PhantomSpec) -> None:
     _check_setting("vib_amplitude", spec.vib_amplitude, 0, lo_closed=True)
     _check_setting("visibility", spec.visibility, 0, 1,
                    lo_closed=True, hi_closed=True)
-    _check_setting("speckle_grain", spec.speckle_grain, 1, lo_closed=True)
+    _check_speckle_grain("speckle_grain", spec.speckle_grain, spec.height,
+                         spec.width)
     for axis, value in zip("xy", spec.needle_entry):
         _check_setting(f"needle_entry {axis}", value)
-    if not (spec.vib_freq < spec.fps / 2):
-        raise ValidationError(
-            f"vib_freq {spec.vib_freq} violates the Nyquist limit fps/2 = "
-            f"{spec.fps / 2}"
-        )
+    _check_band(spec.vib_freq, spec.fps)
     if spec.entry_side not in INWARD:
         raise ValidationError(f"entry_side must be one of {tuple(INWARD)}")
     ex, ey = spec.needle_entry
@@ -133,6 +130,11 @@ def validate_spec(spec: PhantomSpec) -> None:
 
 
 _BLUR_ROWS = 48  # output rows per block, so each block's passes stay in cache
+
+
+def _check_speckle_grain(name: str, grain, h: int, w: int) -> None:
+    # a blur block gathers _BLUR_ROWS + 2 int(4 grain + 0.5) rows
+    _check_setting(name, grain, 1, max(h, w), lo_closed=True, hi_closed=True)
 
 
 def _reflect_index(n: int, r: int) -> np.ndarray:
@@ -187,7 +189,7 @@ def background_speckle(h: int, w: int, grain: float, seed: int) -> np.ndarray:
     """Spatially correlated texture in [0, 1]; deterministic per seed."""
     for name, value in (("h", h), ("w", w)):
         _check_setting(name, value, 16, lo_closed=True, integer=True)
-    _check_setting("grain", grain, 1, lo_closed=True)
+    _check_speckle_grain("grain", grain, h, w)
     _check_setting("seed", seed, 0, lo_closed=True, integer=True)
     return _speckle_from_rng(np.random.default_rng(seed), h, w, grain)
 

@@ -141,9 +141,8 @@ def tip_along_line(energy_values: np.ndarray, theta: float, rho: float,
         raise NoTipError("no above-threshold run along the line")
     starts, ends = edges[0::2], edges[1::2]
     best = int(np.argmax(ends - starts))  # first of the longest runs
-    # run ends from the line itself: the sampler clamped xs, ys in place
-    p_lo = base + svals[starts[best]] * d
-    p_hi = base + svals[ends[best] - 1] * d
+    lo, hi = starts[best], ends[best] - 1
+    p_lo, p_hi = np.array([xs[lo], ys[lo]]), np.array([xs[hi], ys[hi]])
     tip = p_hi if (p_hi - p_lo) @ INWARD[cfg.entry_side] >= 0 else p_lo
     # an end on the border can land a rounding step outside the image
     tip = np.clip(tip, 0.0, (w - 1.0, h - 1.0))
@@ -173,16 +172,15 @@ def detect_with_timing(frames01: np.ndarray, fps: float,
                        cfg: DetectConfig | None = None):
     """One timed batch run: (Detection, timing, energy, grid, Hough image).
 
-    frames01 is a (T, H, W) stack of uint8 samples, passed on as they
-    are, or of values in [0, 1], taken as float64.  Callers that export
+    frames01 is a (T, H, W) stack of uint8 samples or of values in
+    [0, 1] of any real dtype, passed on as it is; float32, int16 or bool
+    frames give the result of their float64 copy.  Callers that export
     the maps reuse the ones the detection came from;
     perfbench/tracing.py wraps this name.  Timing is reported per stage
     in milliseconds.
     """
     cfg = cfg or DetectConfig()
     frames = np.asarray(frames01)
-    if frames.dtype != np.uint8:  # uint8 stays: the spectral stage scales it
-        frames = frames.astype(np.float64, copy=False)
     # a grid the image size rejects fails before any frame work; a frame
     # stack that is not 3-D is named by band_energy_from_frames
     grid = HoughGrid(*frames.shape[1:], cfg.theta_step,
@@ -211,12 +209,12 @@ def detect_frames(frames01: np.ndarray, fps: float, cfg: DetectConfig | None = N
     """Detection on frames (T, H, W); returns (Detection, timing).
 
     Frames are floats in [0, 1] or uint8 samples, which give the same
-    result bit for bit as their UsSequence.frames_float().  On floats
-    this is the affine-safe entry point: scaling frame values by a > 0
-    and adding an offset leaves the result unchanged up to float noise.
-    A static pixel scores exactly 0 at any offset, so on the fullsize
-    preset shaft and tip held up to an offset of 1e12, and confidence
-    read 129.44 from 0 to 1e10 and 129.57 at 1e12.
+    result bit for bit as their UsSequence.frames_float().  A static
+    pixel scores exactly 0 at any offset: on the fullsize preset shaft
+    and tip held up to +1e12.  Scaling by a > 0 holds only while moving
+    pixels' mean non-DC power stays far above the absolute RATIO_EPS: on
+    a fullsize phantom shaft and tip held for a in [1e-2, 1e6], but the
+    tip moved at 1e-5 and nothing was detected at 1e-6.
     """
     return detect_with_timing(frames01, fps, cfg)[:2]
 
@@ -238,13 +236,10 @@ def _hough_channels(det: Detection, grid: HoughGrid, hough: np.ndarray,
     """
     peak = hough.max()
     shaft = hough / peak if peak > 0 else hough
-    if gt is not None:
-        tip_x, tip_y = gt.tip_x, gt.tip_y
-    else:
-        if det.tip_x is None:
-            raise NoTipError("detection produced no tip to render")
-        tip_x, tip_y = det.tip_x, det.tip_y
-    tip = render_tip_gt(grid, tip_x, tip_y, cfg.tip_sigma)
+    at = det if gt is None else gt
+    if at.tip_x is None:
+        raise NoTipError("detection produced no tip to render")
+    tip = render_tip_gt(grid, at.tip_x, at.tip_y, cfg.tip_sigma)
     return HoughMap(shaft=shaft, tip=tip)
 
 
@@ -274,7 +269,6 @@ class StreamState:
         if cfg.hop != 1:
             raise ValidationError(f"stream hop must be 1, got {cfg.hop}")
         self.cfg = cfg
-        self.fps = float(fps)
         self.height = int(height)
         self.width = int(width)
         self.warmup = int(warmup)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _snapped_cos_sin, _unit_float
-from .errors import ValidationError, _check_setting
+from .errors import ValidationError, _check_band, _check_setting
 
 # Division guard, and the mean non-DC power at or below which a pixel
 # scores exactly 0: a static pixel's is rounding dust (at most ~1.3e-30
@@ -79,15 +79,12 @@ def nearest_band(window_len: int, fs: float, target_freq: float) -> int:
     """Index of the non-DC bin whose center is closest to target_freq.
 
     Ties break toward the lower bin.  Requires at least one non-DC bin
-    and target_freq in (0, fs/2); every detection entry point resolves
-    its band here, so this is the one place that check lives.
+    and target_freq in (0, fs/2) (errors._check_band); every detection
+    entry point resolves its band here.
     """
     _check_setting("window_len", window_len, 4, lo_closed=True, integer=True)
     _check_setting("fps", fs, 0)
-    if not (0 < target_freq < fs / 2):
-        raise ValidationError(
-            f"frequency {target_freq} Hz must lie in (0, fps/2) = (0, {fs / 2}) Hz"
-        )
+    _check_band(target_freq, fs)
     freqs = np.arange(1, window_len // 2) * float(fs) / window_len
     return 1 + int(np.argmin(np.abs(freqs - target_freq)))
 
@@ -149,7 +146,6 @@ class SlidingDft:
         self._rot = c + 1j * s
         self._ring = np.zeros(window_len, dtype=np.float64)
         self._pos = 0
-        self.count = 0
         self.bins = np.zeros(self.n_bins, dtype=np.complex128)
 
     def push(self, sample: float) -> np.ndarray:
@@ -157,7 +153,6 @@ class SlidingDft:
         oldest = self._ring[self._pos]
         self._ring[self._pos] = sample
         self._pos = (self._pos + 1) % self.window_len
-        self.count += 1
         self.bins = (self.bins + (sample - oldest)) * self._rot
         return self.bins
 
@@ -173,7 +168,7 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
                             window_len: int = 10, hop: int = 1):
     """Vibration-band energy ratio image of a (T, H, W) frame stack.
 
-    frames01 holds floats in [0, 1] or uint8 samples, which become
+    frames01 holds real values in [0, 1] or uint8 samples, which become
     floats by core's one rule, _unit_float (value / 255), so both give
     the same map bit for bit.  Returns (values, target_bin) where values
     is the H x W map: mean-over-windows power in the target bin divided
@@ -187,6 +182,8 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
     if frames01.ndim != 3 or frames01.shape[0] < window_len:
         raise ValidationError(f"frames must have shape (T, H, W) with "
                               f"T >= {window_len}, got {frames01.shape}")
+    if frames01.dtype.kind not in "biuf":  # the matmul upcasts these exactly
+        raise ValidationError(f"frames must be real numbers, got {frames01.dtype}")
     t, h, w = frames01.shape
     flat, rows = frames01.reshape(t, h * w), dft_basis(window_len).rows
     if flat.dtype == np.uint8:  # bytes compare as their floats do; no inf

@@ -23,7 +23,7 @@ from vibeline import (
     save_sequence,
     write_vibmap,
 )
-from vibeline.core import _unit_float
+from vibeline.core import _bilinear_clamped, _unit_float
 
 
 def random_sequence(seed=0, t=7, h=20, w=24, fps=30.0, spacing=0.15):
@@ -325,3 +325,13 @@ def test_vibmap_round_trip_is_bit_exact(tmp_path_factory, arr):
         write_vibmap(path, arr[0])
         assert np.array_equal(read_vibmap(path).view(np.uint32),
                               arr.view(np.uint32))
+
+
+def test_bilinear_sampler_clamps_copies_of_its_coordinates():
+    img = np.arange(12.0).reshape(3, 4)  # img[y, x] = 4 y + x
+    xs = np.array([-1.5, 0.25, 3.0, 7.0])
+    ys = np.array([-2.0, 1.5, 2.0, 9.0])
+    got = _bilinear_clamped(img, xs, ys)
+    assert got.tolist() == [0.0, 6.25, 11.0, 11.0]
+    assert xs.tolist() == [-1.5, 0.25, 3.0, 7.0]
+    assert ys.tolist() == [-2.0, 1.5, 2.0, 9.0]

@@ -61,6 +61,29 @@ def test_spec_validation_rejects_bad_geometry():
         synth_sequence(small_vibrating_spec(entry_side="diagonal"))
 
 
+# 16x16, a horizontal needle from (0, 8) to (10, 8)
+_TINY_GEN = ["gen", "--height", "16", "--width", "16", "--frames", "2",
+             "--angle-deg", "90", "--entry-x", "0", "--entry-y", "8",
+             "--length", "10"]
+
+
+def test_speckle_grain_is_bounded_by_the_image_side(tmp_path, capsys):
+    from vibeline import cli
+
+    over = repr(float(np.nextafter(16.0, np.inf)))
+    out = tmp_path / "over.vibseq"
+    assert cli.main(_TINY_GEN + ["--grain", over, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "speckle_grain must be >= 1 and <= 16" in err and over in err
+    assert not out.exists()
+    with pytest.raises(ValidationError, match=r"^grain must be >= 1 and <= 16"):
+        background_speckle(16, 16, float(over), seed=0)
+    out = tmp_path / "bound.vibseq"
+    assert cli.main(_TINY_GEN + ["--grain", "16", "--out", str(out)]) == 0
+    assert out.exists()
+    assert background_speckle(16, 16, 16.0, seed=0).shape == (16, 16)
+
+
 # --------------------------------------------------------------------------
 # Speckle texture
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end detection: batch, streaming, emitted channels, timing."""
 
+import functools
 import math
 import warnings
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import small_vibrating_spec
+from helpers import challenging_phantom, small_vibrating_spec
 from vibeline import (
     DEFAULT_CONFIDENCE_MIN,
     DEFAULT_WARMUP,
@@ -37,7 +38,8 @@ from vibeline import (
     tip_along_line,
     tip_from_hough,
 )
-from vibeline.pipeline import _percentile95
+from vibeline.phantom import validate_spec
+from vibeline.pipeline import _percentile95, detect_with_timing
 from vibeline.spectral import _energy_ratio
 
 CFG3 = DetectConfig(vib_freq=3.0)
@@ -139,6 +141,99 @@ def test_detect_mirrored_scene_mirrors_the_line():
     mirrored_tip_x = (seq.width - 1) - base.tip_x
     assert math.hypot(flip.tip_x - mirrored_tip_x,
                       flip.tip_y - base.tip_y) <= 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def _affine_base():
+    seq, _ = small_phantom(seed=11)
+    frames = seq.frames_float()
+    return frames, detect_frames(frames, seq.fps, CFG3)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-2.0, 6.0).map(lambda e: 10.0 ** e), st.floats(-1e3, 1e3))
+def test_detect_holds_under_a_positive_affine_map(a, b):
+    # not below a ~ 1e-3: RATIO_EPS is an absolute floor on a pixel's
+    # non-DC power, so a tiny scale zeroes pixels that move
+    frames, base = _affine_base()
+    got, _ = detect_frames(a * frames + b, 30.0, CFG3)
+    assert (got.theta, got.rho, got.low_confidence_flag) == \
+        (base.theta, base.rho, base.low_confidence_flag)
+    assert math.hypot(got.tip_x - base.tip_x, got.tip_y - base.tip_y) <= 1.0
+
+
+_TRANSPOSED_SIDE = {"left": "top", "top": "left",
+                    "right": "bottom", "bottom": "right"}
+_TOP_ENTRY = dict(needle_angle=120.0, needle_entry=(20.0, 0.0),
+                  entry_side="top")
+_RIGHT_ENTRY = dict(needle_angle=150.0, needle_entry=(127.0, 100.0),
+                    entry_side="right")
+
+
+_TRANSPOSE_CASES = [
+    *[pytest.param(small_phantom, dict(seed=s), 3.0, id=f"small-{s}")
+      for s in range(8)],
+    pytest.param(small_phantom, dict(seed=2, **_TOP_ENTRY), 3.0, id="top"),
+    pytest.param(small_phantom, dict(seed=2, **_RIGHT_ENTRY), 3.0, id="right"),
+    *[pytest.param(challenging_phantom, dict(seed=s), 2.5, id=f"fullsize-{s}")
+      for s in range(3)],
+]
+
+
+@pytest.mark.parametrize("make, spec, vib_freq", _TRANSPOSE_CASES)
+def test_transposed_frames_give_the_transposed_detection(make, spec, vib_freq):
+    seq, _ = make(**spec)
+    side = spec.get("entry_side", "left")
+    cfg = DetectConfig(vib_freq=vib_freq, entry_side=side)
+    det, _, values, _, _ = detect_with_timing(seq.frames, seq.fps, cfg)
+    flip, _, flip_values, _, _ = detect_with_timing(
+        seq.frames.transpose(0, 2, 1), seq.fps,
+        replace(cfg, entry_side=_TRANSPOSED_SIDE[side]))
+    assert flip_values.tobytes() == values.T.tobytes()
+    # x cos t + y sin t = rho with x and y swapped is the normal 90 - t;
+    # past 90 deg it wraps to 270 - t and the normal flips, so rho does
+    assert flip.theta == (90.0 - det.theta) % 180.0
+    assert flip.rho == (det.rho if det.theta <= 90.0 else -det.rho)
+    assert math.hypot(flip.tip_x - det.tip_y, flip.tip_y - det.tip_x) <= 1.0
+    # confidence is not pinned: sin 30 deg and cos 60 deg snap to either
+    # side of 0.5, so a half-integer rho tie can fall in another bin
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.int16, np.bool_])
+def test_detect_takes_a_real_dtype_as_its_float64_copy(dtype, noisy):
+    # noise makes every pixel move: the whole-stack path, not the
+    # moving-columns one
+    seq, _ = small_phantom(seed=3)
+    x = seq.frames_float()
+    if noisy:
+        x = x + 0.01 * np.random.default_rng(0).standard_normal(x.shape)
+    frames = {np.float32: lambda: x.astype(np.float32),
+              np.int16: lambda: np.rint(1000.0 * x).astype(np.int16),
+              np.bool_: lambda: x > 0.5}[dtype]()
+    got = detect_with_timing(frames, seq.fps, CFG3)
+    want = detect_with_timing(frames.astype(np.float64), seq.fps, CFG3)
+    assert got[0] == want[0]
+    assert got[2].tobytes() == want[2].tobytes()
+    assert got[4].tobytes() == want[4].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, object, str])
+def test_detect_rejects_frames_that_are_not_real_numbers(dtype):
+    frames = np.full((12, 16, 16), 0.5).astype(dtype)
+    with pytest.raises(ValidationError, match="frames must be real numbers"):
+        detect_with_timing(frames, 30.0)
+
+
+@pytest.mark.parametrize("freq, fps", [(15.0, 30.0), (20.0, 30.0),
+                                       (2.5, 5.0), (7.0, 12.5)])
+def test_generator_and_detector_reject_a_band_with_one_message(freq, fps):
+    with pytest.raises(ValidationError) as gen:
+        validate_spec(small_vibrating_spec(vib_freq=freq, fps=fps))
+    with pytest.raises(ValidationError) as det:
+        nearest_band(10, fps, freq)
+    assert str(gen.value) == str(det.value)
+    assert "Nyquist" in str(det.value)
 
 
 def test_detect_validates_frequency_against_fps(tmp_path):
