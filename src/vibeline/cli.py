@@ -46,6 +46,11 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_NO_DETECTION = 3
 
+# main's one handler: the exit code of each error family
+_EXIT_CODES = {ValidationError: EXIT_VALIDATION, BoundsError: EXIT_VALIDATION,
+               GeometryError: EXIT_VALIDATION, FormatError: EXIT_IO,
+               OSError: EXIT_IO, NoDetectionError: EXIT_NO_DETECTION}
+
 
 def _apply_threads(n) -> None:
     """Write --threads to the BLAS/OpenMP variables before numpy loads."""
@@ -86,13 +91,10 @@ def _configured(base, args, config: dict):
 
 
 def _build_phantom_spec(args, config: dict):
-    from .phantom import PhantomSpec, preset
+    from .phantom import PhantomSpec, _needle_entry, preset
 
     if "needle_entry" in config:
-        entry = config["needle_entry"]
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-            raise ValidationError("needle_entry must be a 2-element [x, y]")
-        config = {**config, "needle_entry": tuple(entry)}
+        config = {**config, "needle_entry": _needle_entry(config["needle_entry"])}
     spec = _configured(preset(args.preset) if args.preset else PhantomSpec(),
                        args, config)
     if args.entry_x is None and args.entry_y is None:
@@ -336,15 +338,9 @@ def main(argv=None) -> int:
         _apply_threads(args.threads)
         config = _load_config(args.config) if args.config else {}
         return args.func(args, config)
-    except (ValidationError, BoundsError, GeometryError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NoDetectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_DETECTION
+        return next(c for e, c in _EXIT_CODES.items() if isinstance(exc, e))
 
 
 if __name__ == "__main__":

@@ -5,10 +5,10 @@ acquisition constants everything downstream needs: frame rate (fps) and
 pixel spacing (mm per pixel).  Every uint8 sample becomes a float by one
 rule, _unit_float (value / 255), and every snapped cos / sin comes from
 _snapped_cos_sin.  Both file formats share one framing, kept here.  The
-phantom generator and the detector share the entry-border table and the
-bilinear sampler kept here, so detection never imports the generator.
-The generator and the Hough renderers share one Gaussian reach rule
-(_EXP_ZERO_REACH, _reach_slice).
+phantom generator and the detector share the entry-border table, its one
+check (_inward), and the bilinear sampler kept here, so detection never
+imports the generator.  The generator and the Hough renderers share one
+Gaussian reach rule (_EXP_ZERO_REACH, _reach_slice).
 """
 
 from __future__ import annotations
@@ -35,6 +35,14 @@ _EXP_ZERO_REACH = math.sqrt(2.0 * 746.0)
 # entry side -> unit (x, y) vector from that border into the image
 INWARD = {"left": (1.0, 0.0), "right": (-1.0, 0.0),
           "top": (0.0, 1.0), "bottom": (0.0, -1.0)}
+
+
+def _inward(side) -> tuple:
+    """INWARD[side]; one ValidationError for any side not among its keys."""
+    if isinstance(side, str) and side in INWARD:
+        return INWARD[side]
+    raise ValidationError(
+        f"entry_side must be one of {tuple(INWARD)}, got {side!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -95,28 +95,31 @@ class HoughMap:
 _RHO_TABLE_GRIDS = 1
 
 
+def _rho_bin(grid: HoughGrid, cos_t, sin_t, x, y, out=None) -> np.ndarray:
+    """Rho bin of (x, y) at each angle, as floats (in out if given):
+    floor(cos*(1/step)*x + sin*(1/step)*y + 0.5) + rho_offset.  The vote's
+    table and the tip curve share it, so they break half-bin ties alike."""
+    inv_step = 1.0 / grid.rho_step
+    v = np.add((cos_t * inv_step) * x, (sin_t * inv_step) * y, out=out)
+    v += 0.5
+    np.floor(v, out=v)
+    v += grid.rho_offset
+    return v
+
+
 @functools.lru_cache(maxsize=_RHO_TABLE_GRIDS)
 def _rho_index_table(grid: HoughGrid) -> np.ndarray:
-    """Read-only (theta_bins, H*W) rho bin of every pixel per theta.
-
-    Row i is floor(x*cos/step + y*sin/step + 0.5) + rho_offset over the
-    row-major pixels, built with the float expression the vote always
-    used, so voting from the table is bit-identical to recomputing it.
-    """
-    xs = np.arange(grid.image_w, dtype=np.float64)
-    ys = np.arange(grid.image_h, dtype=np.float64)
+    """Read-only (theta_bins, H*W) rho bin (_rho_bin) of every row-major
+    pixel per theta."""
+    xs = np.arange(grid.image_w, dtype=np.float64)[None, :]
+    ys = np.arange(grid.image_h, dtype=np.float64)[:, None]
     cos_t, sin_t = grid.theta_trig()
-    inv_step = 1.0 / grid.rho_step
     table = np.empty((grid.theta_bins, grid.image_h * grid.image_w),
                      dtype=np.min_scalar_type(grid.rho_bins - 1))
     rho_units = np.empty((grid.image_h, grid.image_w), dtype=np.float64)
     for i in range(grid.theta_bins):
-        np.add((cos_t[i] * inv_step) * xs[None, :],
-               (sin_t[i] * inv_step) * ys[:, None], out=rho_units)
-        rho_units += 0.5
-        np.floor(rho_units, out=rho_units)
-        rho_units += grid.rho_offset
-        table[i] = rho_units.ravel()
+        table[i] = _rho_bin(grid, cos_t[i], sin_t[i], xs, ys,
+                            out=rho_units).ravel()
     table.setflags(write=False)
     return table
 
@@ -197,10 +200,9 @@ def render_tip_gt(grid: HoughGrid, tip_x: float, tip_y: float,
                   sigma: float = 2.0) -> np.ndarray:
     """Blurred sinusoid of a tip point: one 1-D Gaussian per theta row.
 
-    Each row's Gaussian is centered on the bin nearest rho(theta) (the
-    same floor(v + 0.5) quantization the forward transform uses), so
-    every row attains exactly 1.0 there.  Each row is a slice of one
-    Gaussian over the offsets -(rho_bins - 1) .. rho_bins - 1.
+    Each row's Gaussian is centered on the bin the tip votes into
+    (_rho_bin), so every row attains exactly 1.0 there.  Each row is a
+    slice of one Gaussian over the offsets -(rho_bins - 1) .. rho_bins - 1.
     """
     _check_setting("sigma", sigma, 0)
     if not (0 <= tip_x <= grid.image_w - 1 and 0 <= tip_y <= grid.image_h - 1):
@@ -208,9 +210,7 @@ def render_tip_gt(grid: HoughGrid, tip_x: float, tip_y: float,
             f"tip ({tip_x}, {tip_y}) outside image "
             f"{grid.image_w}x{grid.image_h}"
         )
-    cos_t, sin_t = grid.theta_trig()
-    rho_units = (tip_x * cos_t + tip_y * sin_t) / grid.rho_step
-    centers = np.floor(rho_units + 0.5).astype(np.intp) + grid.rho_offset
+    centers = _rho_bin(grid, *grid.theta_trig(), tip_x, tip_y).astype(np.intp)
     n = grid.rho_bins
     offsets = np.arange(1 - n, n, dtype=np.float64)
     profile = np.exp(-offsets ** 2 / (2.0 * sigma * sigma))

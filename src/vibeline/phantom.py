@@ -22,11 +22,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (_EXP_ZERO_REACH, INWARD, _bilinear_clamped, _reach_slice,
+from .core import (_EXP_ZERO_REACH, _bilinear_clamped, _inward, _reach_slice,
                    make_sequence)
 from .errors import ValidationError, _check_band, _check_setting
 # moved to metrics; perfbench resolves phantom.save_ground_truth
-from .metrics import GroundTruth, load_ground_truth, save_ground_truth
+from .metrics import GroundTruth, save_ground_truth
 
 NEEDLE_RIDGE_SIGMA = 1.0  # px, additive brightness profile of the shaft
 NEEDLE_RIDGE_PEAK = 0.5
@@ -78,7 +78,7 @@ def needle_geometry(spec: PhantomSpec):
     theta = math.radians(spec.needle_angle)
     normal = np.array([math.cos(theta), math.sin(theta)])
     direction = np.array([-math.sin(theta), math.cos(theta)])
-    inward = float(direction @ INWARD[spec.entry_side])
+    inward = float(direction @ _inward(spec.entry_side))
     if abs(inward) < 1e-12:
         raise ValidationError(
             f"needle at {spec.needle_angle} deg runs along the "
@@ -91,8 +91,17 @@ def needle_geometry(spec: PhantomSpec):
     return entry, direction, tip, normal
 
 
+def _needle_entry(entry) -> tuple:
+    """A needle_entry as a checked (x, y) tuple; the CLI reads [x, y] by it."""
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+        raise ValidationError(f"needle_entry must be (x, y), got {entry!r}")
+    for axis, value in zip("xy", entry):
+        _check_setting(f"needle_entry {axis}", value)
+    return tuple(entry)
+
+
 def validate_spec(spec: PhantomSpec) -> None:
-    """Check every field; synth_sequence calls this before any synthesis."""
+    """Check every field; each public function of a spec calls this first."""
     for name, lo in (("height", 16), ("width", 16), ("frame_count", 1),
                      ("artifact_count", 0), ("seed", 0)):
         _check_setting(name, getattr(spec, name), lo, lo_closed=True, integer=True)
@@ -105,15 +114,11 @@ def validate_spec(spec: PhantomSpec) -> None:
                    lo_closed=True, hi_closed=True)
     _check_speckle_grain("speckle_grain", spec.speckle_grain, spec.height,
                          spec.width)
-    for axis, value in zip("xy", spec.needle_entry):
-        _check_setting(f"needle_entry {axis}", value)
+    ex, ey = _needle_entry(spec.needle_entry)
     _check_band(spec.vib_freq, spec.fps)
-    if spec.entry_side not in INWARD:
-        raise ValidationError(f"entry_side must be one of {tuple(INWARD)}")
-    ex, ey = spec.needle_entry
-    # distance from the entry border, along the one axis INWARD crosses
+    # distance from the entry border, along the one axis it crosses
     border = sum(abs(p - (n - 1 if u < 0 else 0.0)) for p, u, n in zip(
-        spec.needle_entry, INWARD[spec.entry_side], (spec.width, spec.height)) if u)
+        (ex, ey), _inward(spec.entry_side), (spec.width, spec.height)) if u)
     if border > 1e-6:
         raise ValidationError(
             f"needle_entry {spec.needle_entry} is not on the "
@@ -258,6 +263,7 @@ def _co_motion_falloff(spec: PhantomSpec, reach: float = 0.0):
 
 def displacement_field(spec: PhantomSpec, t: int) -> np.ndarray:
     """(H, W, 2) displacement in pixels at frame t; zero when A = 0."""
+    validate_spec(spec)
     _check_setting("frame index t", t, 0, spec.frame_count,
                    lo_closed=True, integer=True)
     _, _, _, normal = needle_geometry(spec)
@@ -265,11 +271,7 @@ def displacement_field(spec: PhantomSpec, t: int) -> np.ndarray:
     box, envelope, _ = _co_motion_falloff(spec)
     full = np.zeros((spec.height, spec.width), dtype=np.float64)
     full[box] = envelope
-    envelope = amp * full
-    field = np.empty((spec.height, spec.width, 2), dtype=np.float64)
-    field[:, :, 0] = envelope * normal[0]
-    field[:, :, 1] = envelope * normal[1]
-    return field
+    return (amp * full)[:, :, None] * normal
 
 
 def _moves(xs, ys, dx, dy):
@@ -344,6 +346,8 @@ def _artifact_image(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def ground_truth_of(spec: PhantomSpec) -> GroundTruth:
+    """The exact truth of a spec's needle; validates the spec first."""
+    validate_spec(spec)
     entry, _, tip, normal = needle_geometry(spec)
     rho = float(entry @ normal)
     return GroundTruth(
@@ -378,7 +382,7 @@ def synth_sequence(spec: PhantomSpec):
     neither the smallest nor the largest amplitude moves in no frame and
     is left out of every frame's set.
     """
-    validate_spec(spec)
+    gt = ground_truth_of(spec)  # validates the spec
     rng = np.random.default_rng(spec.seed)
     base = _speckle_from_rng(rng, spec.height, spec.width, spec.speckle_grain)
     artifacts = _artifact_image(spec, rng)
@@ -418,4 +422,4 @@ def synth_sequence(spec: PhantomSpec):
         frames[t].reshape(-1)[idx[active]] = _to_uint8(frame[active]
                                                        + art[active])
     seq = make_sequence(frames, spec.fps, spec.pixel_spacing)
-    return seq, ground_truth_of(spec)
+    return seq, gt

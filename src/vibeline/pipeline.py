@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (INWARD, UsSequence, _bilinear_clamped, _snapped_cos_sin,
+from .core import (UsSequence, _bilinear_clamped, _inward, _snapped_cos_sin,
                    _unit_float)
 from .errors import GeometryError, NoTipError, ValidationError, _check_setting
 from .hough import (HoughGrid, HoughMap, _check_steps, hough_transform,
@@ -66,9 +66,7 @@ class DetectConfig:
         _check_steps(self.theta_step, self.rho_step)
         _check_setting("profile_threshold", self.profile_threshold, 0, 1)
         _check_setting("confidence_min", self.confidence_min)
-        if self.entry_side not in INWARD:
-            raise ValidationError(f"entry_side must be one of "
-                                  f"{tuple(INWARD)}, got {self.entry_side!r}")
+        _inward(self.entry_side)
 
 
 def _clip_line(theta: float, rho: float, h: int, w: int):
@@ -129,10 +127,9 @@ def tip_along_line(energy_values: np.ndarray, theta: float, rho: float,
     ys = base[1] + svals * d[1]
     profile = _bilinear_clamped(np.asarray(energy_values, dtype=np.float64), xs, ys)
     k = cfg.profile_smooth
-    if k > 1:
-        # the centred n samples of the full convolution: mode="same" for
-        # n >= k, and aligned with the line's samples for n < k too
-        profile = np.convolve(profile, np.full(k, 1.0 / k))[(k - 1) // 2:][:n]
+    # the centred n samples of the full convolution: mode="same" for n >= k,
+    # and aligned with the line's samples for n < k too; one tap is exact
+    profile = np.convolve(profile, np.full(k, 1.0 / k))[(k - 1) // 2:][:n]
     threshold = cfg.profile_threshold * _percentile95(profile)
     # runs of above-threshold samples, ends exclusive
     edges = np.flatnonzero(np.diff(profile > threshold,
@@ -143,7 +140,7 @@ def tip_along_line(energy_values: np.ndarray, theta: float, rho: float,
     best = int(np.argmax(ends - starts))  # first of the longest runs
     lo, hi = starts[best], ends[best] - 1
     p_lo, p_hi = np.array([xs[lo], ys[lo]]), np.array([xs[hi], ys[hi]])
-    tip = p_hi if (p_hi - p_lo) @ INWARD[cfg.entry_side] >= 0 else p_lo
+    tip = p_hi if (p_hi - p_lo) @ _inward(cfg.entry_side) >= 0 else p_lo
     # an end on the border can land a rounding step outside the image
     tip = np.clip(tip, 0.0, (w - 1.0, h - 1.0))
     return float(tip[0]), float(tip[1])

@@ -50,19 +50,15 @@ def _check_pair(pred: np.ndarray, gt: np.ndarray):
 
 
 def _cells(mask: np.ndarray, *arrays):
-    """Flat indices where mask holds (None when it holds everywhere),
-    then each array's values there as a 1-D array."""
-    if mask.all():
-        return (None, *(a.reshape(-1) for a in arrays))
-    idx = np.flatnonzero(mask)
+    """Flat indices where mask holds (a full slice, so no gather, where it
+    holds everywhere), then each array's values there as a 1-D array."""
+    idx = slice(None) if mask.all() else np.flatnonzero(mask)
     return (idx, *(a.reshape(-1)[idx] for a in arrays))
 
 
 def _spread(vals: np.ndarray, idx, fill: float, like: np.ndarray):
-    """A map shaped like `like` holding vals at the flat indices idx (at
-    every cell when idx is None) and fill everywhere else."""
-    if idx is None:
-        return vals.reshape(like.shape)
+    """A map shaped like `like` holding vals at the flat indices idx and
+    fill everywhere else."""
     out = np.full(like.size, fill)
     out[idx] = vals
     return out.reshape(like.shape)
@@ -78,8 +74,7 @@ def _by_branch(p, g, pos_fn, neg_fn):
     """
     pos = g >= POSITIVE_CUTOFF
     out = neg_fn(p, g)
-    if pos.any():
-        out[pos] = pos_fn(p[pos], g[pos])
+    out[pos] = pos_fn(p[pos], g[pos])
     return out
 
 

@@ -94,8 +94,6 @@ class Spectrogram:
     """K x M matrix of interleaved (real, imag) bin rows over M windows."""
 
     values: np.ndarray = field(repr=False)
-    window_len: int = 0
-    hop: int = 1
 
     def power(self) -> np.ndarray:
         """Per-bin squared magnitude, shape (n_bins, M)."""
@@ -125,8 +123,7 @@ def stft(signal, window_len: int, hop: int = 1) -> Spectrogram:
     starts = hop * np.arange(m)
     segs = x[starts[:, None] + np.arange(window_len)[None, :]]  # (M, N)
     values = segs @ basis.rows.T  # (M, 2K)
-    return Spectrogram(values=np.ascontiguousarray(values.T),
-                       window_len=window_len, hop=hop)
+    return Spectrogram(values=np.ascontiguousarray(values.T))
 
 
 class SlidingDft:

@@ -549,28 +549,50 @@ def test_threads_sets_every_thread_variable(tmp_path, monkeypatch):
         == dict.fromkeys(cli._THREAD_ENV_VARS, "2")
 
 
-@pytest.mark.parametrize("command", ["gen", "detect", "stream", "spectro"])
-def test_unknown_entry_side_exits_1_naming_the_sides(tmp_path, capsys,
-                                                     command):
-    # argparse holds no copy of the sides; the settings dataclass rejects
-    from vibeline import cli
-
+def _command_args(command, tmp_path):
+    """Arguments of a command that takes settings, writing under out/."""
     seq_path = _noise_sequence(tmp_path / "a.vibseq")
     out = tmp_path / "out"
-    args = {
+    return {
         "gen": ["gen", "--out", str(out / "g.vibseq")],
         "detect": ["detect", str(seq_path), "--out", str(out / "d.json")],
         "stream": ["stream", str(seq_path)],
         "spectro": ["spectro", str(seq_path), "--x", "1", "--y", "1",
                     "--out-csv", str(out / "s.csv")],
     }[command]
+
+
+@pytest.mark.parametrize("command", ["gen", "detect", "stream", "spectro"])
+def test_unknown_entry_side_exits_1_naming_the_sides(tmp_path, capsys,
+                                                     command):
+    # argparse holds no copy of the sides; the settings dataclass rejects
+    from vibeline import cli
+
+    args = _command_args(command, tmp_path)
     assert cli.main(args + ["--entry-side", "diagonal"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: entry_side")
     assert all(side in err[0] for side in ("left", "right", "top", "bottom"))
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "detect", "stream", "spectro"])
+def test_an_entry_side_list_in_the_config_exits_1_with_one_line(tmp_path,
+                                                                capsys,
+                                                                command):
+    from vibeline import cli
+
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"entry_side": ["left"]}))
+    args = ["--config", str(cfg)] + _command_args(command, tmp_path)
+    assert cli.main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: entry_side"), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -715,6 +737,23 @@ def test_detect_flag_and_config_key_set_their_field(command, flag, field,
     assert getattr(cfg, field) == cfg_value
     cfg = _detect_cfg(command, [flag, text], {field: cfg_value})
     assert getattr(cfg, field) == flag_value
+
+
+# a config value of each JSON type but a number, which no field takes
+_NOT_A_NUMBER = [None, [], [1], ["left"], {"left": 1}, "1", True]
+
+
+@pytest.mark.parametrize("value", _NOT_A_NUMBER, ids=repr)
+def test_every_config_key_rejects_a_value_that_is_not_a_number(value):
+    # the build step and validate_spec reject it, before any synthesis
+    from vibeline import PhantomSpec, validate_spec
+
+    for key in sorted(f.name for f in dataclasses.fields(PhantomSpec)):
+        with pytest.raises(ValidationError, match=key):
+            validate_spec(_gen_spec([], {key: value}))
+    for key in sorted(f.name for f in dataclasses.fields(DetectConfig)):
+        with pytest.raises(ValidationError, match=key):
+            _detect_cfg("detect", [], {key: value})
 
 
 def test_entry_flags_override_one_coordinate_of_the_configured_entry():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_hough
@@ -347,10 +347,31 @@ def test_tip_render_at_origin_is_constant_center_column():
     assert np.all(np.argmax(img, axis=1) == grid.rho_offset)
 
 
+@settings(max_examples=80, deadline=None)
+@given(h=st.integers(1, 40), w=st.integers(1, 40),
+       theta_step=st.sampled_from([1.0, 2.5, 7.5]),
+       rho_step=st.sampled_from([0.3, 0.7, 1.0, 1.5, 2.0, 3.0, 4.5]),
+       pixel=st.tuples(st.integers(0, 39), st.integers(0, 39)))
+# pixel (0, 3) at rho_step 3 sits at rho 1.5 px, half a bin, at theta 30
+# and 150 degrees: a tie that the vote's float expression rounds down
+@example(h=64, w=80, theta_step=1.0, rho_step=3.0, pixel=(0, 3))
+def test_each_tip_curve_row_peaks_in_the_bin_its_pixel_votes_into(
+        h, w, theta_step, rho_step, pixel):
+    from vibeline.hough import _rho_index_table
+
+    grid = HoughGrid(h, w, theta_step, rho_step)
+    x, y = pixel[0] % w, pixel[1] % h
+    votes = _rho_index_table(grid)[:, y * w + x]
+    peaks = np.argmax(render_tip_gt(grid, float(x), float(y)), axis=1)
+    assert np.array_equal(peaks, votes)
+
+
 def _tip_render_formula(grid, tip_x, tip_y, sigma):
-    """Every cell's Gaussian computed on its own, as render_tip_gt once did."""
+    """Every cell's Gaussian computed on its own, centered on the vote's
+    rho bin: floor((cos * (1/step)) x + (sin * (1/step)) y + 0.5)."""
     cos_t, sin_t = grid.theta_trig()
-    rho_units = (tip_x * cos_t + tip_y * sin_t) / grid.rho_step
+    inv = 1.0 / grid.rho_step
+    rho_units = (cos_t * inv) * tip_x + (sin_t * inv) * tip_y
     centers = np.floor(rho_units + 0.5) + grid.rho_offset
     ri = np.arange(grid.rho_bins, dtype=np.float64)
     d2 = (ri[None, :] - centers[:, None]) ** 2

@@ -1,7 +1,9 @@
 """Package surface: lazy public names and what an import loads."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,3 +163,45 @@ def test_submodules_resolve_as_attributes():
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         vibeline.no_such_name
+
+
+# names imported for other code to read, not used where they are imported:
+# perfbench's write_sample resolves phantom.save_ground_truth
+_RE_EXPORTED = {("phantom", "save_ground_truth")}
+
+
+def _unused_imports(tree: ast.Module):
+    """Names an import binds but its scope never reads: the module for a
+    top-level import, the enclosing function for an import in its body."""
+    def visit(scope, nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(node, node.body)
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                used = {n.id for n in ast.walk(scope)
+                        if isinstance(n, ast.Name)}
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        yield name
+            yield from visit(scope, ast.iter_child_nodes(node))
+    yield from visit(tree, tree.body)
+
+
+def test_the_import_check_reads_each_scope():
+    code = ("import a\nimport b.c\nimport d as e\n"
+            "def f():\n    from m import x, y as z\n    return x + e\n"
+            "class C:\n    def g(self):\n        import w\n"
+            "b.c\n")
+    assert list(_unused_imports(ast.parse(code))) == ["a", "z", "w"]
+
+
+def test_every_name_a_module_imports_is_used_there():
+    unused = []
+    for path in sorted(Path(vibeline.__file__).parent.glob("*.py")):
+        for name in _unused_imports(ast.parse(path.read_text("utf-8"))):
+            if (path.stem, name) not in _RE_EXPORTED:
+                unused.append(f"{path.stem}.{name}")
+    assert unused == []

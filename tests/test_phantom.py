@@ -18,6 +18,7 @@ from vibeline import (
     ValidationError,
     background_speckle,
     displacement_field,
+    ground_truth_of,
     load_ground_truth,
     preset,
     save_ground_truth,
@@ -59,6 +60,31 @@ def test_spec_validation_rejects_bad_geometry():
         synth_sequence(small_vibrating_spec(speckle_grain=0.5))
     with pytest.raises(ValidationError):
         synth_sequence(small_vibrating_spec(entry_side="diagonal"))
+
+
+@pytest.mark.parametrize("entry", [(0.0,), (0.0, 280.0, 5.0)])
+def test_a_needle_entry_of_other_than_two_numbers_is_rejected(entry):
+    with pytest.raises(ValidationError, match="needle_entry must be"):
+        synth_sequence(PhantomSpec(needle_entry=entry))
+
+
+# 32x32, valid but for the one field each case names
+_SMALL = dict(height=32, width=32, frame_count=6, needle_entry=(0.0, 20.0),
+              needle_length=20.0)
+
+
+@pytest.mark.parametrize("field, value", [("needle_entry", (0.0, math.nan)),
+                                          ("motion_sigma", -1.0)])
+def test_displacement_field_validates_its_spec(field, value):
+    spec = PhantomSpec(**{**_SMALL, field: value})
+    with pytest.raises(ValidationError, match=field):
+        displacement_field(spec, 1)
+
+
+def test_ground_truth_of_validates_its_spec():
+    # an unchecked length of -5 put the tip at (-2.5, 284.3), off the image
+    with pytest.raises(ValidationError, match="needle_length"):
+        ground_truth_of(PhantomSpec(needle_length=-5.0))
 
 
 # 16x16, a horizontal needle from (0, 8) to (10, 8)

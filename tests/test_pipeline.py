@@ -38,7 +38,7 @@ from vibeline import (
     tip_along_line,
     tip_from_hough,
 )
-from vibeline.phantom import validate_spec
+from vibeline.phantom import needle_geometry, validate_spec
 from vibeline.pipeline import _percentile95, detect_with_timing
 from vibeline.spectral import _energy_ratio
 
@@ -234,6 +234,20 @@ def test_generator_and_detector_reject_a_band_with_one_message(freq, fps):
         nearest_band(10, fps, freq)
     assert str(gen.value) == str(det.value)
     assert "Nyquist" in str(det.value)
+
+
+@pytest.mark.parametrize("side", ["diagonal", "Left", ["left"], None, 1,
+                                  {"left": 1}], ids=repr)
+def test_generator_and_detector_reject_an_entry_side_with_one_message(side):
+    spec = small_vibrating_spec(entry_side=side)
+    with pytest.raises(ValidationError) as gen:
+        validate_spec(spec)
+    with pytest.raises(ValidationError) as geometry:
+        needle_geometry(spec)
+    with pytest.raises(ValidationError) as det:
+        DetectConfig(entry_side=side)
+    assert str(gen.value) == str(geometry.value) == str(det.value)
+    assert str(det.value).startswith("entry_side must be one of")
 
 
 def test_detect_validates_frequency_against_fps(tmp_path):
