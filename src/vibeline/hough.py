@@ -90,8 +90,8 @@ class HoughMap:
             )
 
 
-# Grids whose rho-index table stays cached; batch and stream detection
-# reuse one grid per image size, so one table is enough.
+# Grids whose rho-index table stays cached; stream detection and dense
+# batch maps reuse one grid per image size, so one table is enough.
 _RHO_TABLE_GRIDS = 1
 
 
@@ -134,10 +134,16 @@ def hough_transform(feature: np.ndarray, grid: HoughGrid) -> np.ndarray:
     rejected with ValidationError (batch and stream detection vote the
     energy map, whose non-finite values come from non-finite frames).
 
-    The pixel-to-bin table is built on the first call for a grid and
-    cached for the most recent grid only.  It holds theta_bins * H * W
-    bin indices of 2 bytes each (1 byte when rho_bins <= 256): ~40 MB
-    at 328x335 with 1-degree steps.
+    When at most a quarter of the pixels are non-zero (a clean batch
+    map), only those vote: each theta row computes their bins with
+    _rho_bin and builds no table.  A denser map (stream, noisy input)
+    votes every pixel through the rho-index table, built on the first
+    such call for a grid and cached for the most recent grid only; it
+    holds theta_bins * H * W bin indices of 2 bytes each (1 byte when
+    rho_bins <= 256): ~40 MB at 328x335 with 1-degree steps.  The two
+    give the same bits: a table entry is the same _rho_bin expression
+    of the same float (x, y), both bincounts add in row-major pixel
+    order, and a skipped zero only ever adds 0.0 to a sum.
     """
     feat = np.asarray(feature, dtype=np.float64)
     if feat.shape != (grid.image_h, grid.image_w):
@@ -152,8 +158,16 @@ def hough_transform(feature: np.ndarray, grid: HoughGrid) -> np.ndarray:
             f"non-finite value(s); frames must be finite"
         )
     weights = feat.ravel()
+    if np.count_nonzero(weights) > weights.size // 4:  # dense: the table
+        rows = _rho_index_table(grid)
+    else:  # only the non-zero pixels vote, in the same order
+        voters = np.flatnonzero(weights)
+        ys, xs = (v.astype(np.float64) for v in np.divmod(voters, grid.image_w))
+        weights, rho_units = weights[voters], np.empty(voters.size)
+        rows = (_rho_bin(grid, c, s, xs, ys, out=rho_units).astype(np.intp)
+                for c, s in zip(*grid.theta_trig()))
     acc = np.empty(grid.shape(), dtype=np.float64)
-    for i, idx in enumerate(_rho_index_table(grid)):
+    for i, idx in enumerate(rows):
         acc[i] = np.bincount(idx, weights=weights, minlength=grid.rho_bins)
     return acc
 

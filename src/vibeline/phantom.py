@@ -33,6 +33,9 @@ NEEDLE_RIDGE_PEAK = 0.5
 # the ridge adds exactly 0.0 to every pixel farther than this from its
 # segment
 _RIDGE_REACH = NEEDLE_RIDGE_SIGMA * _EXP_ZERO_REACH
+# bytes of the uint8 frame stack a spec may ask for (1 GiB); the fullsize
+# preset's 30 frames take 3.3 MB
+_MAX_STACK_BYTES = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,11 @@ def validate_spec(spec: PhantomSpec) -> None:
     for name, lo in (("height", 16), ("width", 16), ("frame_count", 1),
                      ("artifact_count", 0), ("seed", 0)):
         _check_setting(name, getattr(spec, name), lo, lo_closed=True, integer=True)
+    most = _MAX_STACK_BYTES // (spec.height * spec.width)
+    _check_setting("frame_count", spec.frame_count, hi=most, hi_closed=True,
+                   message=f"frame_count must be <= {most} on a {spec.height}x"
+                           f"{spec.width} image (a uint8 stack of at most "
+                           f"{_MAX_STACK_BYTES} bytes), got {spec.frame_count}")
     for name in ("fps", "pixel_spacing", "vib_freq", "motion_sigma",
                  "needle_length"):
         _check_setting(name, getattr(spec, name), 0)

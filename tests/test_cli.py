@@ -836,6 +836,9 @@ BAD_SETTINGS = {
     "config_frame_count_fraction": ([], [], '{"frame_count": 2.5}',
                                     "frame_count"),
     "config_seed_fraction": ([], [], '{"seed": 1.5}', "seed"),
+    # a uint8 stack past 1 GiB: built its amplitude list, then the stack
+    "frame_count_huge": ([], ["--frames", "10000000000000"], None,
+                         "frame_count"),
     # was truncated to 2
     "config_profile_smooth_fraction": ([], [], '{"profile_smooth": 2.5}',
                                        "profile_smooth"),

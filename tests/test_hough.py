@@ -156,6 +156,70 @@ def test_cached_vote_is_bit_identical_to_recomputed_bins():
             assert np.array_equal(got, _recomputed_vote(feat, grid)), grid
 
 
+def _table_vote(feat, grid):
+    """Every pixel voted through the rho-index table's rows."""
+    from vibeline.hough import _rho_index_table
+
+    weights = feat.ravel()
+    return np.stack([np.bincount(row, weights=weights, minlength=grid.rho_bins)
+                     for row in _rho_index_table(grid)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=st.integers(1, 40), w=st.integers(1, 40),
+       # 7 and 0.7 do not divide 180, so the last row sits off the seam's
+       # grid (175, 179.3 degrees); rows 0 and theta_bins - 1 are compared
+       # on every example
+       theta_step=st.sampled_from([1.0, 0.7, 3.0, 7.0, 45.0]),
+       rho_step=st.sampled_from([0.5, 0.7, 1.0, 2.0, 3.0]),
+       share=st.one_of(st.sampled_from(["none", "one", "quarter",
+                                        "quarter+1", "all"]),
+                       st.floats(0.0, 1.0)),
+       ties=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+# a 4x4 map with exactly a quarter (4 pixels) non-zero votes table-free
+@example(h=4, w=4, theta_step=1.0, rho_step=1.0, share="quarter",
+         ties=True, seed=0)
+@example(h=4, w=4, theta_step=1.0, rho_step=1.0, share="quarter+1",
+         ties=True, seed=0)
+@example(h=1, w=1, theta_step=1.0, rho_step=1.0, share="one", ties=False,
+         seed=0)
+@example(h=40, w=40, theta_step=0.7, rho_step=1.0, share="none", ties=False,
+         seed=0)
+# at rho_step 2 every odd column sits on a half-bin tie at 0 degrees and
+# every odd row at 90; pixel (0, 3) sits at rho 1.5 px at 30 degrees, a
+# tie at step 3 that dividing by the step after the sum rounds the other
+# way
+@example(h=40, w=40, theta_step=1.0, rho_step=2.0, share=0.2, ties=False,
+         seed=1)
+@example(h=40, w=40, theta_step=1.0, rho_step=3.0, share="one",
+         ties=True, seed=2)
+def test_sparse_vote_equals_the_table_vote_bit_for_bit(
+        h, w, theta_step, rho_step, share, ties, seed):
+    from vibeline.hough import _rho_index_table
+
+    grid = HoughGrid(h, w, theta_step, rho_step)
+    n = h * w
+    count = {"none": 0, "one": 1, "quarter": n // 4, "quarter+1": n // 4 + 1,
+             "all": n}[share] if isinstance(share, str) else round(share * n)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    if ties:  # (x, y) = (0, 3) and (3, 0) vote first: rho 1.5 px at 30, 60
+        tied = np.array([i for i, inside in ((3 * w, h > 3), (3, w > 3))
+                         if inside], dtype=np.intp)
+        order = np.concatenate([tied, order[~np.isin(order, tied)]])
+    feat = np.zeros(n)
+    # weights over 16 decades, so a different summation order shows
+    feat[order[:count]] = (rng.uniform(0.5, 1.0, count)
+                           * 10.0 ** rng.integers(-8, 8, count))
+    feat = feat.reshape(h, w)
+    _rho_index_table.cache_clear()
+    got = hough_transform(feat, grid)
+    # the table is built only past a quarter of the pixels non-zero
+    assert _rho_index_table.cache_info().misses == (count > n // 4)
+    assert np.array_equal(got.view(np.uint64),
+                          _table_vote(feat, grid).view(np.uint64))
+
+
 def test_rho_index_table_is_read_only_and_compact():
     from vibeline.hough import _rho_index_table
 

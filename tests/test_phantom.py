@@ -62,6 +62,26 @@ def test_spec_validation_rejects_bad_geometry():
         synth_sequence(small_vibrating_spec(entry_side="diagonal"))
 
 
+@pytest.mark.parametrize("extra", [1, 10 ** 15])
+def test_a_frame_stack_past_the_byte_limit_is_rejected_before_synthesis(
+        monkeypatch, extra):
+    # unbounded, a huge frame_count built an N-element amplitude list and
+    # then an N x H x W stack; the check runs before the speckle is drawn
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesis started")
+
+    monkeypatch.setattr(phantom, "_speckle_from_rng", no_synthesis)
+    spec = preset("fullsize")
+    most = phantom._MAX_STACK_BYTES // (spec.height * spec.width)
+    assert most * spec.height * spec.width <= 2 ** 30 and most > 30
+    phantom.validate_spec(replace(spec, frame_count=most))
+    with pytest.raises(ValidationError) as info:
+        synth_sequence(replace(spec, frame_count=most + extra))
+    assert str(info.value) == (
+        f"frame_count must be <= {most} on a 328x335 image (a uint8 stack "
+        f"of at most 1073741824 bytes), got {most + extra}")
+
+
 @pytest.mark.parametrize("entry", [(0.0,), (0.0, 280.0, 5.0)])
 def test_a_needle_entry_of_other_than_two_numbers_is_rejected(entry):
     with pytest.raises(ValidationError, match="needle_entry must be"):

@@ -288,6 +288,25 @@ def test_timing_report_structure():
     assert timing["total_ms"] >= timing["hough_ms"]
 
 
+def test_a_clean_batch_detect_builds_no_rho_table_and_a_noisy_one_builds_it_once():
+    from vibeline.hough import _rho_index_table
+
+    # ~1.2% of a clean fullsize map is non-zero: it votes table-free, so
+    # a cold detect skips the ~40 MB table and its build
+    seq, _ = challenging_phantom(0)
+    _rho_index_table.cache_clear()
+    det, _ = detect_frames(seq.frames, seq.fps)
+    assert not det.low_confidence_flag
+    assert _rho_index_table.cache_info().misses == 0
+    # sensor noise moves every pixel: the dense map votes through the
+    # table, built on the first call and reused on the second
+    noisy = _noisy(seq.frames, seed=3)
+    for _ in range(2):
+        detect_frames(noisy, seq.fps)
+    info = _rho_index_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 # --------------------------------------------------------------------------
 # Tip search along the line
 # --------------------------------------------------------------------------
