@@ -32,8 +32,7 @@ _EXPORTS = {
               "tip_from_hough"),
     "scoring": ("LossParams", "focal_loss", "focal_loss_grad", "hybrid_loss"),
     "phantom": ("PhantomSpec", "preset", "needle_geometry", "validate_spec",
-                "background_speckle", "displacement_field", "warp_bilinear",
-                "ground_truth_of", "synth_sequence"),
+                "warp_bilinear", "ground_truth_of", "synth_sequence"),
     "pipeline": ("DetectConfig", "StreamState", "stream_push", "detect",
                  "detect_frames", "detect_with_timing", "tip_along_line",
                  "DEFAULT_CONFIDENCE_MIN", "DEFAULT_WARMUP"),

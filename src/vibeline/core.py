@@ -229,8 +229,10 @@ def read_vibmap(path) -> np.ndarray:
 def pixel_signal(seq: UsSequence, x: int, y: int) -> np.ndarray:
     """Temporal signal of one pixel, normalized to [0, 1], length T.
 
-    x is the column, y the row, origin at the top-left corner.
+    x is the column, y the row (integers), origin at the top-left corner.
     """
+    for name, value in (("x", x), ("y", y)):
+        _check_setting(name, value, integer=True)
     if not (0 <= x < seq.width and 0 <= y < seq.height):
         raise BoundsError(
             f"pixel ({x}, {y}) outside {seq.width}x{seq.height} image"

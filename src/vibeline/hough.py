@@ -60,11 +60,9 @@ class HoughGrid:
         object.__setattr__(self, "rho_bins", 2 * half + 1)
         object.__setattr__(self, "rho_offset", half)
 
-    def thetas_deg(self) -> np.ndarray:
-        return np.arange(self.theta_bins) * self.theta_step
-
     def theta_trig(self):
-        return _snapped_cos_sin(np.deg2rad(self.thetas_deg()))
+        return _snapped_cos_sin(
+            np.deg2rad(np.arange(self.theta_bins) * self.theta_step))
 
     def shape(self):
         return (self.theta_bins, self.rho_bins)
@@ -232,20 +230,28 @@ def render_tip_gt(grid: HoughGrid, tip_x: float, tip_y: float,
     return sliding_window_view(profile, n)[n - 1 - centers]
 
 
+def _decodable(channel, grid: HoughGrid, name: str) -> np.ndarray:
+    """A channel as float64 once the decoders' checks pass: the grid's
+    shape, finite cells (np.argmax takes a NaN first) and not all zero."""
+    chan = np.asarray(channel, dtype=np.float64)
+    if chan.shape != grid.shape():
+        raise ValidationError(
+            f"channel shape {chan.shape} does not match grid {grid.shape()}")
+    bad = chan.size - np.count_nonzero(np.isfinite(chan))
+    if bad:
+        raise ValidationError(f"{name} channel has {bad} non-finite value(s)")
+    if not chan.any():
+        raise NoDetectionError(f"all-zero {name} channel")
+    return chan
+
+
 def shaft_from_hough(shaft_channel: np.ndarray, grid: HoughGrid):
     """Decode the global argmax cell to (theta_deg, rho_px).
 
-    Ties break toward the smallest (theta_idx, rho_idx); an all-zero
-    channel raises NoDetectionError.
+    Ties break toward the smallest (theta_idx, rho_idx); a NaN or inf
+    cell raises ValidationError, an all-zero channel NoDetectionError.
     """
-    chan = np.asarray(shaft_channel)
-    if chan.shape != grid.shape():
-        raise ValidationError(
-            f"channel shape {chan.shape} does not match grid {grid.shape()}"
-        )
-    if not chan.any():
-        raise NoDetectionError("all-zero shaft channel")
-    flat = int(np.argmax(chan))
+    flat = int(np.argmax(_decodable(shaft_channel, grid, "shaft")))
     ti, ri = divmod(flat, grid.rho_bins)
     return line_from_cell(grid, ti, ri)
 
@@ -290,17 +296,10 @@ def tip_from_hough(tip_channel: np.ndarray, grid: HoughGrid,
     order, so equal intensities prefer smaller (theta_idx, rho_idx)),
     rasterizes each weighted by its intensity, and returns the argmax
     pixel of the accumulator as (tip_x, tip_y).  Ties break toward the
-    smallest (y, then x).
+    smallest (y, then x).  Channels are checked as in shaft_from_hough.
     """
     _check_setting("top_p", top_p, 0, 100, hi_closed=True)
-    chan = np.asarray(tip_channel, dtype=np.float64)
-    if chan.shape != grid.shape():
-        raise ValidationError(
-            f"channel shape {chan.shape} does not match grid {grid.shape()}"
-        )
-    if not chan.any():
-        raise NoDetectionError("all-zero tip channel")
-    flat = chan.ravel()
+    flat = _decodable(tip_channel, grid, "tip").ravel()
     n_top = math.ceil(top_p / 100.0 * flat.size)
     order = np.argsort(-flat, kind="stable")[:n_top]
     cells = ((*divmod(int(cell), grid.rho_bins), flat[cell]) for cell in order)

@@ -13,6 +13,9 @@ Only the needle changes anything from frame to frame, so synthesis builds
 the static frame once and recomputes just each frame's active pixels,
 with the same bytes as a full-frame computation (see synth_sequence).
 The GroundTruth it returns, and its .gt.json file, are defined in metrics.
+Each frame's displacement is one expression, _displacement.  Synthesis
+never calls warp_bilinear, the same warp rule over a whole (H, W, 2)
+field; perfbench's tracer wraps it by name.
 """
 
 from __future__ import annotations
@@ -120,8 +123,9 @@ def validate_spec(spec: PhantomSpec) -> None:
     _check_setting("vib_amplitude", spec.vib_amplitude, 0, lo_closed=True)
     _check_setting("visibility", spec.visibility, 0, 1,
                    lo_closed=True, hi_closed=True)
-    _check_speckle_grain("speckle_grain", spec.speckle_grain, spec.height,
-                         spec.width)
+    # a blur block gathers _BLUR_ROWS + 2 int(4 grain + 0.5) rows
+    _check_setting("speckle_grain", spec.speckle_grain, 1,
+                   max(spec.height, spec.width), lo_closed=True, hi_closed=True)
     ex, ey = _needle_entry(spec.needle_entry)
     _check_band(spec.vib_freq, spec.fps)
     # distance from the entry border, along the one axis it crosses
@@ -143,11 +147,6 @@ def validate_spec(spec: PhantomSpec) -> None:
 
 
 _BLUR_ROWS = 48  # output rows per block, so each block's passes stay in cache
-
-
-def _check_speckle_grain(name: str, grain, h: int, w: int) -> None:
-    # a blur block gathers _BLUR_ROWS + 2 int(4 grain + 0.5) rows
-    _check_setting(name, grain, 1, max(h, w), lo_closed=True, hi_closed=True)
 
 
 def _reflect_index(n: int, r: int) -> np.ndarray:
@@ -198,15 +197,6 @@ def _speckle_from_rng(rng: np.random.Generator, h: int, w: int,
     return (smooth - lo) / span
 
 
-def background_speckle(h: int, w: int, grain: float, seed: int) -> np.ndarray:
-    """Spatially correlated texture in [0, 1]; deterministic per seed."""
-    for name, value in (("h", h), ("w", w)):
-        _check_setting(name, value, 16, lo_closed=True, integer=True)
-    _check_speckle_grain("grain", grain, h, w)
-    _check_setting("seed", seed, 0, lo_closed=True, integer=True)
-    return _speckle_from_rng(np.random.default_rng(seed), h, w, grain)
-
-
 def _pixel_grid(rows: slice, cols: slice):
     """Column and row coordinates (xs, ys) of the pixels in image[rows, cols],
     shaped to broadcast to that block."""
@@ -247,7 +237,7 @@ def _segment_fields(xs: np.ndarray, ys: np.ndarray, p0: np.ndarray,
     return s, dist, length
 
 
-def _co_motion_falloff(spec: PhantomSpec, reach: float = 0.0):
+def _co_motion_falloff(spec: PhantomSpec, reach: float):
     """(box, envelope, dist): the static spatial envelope of the tissue
     displacement, in [0, 1], and each pixel's distance to the rest-position
     segment, over the (rows, cols) box of the pixels within reach of it.
@@ -269,17 +259,10 @@ def _co_motion_falloff(spec: PhantomSpec, reach: float = 0.0):
     return box, envelope, dist
 
 
-def displacement_field(spec: PhantomSpec, t: int) -> np.ndarray:
-    """(H, W, 2) displacement in pixels at frame t; zero when A = 0."""
-    validate_spec(spec)
-    _check_setting("frame index t", t, 0, spec.frame_count,
-                   lo_closed=True, integer=True)
-    _, _, _, normal = needle_geometry(spec)
-    amp = spec.vib_amplitude * math.sin(2.0 * math.pi * spec.vib_freq * t / spec.fps)
-    box, envelope, _ = _co_motion_falloff(spec)
-    full = np.zeros((spec.height, spec.width), dtype=np.float64)
-    full[box] = envelope
-    return (amp * full)[:, :, None] * normal
+def _displacement(amp: float, normal: np.ndarray, envelope: np.ndarray):
+    """(dx, dy): the tissue displacement in pixels at frame amplitude amp,
+    along the needle's normal, scaled by the co-motion envelope."""
+    return (amp * normal[0]) * envelope, (amp * normal[1]) * envelope
 
 
 def _moves(xs, ys, dx, dy):
@@ -410,8 +393,7 @@ def synth_sequence(spec: PhantomSpec):
     # every pixel that is active in some frame, gathered once
     keep = ridged.copy()
     for amp in {min(amps), max(amps)}:
-        keep |= _moves(xs, ys, (amp * normal[0]) * env,
-                       (amp * normal[1]) * env)[2]
+        keep |= _moves(xs, ys, *_displacement(amp, normal, env))[2]
     idx = r[keep] * spec.width + c[keep]
     xs, ys, env, ridged = xs[keep], ys[keep], env[keep], ridged[keep]
     texels, art = base.reshape(-1)[idx], artifacts.reshape(-1)[idx]
@@ -420,8 +402,8 @@ def synth_sequence(spec: PhantomSpec):
     frames[:] = _to_uint8(base + artifacts)
     for t, amp in enumerate(amps):
         frame = texels.copy()
-        moved = _resample_moved(base, xs, ys, (amp * normal[0]) * env,
-                                (amp * normal[1]) * env, frame)
+        moved = _resample_moved(base, xs, ys,
+                                *_displacement(amp, normal, env), frame)
         if spec.visibility > 0:
             shift = amp * normal
             frame[ridged] = frame[ridged] + spec.visibility * _ridge(

@@ -282,6 +282,7 @@ class StreamState:
 
     def push(self, frame: np.ndarray):
         """Absorb one uint8 (H, W) frame; returns a Detection once warmed up."""
+        frame = np.asarray(frame)
         if frame.shape != (self.height, self.width):
             raise ValidationError(
                 f"frame shape {frame.shape} does not match stream "

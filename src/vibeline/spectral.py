@@ -165,15 +165,16 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
                             window_len: int = 10, hop: int = 1):
     """Vibration-band energy ratio image of a (T, H, W) frame stack.
 
-    frames01 holds real values in [0, 1] or uint8 samples, which become
-    floats by core's one rule, _unit_float (value / 255), so both give
-    the same map bit for bit.  Returns (values, target_bin) where values
+    frames01, an array or a nested list, holds real values in [0, 1] or
+    uint8 samples, which become floats by core's one rule, _unit_float
+    (value / 255), so both give the same map bit for bit.  Returns (values, target_bin) where values
     is the H x W map: mean-over-windows power in the target bin divided
     by mean-over-windows total non-DC power (+ eps), clipped to [0, 1].
     A pixel whose T samples are all equal and finite scores exactly 0 at
     any level; when at most a quarter of the pixels move, only those are
     converted, correlated and scored.
     """
+    frames01 = np.asarray(frames01)
     k_star = nearest_band(window_len, fps, target_freq)
     _check_setting("hop", hop, 1, lo_closed=True, integer=True)
     if frames01.ndim != 3 or frames01.shape[0] < window_len:

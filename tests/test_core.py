@@ -263,6 +263,17 @@ def test_pixel_signal_out_of_bounds():
             pixel_signal(seq, x, y)
 
 
+@pytest.mark.parametrize("x, y, name", [(1.5, 2, "x"), (1, 2.0, "y"),
+                                        (True, 2, "x"), ("1", 2, "x")])
+def test_pixel_signal_rejects_a_coordinate_that_is_not_an_integer(x, y, name):
+    # seq.frames[:, 2, 1.5] raised numpy's bare IndexError
+    seq = random_sequence(seed=12)
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+        pixel_signal(seq, x, y)
+    assert np.array_equal(pixel_signal(seq, np.int64(1), np.uint8(2)),
+                          pixel_signal(seq, 1, 2))
+
+
 def test_frames_float_matches_pixel_signal():
     seq = random_sequence(seed=13)
     f = seq.frames_float()

@@ -590,6 +590,23 @@ def test_tip_uniform_channel_hits_deterministic_tie_break():
     assert first == second
 
 
+@pytest.mark.parametrize("decode", [shaft_from_hough, tip_from_hough])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decoders_reject_a_non_finite_channel(decode, bad):
+    # np.argmax takes the first NaN: an all-NaN shaft channel on a 4x4
+    # grid once decoded to (0.0, -6.0)
+    name = "shaft" if decode is shaft_from_hough else "tip"
+    for grid in (small_grid(), small_grid(4, 4)):
+        chan = np.zeros(grid.shape())
+        chan[3, 4] = bad
+        chan[1, 2] = bad
+        with pytest.raises(ValidationError,
+                           match=rf"^{name} channel has 2 non-finite value\(s\)$"):
+            decode(chan, grid)
+        with pytest.raises(ValidationError, match=rf"has {chan.size} non-finite"):
+            decode(np.full(grid.shape(), bad), grid)
+
+
 def test_tip_from_hough_validation():
     grid = small_grid()
     with pytest.raises(NoDetectionError):

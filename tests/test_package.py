@@ -160,6 +160,18 @@ def test_submodules_resolve_as_attributes():
     assert set(vibeline.__all__) <= set(dir(vibeline))
 
 
+@pytest.mark.parametrize("name", ["displacement_field", "background_speckle"])
+def test_the_phantoms_uncalled_wrappers_are_gone(name):
+    # synthesis reaches the envelope, _displacement and the speckle directly;
+    # the names perfbench's tracer wraps or reads still resolve
+    with pytest.raises(AttributeError, match=name):
+        getattr(vibeline, name)
+    assert not hasattr(vibeline.phantom, name)
+    assert callable(vibeline.warp_bilinear)
+    assert callable(vibeline.UsSequence.frames_float)
+    assert vibeline.phantom.save_ground_truth is vibeline.save_ground_truth
+
+
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         vibeline.no_such_name

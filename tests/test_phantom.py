@@ -16,8 +16,6 @@ from vibeline import (
     GroundTruth,
     PhantomSpec,
     ValidationError,
-    background_speckle,
-    displacement_field,
     ground_truth_of,
     load_ground_truth,
     preset,
@@ -95,10 +93,10 @@ _SMALL = dict(height=32, width=32, frame_count=6, needle_entry=(0.0, 20.0),
 
 @pytest.mark.parametrize("field, value", [("needle_entry", (0.0, math.nan)),
                                           ("motion_sigma", -1.0)])
-def test_displacement_field_validates_its_spec(field, value):
+def test_synthesis_validates_its_spec(field, value):
     spec = PhantomSpec(**{**_SMALL, field: value})
     with pytest.raises(ValidationError, match=field):
-        displacement_field(spec, 1)
+        synth_sequence(spec)
 
 
 def test_ground_truth_of_validates_its_spec():
@@ -122,32 +120,48 @@ def test_speckle_grain_is_bounded_by_the_image_side(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "speckle_grain must be >= 1 and <= 16" in err and over in err
     assert not out.exists()
-    with pytest.raises(ValidationError, match=r"^grain must be >= 1 and <= 16"):
-        background_speckle(16, 16, float(over), seed=0)
+    tiny = PhantomSpec(height=16, width=16, frame_count=2, needle_angle=90.0,
+                       needle_entry=(0.0, 8.0), needle_length=10.0)
+    with pytest.raises(ValidationError,
+                       match=r"^speckle_grain must be >= 1 and <= 16"):
+        synth_sequence(replace(tiny, speckle_grain=float(over)))
     out = tmp_path / "bound.vibseq"
     assert cli.main(_TINY_GEN + ["--grain", "16", "--out", str(out)]) == 0
     assert out.exists()
-    assert background_speckle(16, 16, 16.0, seed=0).shape == (16, 16)
+    seq, _ = synth_sequence(replace(tiny, speckle_grain=16.0))
+    assert seq.frames.shape == (2, 16, 16)
 
 
 # --------------------------------------------------------------------------
 # Speckle texture
 # --------------------------------------------------------------------------
 
+def _speckle(h, w, grain, seed):
+    """The texture synth_sequence draws first from a fresh seeded RNG."""
+    return phantom._speckle_from_rng(np.random.default_rng(seed), h, w, grain)
+
+
 def test_speckle_is_deterministic_per_seed():
-    a = background_speckle(64, 64, 2.0, seed=5)
-    b = background_speckle(64, 64, 2.0, seed=5)
+    a = _speckle(64, 64, 2.0, seed=5)
+    b = _speckle(64, 64, 2.0, seed=5)
     assert np.array_equal(a, b)
+    # with nothing moving, lit or overlaid, every frame is the speckle
+    spec = small_vibrating_spec(vib_amplitude=0.0, visibility=0.0, seed=5,
+                                speckle_grain=2.0)
+    seq, _ = synth_sequence(spec)
+    tex = _speckle(spec.height, spec.width, 2.0, seed=5)
+    assert np.array_equal(seq.frames[0], np.rint(tex * 255.0))
+    assert np.all(seq.frames == seq.frames[0])
 
 
 def test_speckle_seeds_differ():
-    a = background_speckle(64, 64, 2.0, seed=5)
-    b = background_speckle(64, 64, 2.0, seed=6)
+    a = _speckle(64, 64, 2.0, seed=5)
+    b = _speckle(64, 64, 2.0, seed=6)
     assert np.mean(a != b) >= 0.01
 
 
 def test_speckle_range_and_mean():
-    tex = background_speckle(96, 80, 1.5, seed=7)
+    tex = _speckle(96, 80, 1.5, seed=7)
     assert tex.min() >= 0.0 and tex.max() <= 1.0
     assert 0.3 <= tex.mean() <= 0.7
 
@@ -172,8 +186,8 @@ def test_speckle_grain_controls_autocorrelation_length():
         b = tex[:, lag:].ravel() - tex.mean()
         return float(a @ b / math.sqrt((a @ a) * (b @ b)))
 
-    fine = background_speckle(128, 128, 1.0, seed=11)
-    coarse = background_speckle(128, 128, 8.0, seed=11)
+    fine = _speckle(128, 128, 1.0, seed=11)
+    coarse = _speckle(128, 128, 8.0, seed=11)
     assert lag_corr(coarse, 4) > lag_corr(fine, 4)
 
 
@@ -189,21 +203,33 @@ FLAT_SPEC = small_vibrating_spec(
 )
 
 
+def _frame_displacement(spec, t):
+    """(H, W, 2) displacement of frame t, built from what synth_sequence
+    runs: its amplitude rule, _co_motion_falloff and _displacement."""
+    _, _, _, normal = needle_geometry(spec)
+    amp = spec.vib_amplitude * math.sin(
+        2.0 * math.pi * spec.vib_freq * t / spec.fps)
+    box, envelope, _ = phantom._co_motion_falloff(spec, 0.0)
+    full = np.zeros((spec.height, spec.width))
+    full[box] = envelope
+    return np.stack(phantom._displacement(amp, normal, full), axis=-1)
+
+
 def test_zero_amplitude_means_zero_field():
     spec = replace(FLAT_SPEC, vib_amplitude=0.0)
     for t in (0, 7, 29):
-        assert not displacement_field(spec, t).any()
+        assert not _frame_displacement(spec, t).any()
 
 
 def test_on_segment_peak_displacement_equals_amplitude():
     # 2.5 Hz at 30 fps: frame 3 sits at a quarter period, sin = 1.
-    field = displacement_field(FLAT_SPEC, 3)
+    field = _frame_displacement(FLAT_SPEC, 3)
     mag = float(np.hypot(field[60, 40, 0], field[60, 40, 1]))
     assert mag == pytest.approx(FLAT_SPEC.vib_amplitude, abs=1e-12)
 
 
 def test_displacement_follows_gaussian_falloff():
-    field = displacement_field(FLAT_SPEC, 3)
+    field = _frame_displacement(FLAT_SPEC, 3)
     mag = float(np.hypot(field[64, 40, 0], field[64, 40, 1]))
     want = FLAT_SPEC.vib_amplitude * math.exp(-2.0)  # two sigma out
     assert mag == pytest.approx(want, abs=1e-9)
@@ -211,7 +237,7 @@ def test_displacement_follows_gaussian_falloff():
 
 def test_displacement_is_along_the_line_normal():
     _, _, _, normal = needle_geometry(FLAT_SPEC)
-    field = displacement_field(FLAT_SPEC, 3)
+    field = _frame_displacement(FLAT_SPEC, 3)
     vec = field[60, 40]
     cross = vec[0] * normal[1] - vec[1] * normal[0]
     assert abs(cross) <= 1e-12
@@ -220,16 +246,13 @@ def test_displacement_is_along_the_line_normal():
 def test_no_motion_past_the_tip_plane():
     # The tissue envelope ends at the tip; the abrupt stop is the feature
     # the tip locator keys on, so pin it.
-    field = displacement_field(FLAT_SPEC, 3)
+    field = _frame_displacement(FLAT_SPEC, 3)
     assert not field[55:66, 85:].any()
     assert field[60, 79].any()
-
-
-def test_displacement_rejects_bad_frame_index():
-    with pytest.raises(ValidationError):
-        displacement_field(FLAT_SPEC, -1)
-    with pytest.raises(ValidationError):
-        displacement_field(FLAT_SPEC, FLAT_SPEC.frame_count)
+    # the synthesized frames hold still there too, at every amplitude
+    seq, _ = synth_sequence(FLAT_SPEC)
+    assert np.all(seq.frames[:, 55:66, 85:] == seq.frames[0, 55:66, 85:])
+    assert np.any(seq.frames[:, 58:63, 40] != seq.frames[0, 58:63, 40])
 
 
 # --------------------------------------------------------------------------
@@ -237,13 +260,13 @@ def test_displacement_rejects_bad_frame_index():
 # --------------------------------------------------------------------------
 
 def test_warp_zero_field_is_identity():
-    tex = background_speckle(32, 40, 2.0, seed=13)
+    tex = _speckle(32, 40, 2.0, seed=13)
     field = np.zeros((32, 40, 2))
     assert np.array_equal(warp_bilinear(tex, field), tex)
 
 
 def test_warp_unit_shift_moves_columns():
-    tex = background_speckle(24, 24, 1.0, seed=17)
+    tex = _speckle(24, 24, 1.0, seed=17)
     field = np.zeros((24, 24, 2))
     field[:, :, 0] = 1.0
     out = warp_bilinear(tex, field)
@@ -441,20 +464,21 @@ def test_synth_matches_the_dense_frame_reference(spec):
 @pytest.mark.parametrize("name", ["visibility-0.5", "whole-frame-envelope",
                                   "angle-0", "motion-sigma-200"])
 def test_displacement_field_equals_the_dense_envelope_bit_for_bit(name):
+    # the expression _dense_synth warps by, over the whole image
     spec = _DENSE_CASES[name]
     _, _, _, normal = needle_geometry(spec)
     envelope = _dense_envelope(spec)
     for t in (0, 2, 7):  # amplitude 0, positive and negative
         amp = spec.vib_amplitude * math.sin(
             2.0 * math.pi * spec.vib_freq * t / spec.fps)
-        want = np.stack([(amp * envelope) * normal[0],
-                         (amp * envelope) * normal[1]], axis=-1)
-        assert displacement_field(spec, t).tobytes() == want.tobytes()
+        want = np.stack([(amp * normal[0]) * envelope,
+                         (amp * normal[1]) * envelope], axis=-1)
+        assert _frame_displacement(spec, t).tobytes() == want.tobytes()
 
 
 def test_dense_cases_cover_what_they_name():
     spec = _DENSE_CASES["whole-frame-envelope"]
-    _, envelope, _ = phantom._co_motion_falloff(spec)
+    _, envelope, _ = phantom._co_motion_falloff(spec, 0.0)
     assert envelope.shape == (spec.height, spec.width)
     assert np.all(envelope != 0)
     _, _, _, normal = needle_geometry(_DENSE_CASES["angle-0"])

@@ -498,6 +498,19 @@ def test_stream_rejects_non_uint8_frames():
     assert state.frames_seen == 0
 
 
+def test_stream_names_the_dtype_of_a_frame_given_as_a_list():
+    # a list once raised AttributeError: 'list' object has no attribute 'shape'
+    state = StreamState(4, 5, 30.0, CFG3)
+    frame = np.arange(20, dtype=np.uint8).reshape(4, 5)
+    with pytest.raises(ValidationError,
+                       match=r"^stream frames must be uint8, got int"):
+        state.push(frame.tolist())
+    with pytest.raises(ValidationError, match="does not match stream"):
+        state.push(frame[:3].tolist())
+    assert state.frames_seen == 0
+    assert state.push(frame) is None and state.frames_seen == 1
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_frames_raise_validation_error(bad):
     # the typed error is the whole report: numpy must not warn first

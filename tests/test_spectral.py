@@ -485,6 +485,17 @@ def test_uint8_frames_give_the_map_of_their_floats_bit_for_bit(case):
     assert got.tobytes() == want.tobytes()
 
 
+def test_a_nested_list_of_frames_gives_the_map_of_its_array():
+    # a list once raised AttributeError: 'list' object has no attribute 'ndim'
+    frames = np.random.default_rng(3).integers(0, 256, (12, 5, 6)) / 255.0
+    got, k_got = band_energy_from_frames(frames.tolist(), 30.0, 3.0)
+    want, k_want = band_energy_from_frames(frames, 30.0, 3.0)
+    assert k_got == k_want
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValidationError, match=r"shape \(T, H, W\)"):
+        band_energy_from_frames(frames[0].tolist(), 30.0, 3.0)
+
+
 @pytest.mark.parametrize("seed", [2, 7])
 def test_detect_frames_on_uint8_equals_detect_frames_on_floats(seed):
     seq, _ = synth_sequence(small_vibrating_spec(seed=seed))
