@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 # numeric library before the CLI has applied --threads
 _EXPORTS = {
     "core": ("UsSequence", "load_sequence", "make_sequence", "pixel_signal",
-             "save_sequence", "validate_sequence", "write_vibmap",
-             "read_vibmap"),
+             "save_sequence", "write_vibmap", "read_vibmap"),
     "errors": ("VibelineError", "ValidationError", "FormatError",
                "SizeMismatchError", "BoundsError", "GeometryError",
                "NoDetectionError", "NoTipError"),
@@ -31,8 +30,8 @@ _EXPORTS = {
               "render_truth_map", "inverse_hough_accumulate",
               "tip_from_hough"),
     "scoring": ("LossParams", "focal_loss", "focal_loss_grad", "hybrid_loss"),
-    "phantom": ("PhantomSpec", "preset", "needle_geometry", "validate_spec",
-                "warp_bilinear", "ground_truth_of", "synth_sequence"),
+    "phantom": ("PhantomSpec", "preset", "needle_geometry", "warp_bilinear",
+                "ground_truth_of", "synth_sequence"),
     "pipeline": ("DetectConfig", "StreamState", "stream_push", "detect",
                  "detect_frames", "detect_with_timing", "tip_along_line",
                  "DEFAULT_CONFIDENCE_MIN", "DEFAULT_WARMUP"),

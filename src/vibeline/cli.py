@@ -93,15 +93,12 @@ def _configured(base, args, config: dict):
 def _build_phantom_spec(args, config: dict):
     from .phantom import PhantomSpec, _needle_entry, preset
 
-    if "needle_entry" in config:
-        config = {**config, "needle_entry": _needle_entry(config["needle_entry"])}
-    spec = _configured(preset(args.preset) if args.preset else PhantomSpec(),
-                       args, config)
-    if args.entry_x is None and args.entry_y is None:
-        return spec
-    ex = spec.needle_entry[0] if args.entry_x is None else args.entry_x
-    ey = spec.needle_entry[1] if args.entry_y is None else args.entry_y
-    return dataclasses.replace(spec, needle_entry=(ex, ey))
+    base = preset(args.preset) if args.preset else PhantomSpec()
+    # --entry-x / --entry-y override one coordinate of the configured entry
+    entry = _needle_entry(config.get("needle_entry", base.needle_entry))
+    entry = tuple(v if flag is None else flag
+                  for v, flag in zip(entry, (args.entry_x, args.entry_y)))
+    return _configured(base, args, {**config, "needle_entry": entry})
 
 
 def _build_detect_config(args, config: dict):

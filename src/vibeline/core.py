@@ -2,13 +2,15 @@
 
 A sequence is T grayscale frames of H x W 8-bit samples plus the two
 acquisition constants everything downstream needs: frame rate (fps) and
-pixel spacing (mm per pixel).  Every uint8 sample becomes a float by one
-rule, _unit_float (value / 255), and every snapped cos / sin comes from
-_snapped_cos_sin.  Both file formats share one framing, kept here.  The
-phantom generator and the detector share the entry-border table, its one
-check (_inward), and the bilinear sampler kept here, so detection never
-imports the generator.  The generator and the Hough renderers share one
-Gaussian reach rule (_EXP_ZERO_REACH, _reach_slice).
+pixel spacing (mm per pixel).  A UsSequence checks its fields when built;
+load_sequence builds one through make_sequence.  Every uint8 sample
+becomes a float by one rule, _unit_float (value / 255), and every snapped
+cos / sin comes from _snapped_cos_sin.  Both file formats share one
+framing, kept here.  The phantom generator and the detector share the
+entry-border table, its one check (_inward), and the bilinear sampler
+kept here, so detection never imports the generator.  The generator and
+the Hough renderers share one Gaussian reach rule (_EXP_ZERO_REACH,
+_reach_slice).
 """
 
 from __future__ import annotations
@@ -79,7 +81,16 @@ class UsSequence:
             object.__setattr__(self, "fps", float(np.float32(self.fps)))
             object.__setattr__(self, "pixel_spacing",
                                float(np.float32(self.pixel_spacing)))
-        validate_sequence(self)
+        for name, lo in (("height", 16), ("width", 16), ("frame_count", 1)):
+            _check_setting(name, getattr(self, name), lo, lo_closed=True, integer=True)
+        _check_setting("fps", self.fps, 0)
+        _check_setting("pixel_spacing", self.pixel_spacing, 0)
+        if self.frames.dtype != np.uint8:
+            raise ValidationError(f"frames must be uint8, got {self.frames.dtype}")
+        expect = (self.frame_count, self.height, self.width)
+        if self.frames.shape != expect:
+            raise ValidationError(
+                f"frames shape {self.frames.shape} does not match header {expect}")
         # Freeze the pixel buffer so a loaded sequence is safe to share.
         self.frames.setflags(write=False)
 
@@ -122,23 +133,12 @@ def _reach_slice(lo: float, hi: float, n: int) -> slice:
     return slice(start, max(start, stop))
 
 
-def validate_sequence(seq: UsSequence) -> None:
-    for name, lo in (("height", 16), ("width", 16), ("frame_count", 1)):
-        _check_setting(name, getattr(seq, name), lo, lo_closed=True, integer=True)
-    _check_setting("fps", seq.fps, 0)
-    _check_setting("pixel_spacing", seq.pixel_spacing, 0)
-    if seq.frames.dtype != np.uint8:
-        raise ValidationError(f"frames must be uint8, got {seq.frames.dtype}")
-    expect = (seq.frame_count, seq.height, seq.width)
-    if seq.frames.shape != expect:
-        raise ValidationError(
-            f"frames shape {seq.frames.shape} does not match header {expect}"
-        )
-
-
 def make_sequence(frames: np.ndarray, fps: float, pixel_spacing: float) -> UsSequence:
     """Wrap a (T, H, W) uint8 array without copying."""
     frames = np.ascontiguousarray(frames)
+    if frames.ndim != 3:
+        raise ValidationError(
+            f"frames must be a (T, H, W) stack, got shape {frames.shape}")
     t, h, w = frames.shape
     return UsSequence(
         height=h, width=w, frame_count=t, fps=float(fps),
@@ -194,16 +194,12 @@ def load_sequence(path) -> UsSequence:
     pixel buffer is allocated), ValidationError on nonsense
     header fields.  A missing file raises the usual OSError family.
     """
-    (h, w, t, fps, spacing), frames = _read_framed(path, MAGIC, _HEADER, np.uint8)
-    return UsSequence(
-        height=h, width=w, frame_count=t, fps=fps,
-        pixel_spacing=spacing, frames=frames,
-    )
+    (*_, fps, spacing), frames = _read_framed(path, MAGIC, _HEADER, np.uint8)
+    return make_sequence(frames, fps, spacing)
 
 
 def save_sequence(seq: UsSequence, path) -> None:
     """Write a VIBSEQ01 file; load_sequence(save_sequence(x)) is bit-exact."""
-    validate_sequence(seq)
     _write_framed(path, MAGIC, _HEADER, seq.frames, seq.fps, seq.pixel_spacing)
 
 

@@ -8,6 +8,7 @@ tip plane), optional static bright distractor lines, and an optional
 additive ridge that makes the needle itself visible.  At visibility 0
 the needle leaves no per-frame signature at all; only the warped
 speckle carries it, which is the regime the detector is built for.
+A PhantomSpec checks every field when built, so no function here checks it.
 
 Only the needle changes anything from frame to frame, so synthesis builds
 the static frame once and recomputes just each frame's active pixels,
@@ -60,6 +61,44 @@ class PhantomSpec:
     entry_side: str = "left"
     seed: int = 0
 
+    def __post_init__(self):
+        """Check every field; a list needle_entry is stored as a tuple."""
+        for name, lo in (("height", 16), ("width", 16), ("frame_count", 1),
+                         ("artifact_count", 0), ("seed", 0)):
+            _check_setting(name, getattr(self, name), lo, lo_closed=True, integer=True)
+        h, w = self.height, self.width
+        most = _MAX_STACK_BYTES // (h * w)
+        _check_setting("frame_count", self.frame_count, hi=most, hi_closed=True,
+                       message=f"frame_count must be <= {most} on a {h}x{w} image "
+                               f"(a uint8 stack of at most {_MAX_STACK_BYTES} "
+                               f"bytes), got {self.frame_count}")
+        for name in ("fps", "pixel_spacing", "vib_freq", "motion_sigma",
+                     "needle_length"):
+            _check_setting(name, getattr(self, name), 0)
+        _check_setting("needle_angle", self.needle_angle, 0, 180, lo_closed=True)
+        _check_setting("vib_amplitude", self.vib_amplitude, 0, lo_closed=True)
+        _check_setting("visibility", self.visibility, 0, 1,
+                       lo_closed=True, hi_closed=True)
+        # a blur block gathers _BLUR_ROWS + 2 int(4 grain + 0.5) rows
+        _check_setting("speckle_grain", self.speckle_grain, 1, max(h, w),
+                       lo_closed=True, hi_closed=True)
+        object.__setattr__(self, "needle_entry", _needle_entry(self.needle_entry))
+        ex, ey = self.needle_entry
+        _check_band(self.vib_freq, self.fps)
+        # distance from the entry border, along the one axis it crosses
+        border = sum(abs(p - (n - 1 if u < 0 else 0.0)) for p, u, n in zip(
+            (ex, ey), _inward(self.entry_side), (w, h)) if u)
+        if border > 1e-6:
+            raise ValidationError(f"needle_entry {self.needle_entry} is not on "
+                                  f"the {self.entry_side} border")
+        if not (0 <= ex <= w - 1 and 0 <= ey <= h - 1):
+            raise ValidationError(f"needle_entry {self.needle_entry} outside image")
+        _, _, tip, _ = needle_geometry(self)
+        if not (0 <= tip[0] <= w - 1 and 0 <= tip[1] <= h - 1):
+            raise ValidationError(
+                f"needle tip {tuple(np.round(tip, 2))} falls outside the image; "
+                "shorten needle_length or move the entry point")
+
 
 def preset(name: str) -> PhantomSpec:
     """Named parameter sets; see README for the rationale of each."""
@@ -104,46 +143,6 @@ def _needle_entry(entry) -> tuple:
     for axis, value in zip("xy", entry):
         _check_setting(f"needle_entry {axis}", value)
     return tuple(entry)
-
-
-def validate_spec(spec: PhantomSpec) -> None:
-    """Check every field; each public function of a spec calls this first."""
-    for name, lo in (("height", 16), ("width", 16), ("frame_count", 1),
-                     ("artifact_count", 0), ("seed", 0)):
-        _check_setting(name, getattr(spec, name), lo, lo_closed=True, integer=True)
-    most = _MAX_STACK_BYTES // (spec.height * spec.width)
-    _check_setting("frame_count", spec.frame_count, hi=most, hi_closed=True,
-                   message=f"frame_count must be <= {most} on a {spec.height}x"
-                           f"{spec.width} image (a uint8 stack of at most "
-                           f"{_MAX_STACK_BYTES} bytes), got {spec.frame_count}")
-    for name in ("fps", "pixel_spacing", "vib_freq", "motion_sigma",
-                 "needle_length"):
-        _check_setting(name, getattr(spec, name), 0)
-    _check_setting("needle_angle", spec.needle_angle, 0, 180, lo_closed=True)
-    _check_setting("vib_amplitude", spec.vib_amplitude, 0, lo_closed=True)
-    _check_setting("visibility", spec.visibility, 0, 1,
-                   lo_closed=True, hi_closed=True)
-    # a blur block gathers _BLUR_ROWS + 2 int(4 grain + 0.5) rows
-    _check_setting("speckle_grain", spec.speckle_grain, 1,
-                   max(spec.height, spec.width), lo_closed=True, hi_closed=True)
-    ex, ey = _needle_entry(spec.needle_entry)
-    _check_band(spec.vib_freq, spec.fps)
-    # distance from the entry border, along the one axis it crosses
-    border = sum(abs(p - (n - 1 if u < 0 else 0.0)) for p, u, n in zip(
-        (ex, ey), _inward(spec.entry_side), (spec.width, spec.height)) if u)
-    if border > 1e-6:
-        raise ValidationError(
-            f"needle_entry {spec.needle_entry} is not on the "
-            f"{spec.entry_side} border"
-        )
-    if not (0 <= ex <= spec.width - 1 and 0 <= ey <= spec.height - 1):
-        raise ValidationError(f"needle_entry {spec.needle_entry} outside image")
-    _, _, tip, _ = needle_geometry(spec)
-    if not (0 <= tip[0] <= spec.width - 1 and 0 <= tip[1] <= spec.height - 1):
-        raise ValidationError(
-            f"needle tip {tuple(np.round(tip, 2))} falls outside the image; "
-            "shorten needle_length or move the entry point"
-        )
 
 
 _BLUR_ROWS = 48  # output rows per block, so each block's passes stay in cache
@@ -337,8 +336,7 @@ def _artifact_image(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def ground_truth_of(spec: PhantomSpec) -> GroundTruth:
-    """The exact truth of a spec's needle; validates the spec first."""
-    validate_spec(spec)
+    """The exact truth of a spec's needle."""
     entry, _, tip, normal = needle_geometry(spec)
     rho = float(entry @ normal)
     return GroundTruth(
@@ -373,7 +371,7 @@ def synth_sequence(spec: PhantomSpec):
     neither the smallest nor the largest amplitude moves in no frame and
     is left out of every frame's set.
     """
-    gt = ground_truth_of(spec)  # validates the spec
+    gt = ground_truth_of(spec)
     rng = np.random.default_rng(spec.seed)
     base = _speckle_from_rng(rng, spec.height, spec.width, spec.speckle_grain)
     artifacts = _artifact_image(spec, rng)

@@ -673,6 +673,12 @@ GEN_SETTINGS = [
     ("--entry-side", "entry_side", "top", "top", "right"),
     ("--seed", "seed", "9", 9, 11),
 ]
+# flags that keep every spec of a GEN_SETTINGS row valid: a 20 px needle
+# from (0, 30) fits a 40 x 41 image, and an entry at the top-right corner
+# lies on both the top and the right border
+_SHORT_NEEDLE = ["--entry-y", "30", "--length", "20"]
+GEN_CONTEXT = {"height": _SHORT_NEEDLE, "width": _SHORT_NEEDLE,
+               "entry_side": ["--entry-x", "334", "--entry-y", "0"]}
 DETECT_SETTINGS = [
     ("--vib-hz", "vib_freq", "3", 3.0, 4.0),
     ("--window", "window_len", "12", 12, 16),
@@ -717,10 +723,11 @@ def test_gen_flag_and_config_key_set_their_field(flag, field, text,
                                                  flag_value, cfg_value):
     from vibeline import PhantomSpec
 
+    context = GEN_CONTEXT.get(field, [])
     assert getattr(PhantomSpec(), field) not in (flag_value, cfg_value)
-    assert getattr(_gen_spec([flag, text], {}), field) == flag_value
-    assert getattr(_gen_spec([], {field: cfg_value}), field) == cfg_value
-    both = _gen_spec([flag, text], {field: cfg_value})
+    assert getattr(_gen_spec([flag, text] + context, {}), field) == flag_value
+    assert getattr(_gen_spec(context, {field: cfg_value}), field) == cfg_value
+    both = _gen_spec([flag, text] + context, {field: cfg_value})
     assert getattr(both, field) == flag_value
 
 
@@ -745,23 +752,26 @@ _NOT_A_NUMBER = [None, [], [1], ["left"], {"left": 1}, "1", True]
 
 @pytest.mark.parametrize("value", _NOT_A_NUMBER, ids=repr)
 def test_every_config_key_rejects_a_value_that_is_not_a_number(value):
-    # the build step and validate_spec reject it, before any synthesis
-    from vibeline import PhantomSpec, validate_spec
+    # the build step rejects it, before any synthesis
+    from vibeline import PhantomSpec
 
     for key in sorted(f.name for f in dataclasses.fields(PhantomSpec)):
         with pytest.raises(ValidationError, match=key):
-            validate_spec(_gen_spec([], {key: value}))
+            _gen_spec([], {key: value})
     for key in sorted(f.name for f in dataclasses.fields(DetectConfig)):
         with pytest.raises(ValidationError, match=key):
             _detect_cfg("detect", [], {key: value})
 
 
 def test_entry_flags_override_one_coordinate_of_the_configured_entry():
-    assert _gen_spec([], {"needle_entry": [1, 2]}).needle_entry == (1.0, 2.0)
-    assert _gen_spec(["--entry-x", "5"],
-                     {"needle_entry": [1, 2]}).needle_entry == (5.0, 2.0)
-    assert _gen_spec(["--entry-y", "7"],
-                     {"needle_entry": [1, 2]}).needle_entry == (1.0, 7.0)
+    # each flag moves the entry along the border its entry_side names
+    right = {"needle_entry": [334, 50], "entry_side": "right"}
+    assert _gen_spec([], right).needle_entry == (334.0, 50.0)
+    assert _gen_spec(["--entry-y", "100"],
+                     right).needle_entry == (334.0, 100.0)
+    top = {"needle_entry": [200, 0], "entry_side": "top"}
+    assert _gen_spec([], top).needle_entry == (200.0, 0.0)
+    assert _gen_spec(["--entry-x", "150"], top).needle_entry == (150.0, 0.0)
     with pytest.raises(ValidationError, match="needle_entry"):
         _gen_spec([], {"needle_entry": [1, 2, 3]})
 

@@ -2,6 +2,7 @@
 intensity rule."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -205,6 +206,14 @@ def test_non_finite_header_field_rejected_on_load(tmp_path, field):
     path.write_bytes(bytes(blob))
     with pytest.raises(ValidationError, match="finite"):
         load_sequence(path)
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (2, 16, 16, 1)])
+def test_a_stack_that_is_not_three_dimensional_is_rejected(shape):
+    # numpy's tuple unpacking raised a bare ValueError here
+    with pytest.raises(ValidationError, match=re.escape(
+            f"frames must be a (T, H, W) stack, got shape {shape}")):
+        make_sequence(np.zeros(shape, np.uint8), 30.0, 0.1)
 
 
 def test_wrong_dtype_rejected():

@@ -172,6 +172,15 @@ def test_the_phantoms_uncalled_wrappers_are_gone(name):
     assert vibeline.phantom.save_ground_truth is vibeline.save_ground_truth
 
 
+@pytest.mark.parametrize("name, module", [("validate_spec", "phantom"),
+                                          ("validate_sequence", "core")])
+def test_the_validators_are_gone(name, module):
+    # PhantomSpec and UsSequence check themselves when built
+    with pytest.raises(AttributeError, match=name):
+        getattr(vibeline, name)
+    assert not hasattr(getattr(vibeline, module), name)
+
+
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         vibeline.no_such_name

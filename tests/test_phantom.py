@@ -72,7 +72,7 @@ def test_a_frame_stack_past_the_byte_limit_is_rejected_before_synthesis(
     spec = preset("fullsize")
     most = phantom._MAX_STACK_BYTES // (spec.height * spec.width)
     assert most * spec.height * spec.width <= 2 ** 30 and most > 30
-    phantom.validate_spec(replace(spec, frame_count=most))
+    replace(spec, frame_count=most)  # valid: building it checks it
     with pytest.raises(ValidationError) as info:
         synth_sequence(replace(spec, frame_count=most + extra))
     assert str(info.value) == (
@@ -94,9 +94,24 @@ _SMALL = dict(height=32, width=32, frame_count=6, needle_entry=(0.0, 20.0),
 @pytest.mark.parametrize("field, value", [("needle_entry", (0.0, math.nan)),
                                           ("motion_sigma", -1.0)])
 def test_synthesis_validates_its_spec(field, value):
-    spec = PhantomSpec(**{**_SMALL, field: value})
     with pytest.raises(ValidationError, match=field):
-        synth_sequence(spec)
+        synth_sequence(PhantomSpec(**{**_SMALL, field: value}))
+
+
+def test_a_list_entry_is_stored_as_a_tuple():
+    # a list entry made the frozen spec unhashable
+    spec = PhantomSpec(needle_entry=[0.0, 280.0])
+    assert spec == PhantomSpec() and spec.needle_entry == (0.0, 280.0)
+    assert hash(spec) == hash(PhantomSpec())
+
+
+def test_a_spec_is_checked_when_built():
+    # needle_geometry returned a NaN direction, tip and normal for the one,
+    # and the off-image tip (-2.5, 284.3) for the other
+    with pytest.raises(ValidationError, match="needle_angle"):
+        PhantomSpec(needle_angle=math.nan)
+    with pytest.raises(ValidationError, match="needle_length"):
+        replace(PhantomSpec(), needle_length=-5.0)
 
 
 def test_ground_truth_of_validates_its_spec():
