@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 # imported on first access (PEP 562), so `import vibeline.cli` loads no
 # numeric library before the CLI has applied --threads
 _EXPORTS = {
-    "core": ("UsSequence", "load_sequence", "make_sequence", "pixel_signal",
-             "save_sequence", "write_vibmap", "read_vibmap"),
+    "core": ("UsSequence", "load_sequence", "pixel_signal", "save_sequence",
+             "write_vibmap", "read_vibmap"),
     "errors": ("VibelineError", "ValidationError", "FormatError",
                "SizeMismatchError", "BoundsError", "GeometryError",
                "NoDetectionError", "NoTipError"),

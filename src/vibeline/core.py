@@ -2,8 +2,8 @@
 
 A sequence is T grayscale frames of H x W 8-bit samples plus the two
 acquisition constants everything downstream needs: frame rate (fps) and
-pixel spacing (mm per pixel).  A UsSequence checks its fields when built;
-load_sequence builds one through make_sequence.  Every uint8 sample
+pixel spacing (mm per pixel).  A UsSequence is its frames: it takes its
+shape from them and checks itself when built.  Every uint8 sample
 becomes a float by one rule, _unit_float (value / 255), and every snapped
 cos / sin comes from _snapped_cos_sin.  Both file formats share one
 framing, kept here.  The phantom generator and the detector share the
@@ -52,47 +52,56 @@ class UsSequence:
     """Immutable stack of grayscale frames with acquisition metadata.
 
     frames has shape (T, H, W), dtype uint8, frame-major then row-major,
-    matching the on-disk layout byte for byte.
+    matching the on-disk layout byte for byte; a C-ordered array is
+    wrapped without a copy.  height, width and frame_count are read from
+    its shape.
     """
 
-    height: int
-    width: int
-    frame_count: int
+    frames: np.ndarray = field(repr=False)
     fps: float
     pixel_spacing: float
-    frames: np.ndarray = field(repr=False)
+
+    @property
+    def frame_count(self) -> int:
+        return self.frames.shape[0]
+
+    @property
+    def height(self) -> int:
+        return self.frames.shape[1]
+
+    @property
+    def width(self) -> int:
+        return self.frames.shape[2]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UsSequence):
             return NotImplemented
-        return (
-            (self.height, self.width, self.frame_count,
-             self.fps, self.pixel_spacing)
-            == (other.height, other.width, other.frame_count,
-                other.fps, other.pixel_spacing)
-            and np.array_equal(self.frames, other.frames)
-        )
+        return ((self.fps, self.pixel_spacing)
+                == (other.fps, other.pixel_spacing)
+                and np.array_equal(self.frames, other.frames))
 
     def __post_init__(self):
-        # The file header stores fps and spacing as 32-bit floats; coerce
-        # here so save -> load round-trips compare equal field for field.
-        # A value past float32's range becomes inf, which validation rejects.
-        with np.errstate(over="ignore"):
-            object.__setattr__(self, "fps", float(np.float32(self.fps)))
-            object.__setattr__(self, "pixel_spacing",
-                               float(np.float32(self.pixel_spacing)))
+        frames = np.ascontiguousarray(self.frames)
+        if frames.ndim != 3:
+            raise ValidationError(
+                f"frames must be a (T, H, W) stack, got shape {frames.shape}")
+        object.__setattr__(self, "frames", frames)
         for name, lo in (("height", 16), ("width", 16), ("frame_count", 1)):
             _check_setting(name, getattr(self, name), lo, lo_closed=True, integer=True)
-        _check_setting("fps", self.fps, 0)
-        _check_setting("pixel_spacing", self.pixel_spacing, 0)
-        if self.frames.dtype != np.uint8:
-            raise ValidationError(f"frames must be uint8, got {self.frames.dtype}")
-        expect = (self.frame_count, self.height, self.width)
-        if self.frames.shape != expect:
-            raise ValidationError(
-                f"frames shape {self.frames.shape} does not match header {expect}")
+        if frames.dtype != np.uint8:
+            raise ValidationError(f"frames must be uint8, got {frames.dtype}")
+        # The file header stores fps and spacing as 32-bit floats; coerce
+        # here so save -> load round-trips compare equal field for field.
+        # The value is checked before (no bool, str or None) and after
+        # (no overflow to inf, no underflow to 0) the coercion.
+        for name in ("fps", "pixel_spacing"):
+            _check_setting(name, getattr(self, name), 0)
+            with np.errstate(over="ignore"):
+                value = float(np.float32(getattr(self, name)))
+            _check_setting(name, value, 0)
+            object.__setattr__(self, name, value)
         # Freeze the pixel buffer so a loaded sequence is safe to share.
-        self.frames.setflags(write=False)
+        frames.setflags(write=False)
 
     def frames_float(self) -> np.ndarray:
         """All frames as float64 in [0, 1], shape (T, H, W)."""
@@ -131,19 +140,6 @@ def _reach_slice(lo: float, hi: float, n: int) -> slice:
     start = math.ceil(min(max(lo - 1.0, 0.0), n))
     stop = math.floor(min(max(hi + 1.0, -1.0), n - 1.0)) + 1
     return slice(start, max(start, stop))
-
-
-def make_sequence(frames: np.ndarray, fps: float, pixel_spacing: float) -> UsSequence:
-    """Wrap a (T, H, W) uint8 array without copying."""
-    frames = np.ascontiguousarray(frames)
-    if frames.ndim != 3:
-        raise ValidationError(
-            f"frames must be a (T, H, W) stack, got shape {frames.shape}")
-    t, h, w = frames.shape
-    return UsSequence(
-        height=h, width=w, frame_count=t, fps=float(fps),
-        pixel_spacing=float(pixel_spacing), frames=frames,
-    )
 
 
 def _read_framed(path, magic: bytes, header: struct.Struct, dtype):
@@ -195,7 +191,7 @@ def load_sequence(path) -> UsSequence:
     header fields.  A missing file raises the usual OSError family.
     """
     (*_, fps, spacing), frames = _read_framed(path, MAGIC, _HEADER, np.uint8)
-    return make_sequence(frames, fps, spacing)
+    return UsSequence(frames, fps, spacing)
 
 
 def save_sequence(seq: UsSequence, path) -> None:

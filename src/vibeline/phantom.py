@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (_EXP_ZERO_REACH, _bilinear_clamped, _inward, _reach_slice,
-                   make_sequence)
+from .core import (UsSequence, _EXP_ZERO_REACH, _bilinear_clamped, _inward,
+                   _reach_slice)
 from .errors import ValidationError, _check_band, _check_setting
 # moved to metrics; perfbench resolves phantom.save_ground_truth
 from .metrics import GroundTruth, save_ground_truth
@@ -409,5 +409,5 @@ def synth_sequence(spec: PhantomSpec):
         active = moved | ridged
         frames[t].reshape(-1)[idx[active]] = _to_uint8(frame[active]
                                                        + art[active])
-    seq = make_sequence(frames, spec.fps, spec.pixel_spacing)
+    seq = UsSequence(frames, spec.fps, spec.pixel_spacing)
     return seq, gt

@@ -14,10 +14,10 @@ import sys
 import numpy as np
 import pytest
 
-from vibeline import (DetectConfig, HoughGrid, ValidationError,
+from vibeline import (DetectConfig, HoughGrid, UsSequence, ValidationError,
                       band_energy_from_frames, hough_transform,
-                      load_ground_truth, load_sequence, make_sequence,
-                      read_vibmap, render_tip_gt, save_sequence)
+                      load_ground_truth, load_sequence, read_vibmap,
+                      render_tip_gt, save_sequence)
 
 VIBELINE = shutil.which("vibeline")
 BASE = [VIBELINE] if VIBELINE else [sys.executable, "-m", "vibeline.cli"]
@@ -198,8 +198,8 @@ def test_detect_emit_hough_without_a_tip_exits_3(tmp_path, capsys):
     from vibeline import cli
 
     seq_path = tmp_path / "flat.vibseq"
-    save_sequence(make_sequence(np.zeros((30, 128, 128), dtype=np.uint8),
-                                fps=30.0, pixel_spacing=0.1), seq_path)
+    save_sequence(UsSequence(np.zeros((30, 128, 128), dtype=np.uint8),
+                             fps=30.0, pixel_spacing=0.1), seq_path)
     out, hough = tmp_path / "flat.json", tmp_path / "h.vibmap"
     args = DETECT_3HZ + [str(seq_path), "--out", str(out),
                          "--emit-hough", str(hough)]
@@ -295,7 +295,7 @@ def test_stream_warmup_zero_exits_1(tmp_path, capsys):
 def test_detect_on_a_non_finite_header_exits_1(tmp_path, capsys, field):
     from vibeline import cli
 
-    seq = make_sequence(np.zeros((12, 16, 16), np.uint8), 30.0, 0.1)
+    seq = UsSequence(np.zeros((12, 16, 16), np.uint8), 30.0, 0.1)
     path = tmp_path / "inf.vibseq"
     save_sequence(seq, path)
     blob = bytearray(path.read_bytes())
@@ -520,7 +520,7 @@ def test_spectro_rejects_out_of_bounds_pixel(tmp_path):
 def _noise_sequence(path):
     frames = np.random.default_rng(7).integers(0, 256, (30, 32, 32),
                                                dtype=np.uint8)
-    save_sequence(make_sequence(frames, fps=30.0, pixel_spacing=0.1), path)
+    save_sequence(UsSequence(frames, fps=30.0, pixel_spacing=0.1), path)
     return path
 
 
@@ -914,7 +914,7 @@ def test_a_grid_the_image_rejects_exits_1_before_any_frame_work(
     frames = np.random.default_rng(9).integers(0, 256, (40, 64, 64),
                                                dtype=np.uint8)
     seq_path = tmp_path / "n.vibseq"
-    save_sequence(make_sequence(frames, fps=30.0, pixel_spacing=0.1), seq_path)
+    save_sequence(UsSequence(frames, fps=30.0, pixel_spacing=0.1), seq_path)
     owner = pipeline if owner == "pipeline" else pipeline.StreamState
     work, calls = getattr(owner, stage), []
 

@@ -1,6 +1,7 @@
 """Sequence container, the shared VIBSEQ01/VIBMAP01 framing, the
 intensity rule."""
 
+import dataclasses
 import math
 import re
 import struct
@@ -18,7 +19,6 @@ from vibeline import (
     UsSequence,
     ValidationError,
     load_sequence,
-    make_sequence,
     pixel_signal,
     read_vibmap,
     save_sequence,
@@ -30,7 +30,7 @@ from vibeline.core import _bilinear_clamped, _unit_float
 def random_sequence(seed=0, t=7, h=20, w=24, fps=30.0, spacing=0.15):
     rng = np.random.default_rng(seed)
     frames = rng.integers(0, 256, size=(t, h, w), dtype=np.uint8)
-    return make_sequence(frames, fps=fps, pixel_spacing=spacing)
+    return UsSequence(frames, fps=fps, pixel_spacing=spacing)
 
 
 # --------------------------------------------------------------------------
@@ -56,8 +56,8 @@ def test_save_is_byte_stable(tmp_path):
 def test_header_floats_are_coerced_to_f32_at_construction(tmp_path):
     # fps and spacing travel as 32-bit floats on disk; the constructor
     # coerces up front so the round-trip compares equal field for field.
-    seq = make_sequence(np.zeros((2, 16, 16), np.uint8),
-                        fps=30.0000001, pixel_spacing=0.1)
+    seq = UsSequence(np.zeros((2, 16, 16), np.uint8),
+                     fps=30.0000001, pixel_spacing=0.1)
     assert seq.fps == float(np.float32(30.0000001))
     assert seq.pixel_spacing == float(np.float32(0.1))
     path = tmp_path / "c.vibseq"
@@ -175,15 +175,15 @@ def test_missing_file_raises_oserror(tmp_path):
 
 def test_too_small_image_rejected():
     with pytest.raises(ValidationError):
-        make_sequence(np.zeros((2, 8, 8), np.uint8), 30.0, 0.1)
+        UsSequence(np.zeros((2, 8, 8), np.uint8), 30.0, 0.1)
 
 
 def test_nonpositive_fps_and_spacing_rejected():
     frames = np.zeros((2, 16, 16), np.uint8)
     with pytest.raises(ValidationError):
-        make_sequence(frames, 0.0, 0.1)
+        UsSequence(frames, 0.0, 0.1)
     with pytest.raises(ValidationError):
-        make_sequence(frames, 30.0, -1.0)
+        UsSequence(frames, 30.0, -1.0)
 
 
 @pytest.mark.parametrize("fps, spacing", [
@@ -192,7 +192,7 @@ def test_nonpositive_fps_and_spacing_rejected():
 ])
 def test_non_finite_fps_and_spacing_rejected(fps, spacing):
     with pytest.raises(ValidationError):
-        make_sequence(np.zeros((2, 16, 16), np.uint8), fps, spacing)
+        UsSequence(np.zeros((2, 16, 16), np.uint8), fps, spacing)
 
 
 @pytest.mark.parametrize("field", [3, 4])  # fps, pixel spacing
@@ -213,14 +213,55 @@ def test_a_stack_that_is_not_three_dimensional_is_rejected(shape):
     # numpy's tuple unpacking raised a bare ValueError here
     with pytest.raises(ValidationError, match=re.escape(
             f"frames must be a (T, H, W) stack, got shape {shape}")):
-        make_sequence(np.zeros(shape, np.uint8), 30.0, 0.1)
+        UsSequence(np.zeros(shape, np.uint8), 30.0, 0.1)
 
 
 def test_wrong_dtype_rejected():
     with pytest.raises(ValidationError):
-        UsSequence(height=16, width=16, frame_count=2, fps=30.0,
-                   pixel_spacing=0.1,
-                   frames=np.zeros((2, 16, 16), np.float32))
+        UsSequence(np.zeros((2, 16, 16), np.float32), 30.0, 0.1)
+
+
+@pytest.mark.parametrize("name", ["fps", "pixel_spacing"])
+@pytest.mark.parametrize("value", ["30", True, None, 1e39, 1e-50])
+def test_a_setting_that_is_not_a_positive_float32_is_rejected(name, value):
+    # a str, a bool or None is not a number; 1e39 overflows float32 to
+    # inf and 1e-50 underflows it to 0
+    settings = {"fps": 30.0, "pixel_spacing": 0.1, name: value}
+    with pytest.raises(ValidationError, match=name):
+        UsSequence(np.zeros((2, 16, 16), np.uint8), **settings)
+
+
+# --------------------------------------------------------------------------
+# A sequence is its frames
+# --------------------------------------------------------------------------
+
+def test_the_fields_are_the_frames_and_two_settings():
+    assert [f.name for f in dataclasses.fields(UsSequence)] == [
+        "frames", "fps", "pixel_spacing"]
+
+
+def test_the_shape_is_read_from_the_frames():
+    seq = random_sequence(t=3, h=17, w=19)
+    assert (seq.frame_count, seq.height, seq.width) == seq.frames.shape
+    assert seq.frames.shape == (3, 17, 19)
+
+
+def test_a_c_ordered_stack_is_shared_and_frozen():
+    frames = np.zeros((2, 16, 16), np.uint8)
+    seq = UsSequence(frames, 30.0, 0.1)
+    assert np.shares_memory(seq.frames, frames)
+    assert not frames.flags.writeable
+
+
+def test_a_strided_view_is_stored_c_ordered_and_equals_its_copy():
+    frames = np.random.default_rng(9).integers(0, 256, (2, 16, 18), np.uint8)
+    view = frames[:, :, ::-1]
+    seq = UsSequence(view, 30.0, 0.1)
+    assert seq.frames.flags.c_contiguous
+    assert not np.shares_memory(seq.frames, frames)
+    assert frames.flags.writeable
+    assert seq == UsSequence(view.copy(), 30.0, 0.1)
+    assert (seq.height, seq.width) == (16, 18)
 
 
 def test_frames_buffer_is_read_only():
@@ -234,7 +275,7 @@ def test_frames_buffer_is_read_only():
 # --------------------------------------------------------------------------
 
 def test_all_zero_frames_give_zero_signal():
-    seq = make_sequence(np.zeros((6, 16, 16), np.uint8), 30.0, 0.1)
+    seq = UsSequence(np.zeros((6, 16, 16), np.uint8), 30.0, 0.1)
     sig = pixel_signal(seq, 5, 5)
     assert sig.shape == (6,)
     assert np.all(sig == 0.0)
@@ -243,7 +284,7 @@ def test_all_zero_frames_give_zero_signal():
 def test_single_bright_frame_gives_unit_spike():
     frames = np.zeros((6, 16, 16), np.uint8)
     frames[3] = 255
-    seq = make_sequence(frames, 30.0, 0.1)
+    seq = UsSequence(frames, 30.0, 0.1)
     sig = pixel_signal(seq, 2, 9)
     assert np.array_equal(sig, [0, 0, 0, 1, 0, 0])
 
@@ -321,7 +362,7 @@ positive_f32 = st.floats(min_value=2.0**-100, max_value=2.0**100, width=32)
                             lambda shape: arrays(np.uint8, shape)),
        fps=positive_f32, spacing=positive_f32)
 def test_vibseq_round_trip_is_bit_exact(tmp_path_factory, frames, fps, spacing):
-    seq = make_sequence(frames, fps, spacing)
+    seq = UsSequence(frames, fps, spacing)
     path = tmp_path_factory.mktemp("seq") / "r.vibseq"
     save_sequence(seq, path)
     back = load_sequence(path)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vibeline import cli, make_sequence, preset, save_sequence, synth_sequence
+from vibeline import UsSequence, cli, preset, save_sequence, synth_sequence
 
 REFERENCE = Path(__file__).with_name("detect_reference.json")
 CASES = [(1000, 0.0), (1127, 0.0), (1255, 0.0), (1000, 1.0)]  # seed, sigma
@@ -37,8 +37,8 @@ def _phantom(seed: int, sigma: float):
     if sigma:
         rng = np.random.default_rng(seed)
         noisy = np.rint(seq.frames + sigma * rng.standard_normal(seq.frames.shape))
-        seq = make_sequence(np.clip(noisy, 0, 255).astype(np.uint8),
-                            seq.fps, seq.pixel_spacing)
+        seq = UsSequence(np.clip(noisy, 0, 255).astype(np.uint8),
+                         seq.fps, seq.pixel_spacing)
     return seq
 
 

@@ -24,12 +24,12 @@ def test_importing_the_cli_loads_no_numeric_library():
 def test_detection_loads_neither_the_generator_nor_scipy(tmp_path):
     # the tip walk's sampler and entry-border table live in core, so
     # batch and stream detection never import the phantom generator
-    from vibeline import make_sequence, save_sequence
+    from vibeline import UsSequence, save_sequence
 
     frames = np.random.default_rng(0).integers(0, 256, (30, 32, 32),
                                                dtype=np.uint8)
     seq_path = tmp_path / "a.vibseq"
-    save_sequence(make_sequence(frames, fps=30.0, pixel_spacing=0.1),
+    save_sequence(UsSequence(frames, fps=30.0, pixel_spacing=0.1),
                   seq_path)
     code = (
         "import sys, vibeline.pipeline\n"
@@ -173,9 +173,11 @@ def test_the_phantoms_uncalled_wrappers_are_gone(name):
 
 
 @pytest.mark.parametrize("name, module", [("validate_spec", "phantom"),
-                                          ("validate_sequence", "core")])
+                                          ("validate_sequence", "core"),
+                                          ("make_sequence", "core")])
 def test_the_validators_are_gone(name, module):
-    # PhantomSpec and UsSequence check themselves when built
+    # PhantomSpec and UsSequence check themselves when built, and
+    # UsSequence(frames, fps, pixel_spacing) wraps a stack itself
     with pytest.raises(AttributeError, match=name):
         getattr(vibeline, name)
     assert not hasattr(getattr(vibeline, module), name)
