@@ -38,7 +38,7 @@ _EXPORTS = {
     "metrics": ("Detection", "GroundTruth", "save_ground_truth",
                 "load_ground_truth", "ErrorRecord", "angle_error", "tip_error",
                 "ter", "aggregate", "record_from_jsons", "evaluate_batch",
-                "write_report_csv", "write_aggregate_json"),
+                "write_report_csv"),
 }
 _SUBMODULES = (*_EXPORTS, "cli")
 _ORIGIN = {name: mod for mod, names in _EXPORTS.items() for name in names}

@@ -181,7 +181,7 @@ def cmd_stream(args, config: dict) -> int:
 
 
 def cmd_eval(args, config: dict) -> int:
-    from .metrics import evaluate_batch, write_aggregate_json, write_report_csv
+    from .metrics import evaluate_batch, write_report_csv
 
     records, agg, unmatched = evaluate_batch(
         args.pred, args.gt,
@@ -190,7 +190,7 @@ def cmd_eval(args, config: dict) -> int:
     write_report_csv(records, _prepared(args.out_csv),
                      angle_thresh=args.angle_thresh,
                      tip_thresh=args.tip_thresh)
-    write_aggregate_json(agg, _prepared(args.out_json))
+    _write_json(_prepared(args.out_json), agg)
     print(f"n={agg['n']} missing={agg['n_missing']} "
           f"ter={agg['ter_percent']:.1f}%")
     return EXIT_OK

@@ -13,6 +13,7 @@ metrics can use the rules without one.
 
 import math
 import numbers
+import sys
 
 
 class VibelineError(Exception):
@@ -29,12 +30,14 @@ def _check_setting(name, value, lo=-math.inf, hi=math.inf, *, lo_closed=False,
 
     Each end of the range is open unless *_closed, so an infinite end
     makes the value finite.  With integer=True the value must be an
-    integer.  A bool or a str always fails, and NaN fails every
-    comparison.  The error names the setting, its range and the value,
-    unless a message is given.
+    integer; otherwise an int must fit a float.  A bool or a str always
+    fails, and NaN fails every comparison.  The error names the setting,
+    its range and the value, unless a message is given.
     """
     if (isinstance(value, numbers.Integral if integer else numbers.Real)
             and not isinstance(value, bool)
+            and (integer or not isinstance(value, numbers.Integral)
+                 or abs(value) <= sys.float_info.max)
             and (lo <= value if lo_closed else lo < value)
             and (value <= hi if hi_closed else value < hi)):
         return

@@ -252,7 +252,3 @@ def write_report_csv(records: list, path,
                 "" if r.missing else f"{r.tip_error:.6f}",
                 "true" if r.exceeds(angle_thresh, tip_thresh) else "false",
             ])
-
-
-def write_aggregate_json(agg: dict, path) -> None:
-    _write_json(path, agg)

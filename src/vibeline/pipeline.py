@@ -24,7 +24,8 @@ from .hough import (HoughGrid, HoughMap, _check_steps, hough_transform,
 # moved to metrics; perfbench resolves pipeline.Detection
 from .metrics import Detection
 from .spectral import (_band_power_sums, _energy_ratio,
-                       band_energy_from_frames, dft_basis, nearest_band)
+                       band_energy_from_frames, dft_basis, nearest_band,
+                       window_count)
 
 CONFIDENCE_EPS = 1e-12
 
@@ -256,13 +257,9 @@ class StreamState:
                  cfg: DetectConfig | None = None, warmup: int = DEFAULT_WARMUP):
         if cfg is None:
             cfg = DetectConfig()
-        size = f"stream frames must be at least 1x1, got {height}x{width}"
-        for value in (height, width):
-            _check_setting("frame size", value, 1, lo_closed=True,
-                           integer=True, message=size)
-        _check_setting("warmup", warmup, integer=True)
-        if warmup < cfg.window_len:
-            raise ValidationError("warmup must be >= window_len")
+        self._grid = HoughGrid(height, width, cfg.theta_step, cfg.rho_step)
+        _check_setting("warmup", warmup, cfg.window_len, lo_closed=True,
+                       integer=True)
         if cfg.hop != 1:
             raise ValidationError(f"stream hop must be 1, got {cfg.hop}")
         self.cfg = cfg
@@ -273,10 +270,9 @@ class StreamState:
         n = cfg.window_len
         npix = height * width
         self.k_star = nearest_band(n, fps, cfg.vib_freq)
-        self._grid = HoughGrid(height, width, cfg.theta_step, cfg.rho_step)
         self._rows = dft_basis(n).rows
         self._frame_ring = np.zeros((n, npix), dtype=np.float64)
-        self._stat_len = self.warmup - n + 1
+        self._stat_len = window_count(self.warmup, n, 1)
         self._power_ring = np.zeros((self._stat_len, 2, npix), dtype=np.float64)
         self._sums = np.zeros((2, npix), dtype=np.float64)  # num, den
 

@@ -138,12 +138,12 @@ class SlidingDft:
     def __init__(self, window_len: int):
         _check_setting("window_len", window_len, 2, lo_closed=True, integer=True)
         self.window_len = window_len
-        self.n_bins = window_len // 2
-        c, s = _snapped_cos_sin(2.0 * np.pi * np.arange(self.n_bins) / window_len)
+        n_bins = window_len // 2
+        c, s = _snapped_cos_sin(2.0 * np.pi * np.arange(n_bins) / window_len)
         self._rot = c + 1j * s
         self._ring = np.zeros(window_len, dtype=np.float64)
         self._pos = 0
-        self.bins = np.zeros(self.n_bins, dtype=np.complex128)
+        self.bins = np.zeros(n_bins, dtype=np.complex128)
 
     def push(self, sample: float) -> np.ndarray:
         """Absorb one sample; returns the current complex bin vector."""
@@ -152,13 +152,6 @@ class SlidingDft:
         self._pos = (self._pos + 1) % self.window_len
         self.bins = (self.bins + (sample - oldest)) * self._rot
         return self.bins
-
-    def as_rows(self) -> np.ndarray:
-        """Interleaved (real, imag) vector matching the stft row layout."""
-        out = np.empty(2 * self.n_bins, dtype=np.float64)
-        out[0::2] = self.bins.real
-        out[1::2] = self.bins.imag
-        return out
 
 
 def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float,

@@ -846,6 +846,8 @@ BAD_SETTINGS = {
     "config_frame_count_fraction": ([], [], '{"frame_count": 2.5}',
                                     "frame_count"),
     "config_seed_fraction": ([], [], '{"seed": 1.5}', "seed"),
+    # an int past the float range overflowed in the Nyquist check
+    "config_fps_huge_int": ([], [], '{"fps": 1%s}' % ("0" * 400), "fps"),
     # a uint8 stack past 1 GiB: built its amplitude list, then the stack
     "frame_count_huge": ([], ["--frames", "10000000000000"], None,
                          "frame_count"),

@@ -24,9 +24,9 @@ from vibeline import (
     save_ground_truth,
     ter,
     tip_error,
-    write_aggregate_json,
     write_report_csv,
 )
+from vibeline.metrics import _write_json
 
 
 def random_records(n, seed, missing_rate=0.1):
@@ -316,7 +316,7 @@ def test_report_csv_layout(tmp_path):
 def test_aggregate_json_round_trip(tmp_path):
     agg = aggregate(random_records(40, seed=17))
     path = tmp_path / "agg.json"
-    write_aggregate_json(agg, path)
+    _write_json(path, agg)
     back = json.loads(path.read_text())
     assert back == json.loads(json.dumps(agg))
     assert set(back) == {"angle_mean", "angle_std", "tip_mean", "tip_std",

@@ -174,13 +174,23 @@ def test_the_phantoms_uncalled_wrappers_are_gone(name):
 
 @pytest.mark.parametrize("name, module", [("validate_spec", "phantom"),
                                           ("validate_sequence", "core"),
-                                          ("make_sequence", "core")])
+                                          ("make_sequence", "core"),
+                                          ("write_aggregate_json", "metrics")])
 def test_the_validators_are_gone(name, module):
-    # PhantomSpec and UsSequence check themselves when built, and
-    # UsSequence(frames, fps, pixel_spacing) wraps a stack itself
+    # PhantomSpec and UsSequence check themselves when built,
+    # UsSequence(frames, fps, pixel_spacing) wraps a stack itself, and
+    # eval writes aggregate(...) with the one JSON writer
     with pytest.raises(AttributeError, match=name):
         getattr(vibeline, name)
+    assert name not in vibeline.__all__
     assert not hasattr(getattr(vibeline, module), name)
+
+
+def test_the_sliding_dft_row_view_is_gone():
+    # bins.real and bins.imag are the stft column's even and odd rows
+    sd = vibeline.SlidingDft(10)
+    assert not hasattr(sd, "as_rows") and not hasattr(sd, "n_bins")
+    assert sd.bins.shape == (5,)
 
 
 def test_an_unknown_name_is_an_attribute_error():

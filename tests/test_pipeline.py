@@ -476,9 +476,23 @@ def test_stream_rejects_wrong_frame_shape():
 
 @pytest.mark.parametrize("height,width", [(-3, 5), (0, 8), (8, 0)])
 def test_stream_rejects_an_empty_frame_size(height, width):
-    # (0, 8) used to be accepted and fail only at the first emission
-    with pytest.raises(ValidationError, match="at least 1x1"):
+    # (0, 8) used to be accepted and fail only at the first emission;
+    # the stream's Hough grid owns the frame-size rule
+    with pytest.raises(ValidationError,
+                       match=r"^image_[hw] must be >= 1 and an integer"):
         StreamState(height, width, 30.0)
+
+
+@pytest.mark.parametrize("warmup", [CFG3.window_len - 1, 2.5, True])
+def test_stream_rejects_a_warmup_that_is_not_an_integer_from_window_len(warmup):
+    with pytest.raises(ValidationError, match=r"^warmup must be >= 10 and an "
+                                              r"integer"):
+        StreamState(16, 16, 30.0, CFG3, warmup=warmup)
+
+
+def test_stream_accepts_a_warmup_of_one_window():
+    state = StreamState(16, 16, 30.0, CFG3, warmup=CFG3.window_len)
+    assert state.warmup == CFG3.window_len
 
 
 def test_detect_frames_rejects_frames_that_are_not_3d():

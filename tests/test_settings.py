@@ -46,6 +46,8 @@ def test_rule_accepts_a_real_number_in_range(value, kwargs):
     (True, {}), (False, dict(lo=0, lo_closed=True)),
     (np.True_, {}), ("2.5", {}), ("3", dict(integer=True)),
     (None, {}), ([1.0], {}), (1 + 0j, {}),
+    # an int past the float range compares below inf, then overflows
+    (10 ** 400, {}), (-10 ** 400, dict(lo=0)),
 ])
 def test_rule_rejects_a_wrong_type_a_non_finite_or_out_of_range_value(
         value, kwargs):
