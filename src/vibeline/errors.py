@@ -44,7 +44,10 @@ def _check_setting(name, value, lo=-math.inf, hi=math.inf, *, lo_closed=False,
     ends = ([f"{'>=' if lo_closed else '>'} {lo:g}"] * (lo > -math.inf)
             + [f"{'<=' if hi_closed else '<'} {hi:g}"] * (hi < math.inf))
     kind = ["an integer"] if integer else ["finite"] * (len(ends) < 2)
-    got = value if isinstance(value, numbers.Number) else repr(value)
+    try:
+        got = f"{value}" if isinstance(value, numbers.Number) else repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits() digits
+        got = f"a value too long to print ({type(value).__name__})"
     raise ValidationError(
         message or f"{name} must be {' and '.join(ends + kind)}, got {got}")
 

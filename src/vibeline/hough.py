@@ -129,8 +129,7 @@ def hough_transform(feature: np.ndarray, grid: HoughGrid) -> np.ndarray:
     so each theta column sums to the total feature mass (vote
     conservation).  Returns a (theta_bins, rho_bins) float64 image.
     A NaN or inf pixel would spread NaN over the whole image, so it is
-    rejected with ValidationError (batch and stream detection vote the
-    energy map, whose non-finite values come from non-finite frames).
+    rejected with ValidationError.
 
     When at most a quarter of the pixels are non-zero (a clean batch
     map), only those vote: each theta row computes their bins with
@@ -149,12 +148,10 @@ def hough_transform(feature: np.ndarray, grid: HoughGrid) -> np.ndarray:
             f"feature shape {feat.shape} does not match grid "
             f"{(grid.image_h, grid.image_w)}"
         )
-    finite = np.isfinite(feat)
-    if not finite.all():
-        raise ValidationError(
-            f"energy map has {finite.size - np.count_nonzero(finite)} "
-            f"non-finite value(s); frames must be finite"
-        )
+    bad = feat.size - np.count_nonzero(np.isfinite(feat))
+    if bad:
+        raise ValidationError(f"energy map has {bad} non-finite value(s); "
+                              "frames must be finite")
     weights = feat.ravel()
     if np.count_nonzero(weights) > weights.size // 4:  # dense: the table
         rows = _rho_index_table(grid)

@@ -141,10 +141,7 @@ def ter(records: list, angle_thresh: float = ANGLE_THRESH_DEG,
     """Threshold exceedance rate in percent; missing records exceed."""
     if not records:
         raise ValidationError("ter of an empty record list")
-    count = 0
-    for r in records:
-        if r.exceeds(angle_thresh, tip_thresh):
-            count += 1
+    count = sum(r.exceeds(angle_thresh, tip_thresh) for r in records)
     return 100.0 * count / len(records)
 
 

@@ -171,11 +171,11 @@ def detect_with_timing(frames01: np.ndarray, fps: float,
     """One timed batch run: (Detection, timing, energy, grid, Hough image).
 
     frames01 is a (T, H, W) stack of uint8 samples or of values in
-    [0, 1] of any real dtype, passed on as it is; float32, int16 or bool
-    frames give the result of their float64 copy.  Callers that export
-    the maps reuse the ones the detection came from;
-    perfbench/tracing.py wraps this name.  Timing is reported per stage
-    in milliseconds.
+    [0, 1] of any real dtype, passed on as it is: float32, int16 or bool
+    frames give the result of their float64 copy, and a NaN or inf
+    sample is rejected by band_energy_from_frames.  Callers that export
+    the maps reuse the ones the detection came from; perfbench/tracing.py
+    wraps this name.  Timing is reported per stage in milliseconds.
     """
     cfg = cfg or DetectConfig()
     frames = np.asarray(frames01)
@@ -183,13 +183,10 @@ def detect_with_timing(frames01: np.ndarray, fps: float,
     # stack that is not 3-D is named by band_energy_from_frames
     grid = HoughGrid(*frames.shape[1:], cfg.theta_step,
                      cfg.rho_step) if frames.ndim == 3 else None
-    # inf * 0 in the matmul makes an inf frame NaN; hough_transform
-    # raises the error
-    with np.errstate(invalid="ignore"):
-        t0 = time.perf_counter()
-        values, _ = band_energy_from_frames(frames, fps, cfg.vib_freq,
-                                            cfg.window_len, cfg.hop)
-        t1 = time.perf_counter()
+    t0 = time.perf_counter()
+    values, _ = band_energy_from_frames(frames, fps, cfg.vib_freq,
+                                        cfg.window_len, cfg.hop)
+    t1 = time.perf_counter()
     hough = hough_transform(values, grid)
     t2 = time.perf_counter()
     det = _decode(values, grid, hough, cfg)

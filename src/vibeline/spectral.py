@@ -8,8 +8,8 @@ correlates the raw frames with the non-DC pairs alone (detection reads
 only non-DC power); the STFT uses every row.  No temporal mean is
 removed: the non-DC rows cancel a constant up to rounding dust, which
 the energy ratio zeroes (see RATIO_EPS); batch maps zero a pixel whose
-samples are all equal outright, at any offset, and convert uint8 frames
-to floats only in the columns they correlate.
+samples are all equal outright, at any offset, convert uint8 frames to
+floats only in the columns they correlate, and reject non-finite samples.
 
 Trig values go through core's snap, so a phase that is an exact quarter
 turn gives exactly -1, 0 or 1; floating-point pi makes np.cos(pi/2) a
@@ -165,7 +165,8 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
     by mean-over-windows total non-DC power (+ eps), clipped to [0, 1].
     A pixel whose T samples are all equal and finite scores exactly 0 at
     any level; when at most a quarter of the pixels move, only those are
-    converted, correlated and scored.
+    converted, correlated and scored.  A NaN or inf sample in a window
+    raises ValidationError.
     """
     frames01 = np.asarray(frames01)
     k_star = nearest_band(window_len, fps, target_freq)
@@ -177,21 +178,24 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
         raise ValidationError(f"frames must be real numbers, got {frames01.dtype}")
     t, h, w = frames01.shape
     flat, rows = frames01.reshape(t, h * w), dft_basis(window_len).rows
-    if flat.dtype == np.uint8:  # bytes compare as their floats do; no inf
-        as_float, moving = _unit_float, np.zeros(h * w, dtype=bool)
-    else:  # an inf pixel moves: the kernel NaNs it
-        as_float, moving = np.asarray, ~np.isfinite(flat[0])
+    as_float = _unit_float if flat.dtype == np.uint8 else np.asarray
+    moving = ~np.isfinite(flat[0])  # so the kernel NaNs a constant inf
     for frame in flat[1:]:
         moving |= frame != flat[0]
     m = window_count(t, window_len, hop)
-    if np.count_nonzero(moving) > moving.size // 4:  # noisy: no column copy
-        sums = _band_power_sums(rows, as_float(flat), k_star, hop)
-        sums[:, ~moving] = 0.0
-        values = _energy_ratio(*sums, m)
-    else:  # a C-ordered copy of the few moving columns: flat[:, moving] is F
-        cols = as_float(np.compress(moving, flat, 1))
-        values = np.zeros(h * w)
-        values[moving] = _energy_ratio(*_band_power_sums(rows, cols, k_star, hop), m)
+    with np.errstate(invalid="ignore"):  # inf * 0 in the matmul is NaN
+        if np.count_nonzero(moving) > moving.size // 4:  # noisy: no column copy
+            sums = _band_power_sums(rows, as_float(flat), k_star, hop)
+            sums[:, ~moving] = 0.0
+            values = _energy_ratio(*sums, m)
+        else:  # a C-ordered copy of the few moving columns: flat[:, moving] is F
+            cols = as_float(np.compress(moving, flat, 1))
+            values = np.zeros(h * w)
+            values[moving] = _energy_ratio(*_band_power_sums(rows, cols, k_star, hop), m)
+    bad = np.count_nonzero(np.isnan(values))  # an inf or NaN in a window
+    if bad:
+        raise ValidationError(f"{bad} pixel(s) have a non-finite sample; "
+                              "frames must be finite")
     return values.reshape(h, w), k_star
 
 
@@ -224,7 +228,7 @@ def _energy_ratio(num: np.ndarray, den: np.ndarray, m: int) -> np.ndarray:
     """Mean target power over mean non-DC power of m windows, in [0, 1].
 
     A pixel whose mean non-DC power is <= RATIO_EPS scores exactly 0; a
-    NaN in num or den stays NaN, so the vote can reject the map.
+    NaN in num or den stays NaN, for the caller to reject.
     """
     values = (num / m) / (den / m + RATIO_EPS)
     values *= den / m > RATIO_EPS

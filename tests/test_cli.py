@@ -216,6 +216,28 @@ def test_detect_emit_hough_without_a_tip_exits_3(tmp_path, capsys):
     assert read_vibmap(hough).shape == (2, *grid.shape())
 
 
+@pytest.mark.parametrize("error", ["NoTipError", "GeometryError"])
+def test_detect_whose_tip_walk_fails_exits_3_with_the_shaft_written(
+        tmp_path, monkeypatch, error):
+    # the shaft decodes, then the walk along it raises: the record keeps
+    # the shaft and its confidence, with no tip, and is flagged
+    from vibeline import cli, errors
+
+    seq = gen_small(tmp_path / "a.vibseq")
+    out = tmp_path / "a.json"
+    assert cli.main(DETECT_3HZ + [str(seq), "--out", str(out)]) == 0
+    want = json.loads(out.read_text())
+
+    def fails(*args):
+        raise getattr(errors, error)("tip walk failed")
+
+    monkeypatch.setattr("vibeline.pipeline.tip_along_line", fails)
+    assert cli.main(DETECT_3HZ + [str(seq), "--out", str(out)]) == 3
+    got = json.loads(out.read_text())
+    assert got == {**want, "tip_x_px": None, "tip_y_px": None,
+                   "low_confidence": True}
+
+
 def test_detect_vibration_off_exits_3_but_writes_record(tmp_path):
     seq = tmp_path / "still.vibseq"
     proc = run(GEN_SMALL + ["--amplitude", "0", "--out", str(seq)])

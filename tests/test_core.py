@@ -222,10 +222,12 @@ def test_wrong_dtype_rejected():
 
 
 @pytest.mark.parametrize("name", ["fps", "pixel_spacing"])
-@pytest.mark.parametrize("value", ["30", True, None, 1e39, 1e-50, 10 ** 400])
+@pytest.mark.parametrize("value", ["30", True, None, 1e39, 1e-50, 10 ** 400,
+                                   pytest.param(10 ** 5000, id="10**5000")])
 def test_a_setting_that_is_not_a_positive_float32_is_rejected(name, value):
     # a str, a bool or None is not a number; 1e39 overflows float32 to
-    # inf, 1e-50 underflows it to 0, and 10**400 is past the float range
+    # inf, 1e-50 underflows it to 0, 10**400 is past the float range, and
+    # 10**5000 past the digits an int may print
     settings = {"fps": 30.0, "pixel_spacing": 0.1, name: value}
     with pytest.raises(ValidationError, match=name):
         UsSequence(np.zeros((2, 16, 16), np.uint8), **settings)

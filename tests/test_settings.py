@@ -48,6 +48,9 @@ def test_rule_accepts_a_real_number_in_range(value, kwargs):
     (None, {}), ([1.0], {}), (1 + 0j, {}),
     # an int past the float range compares below inf, then overflows
     (10 ** 400, {}), (-10 ** 400, dict(lo=0)),
+    # one past the int-to-str digit limit, which once broke the message
+    pytest.param(10 ** 5000, dict(hi=5, integer=True), id="10**5000-hi5"),
+    pytest.param(10 ** 5000, {}, id="10**5000"),
 ])
 def test_rule_rejects_a_wrong_type_a_non_finite_or_out_of_range_value(
         value, kwargs):
@@ -63,6 +66,9 @@ def test_rule_rejects_a_wrong_type_a_non_finite_or_out_of_range_value(
     (NAN, dict(lo=0, hi=180, hi_closed=True), "hop must be > 0 and <= 180, got nan"),
     (2.5, dict(integer=True), "hop must be an integer, got 2.5"),
     ("2.5", dict(lo=0, lo_closed=True), "hop must be >= 0 and finite, got '2.5'"),
+    pytest.param(10 ** 5000, dict(hi=5, integer=True),
+                 "hop must be < 5 and an integer, got a value too long to "
+                 "print (int)", id="10**5000"),
 ])
 def test_rule_message_names_the_setting_its_range_and_the_value(value, kwargs,
                                                                 text):

@@ -432,6 +432,31 @@ def test_a_pixel_inf_in_every_frame_is_rejected_without_a_warning(case, inf):
             detect_frames(frames, 30.0, cfg)
 
 
+# one NaN, inf or -inf sample at a drawn (t, y, x) of a stack with static
+# pixels on both sides of the quarter rule, at hop 1 and 3.  t is drawn
+# from the samples some window reads: one after the last window (or, at
+# hop > window_len, between two windows) is never read, so no map can
+# show it, and it lies outside the rule
+@settings(max_examples=60, deadline=None)
+@given(_frames_with_static_pixels(), st.sampled_from([np.nan, np.inf, -np.inf]),
+       st.data())
+def test_a_non_finite_sample_in_a_window_is_rejected_without_a_warning(
+        case, bad, data):
+    frames, window_len, hop = case
+    t, h, w = frames.shape
+    read = (window_count(t, window_len, hop) - 1) * hop + window_len
+    frames[data.draw(st.integers(0, read - 1)), data.draw(st.integers(0, h - 1)),
+           data.draw(st.integers(0, w - 1))] = bad
+    cfg = DetectConfig(window_len=window_len, hop=hop)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError,
+                           match=r"^1 pixel\(s\) have a non-finite sample;"):
+            band_energy_from_frames(frames, 30.0, 2.5, window_len, hop)
+        with pytest.raises(ValidationError, match="non-finite"):
+            detect_frames(frames, 30.0, cfg)
+
+
 @settings(max_examples=20, deadline=None)
 @given(_frames_with_static_pixels(), st.booleans())
 def test_mostly_moving_frames_reach_the_kernel_without_a_copy(case, clipped):
