@@ -15,12 +15,15 @@ rejected before any work starts.
 
 Exit codes: 0 success, 1 validation error, 2 I/O or file-format error,
 3 no detection (including a low-confidence result).
+
+Every main call in a process parses with the one parser build_parser caches.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -147,9 +150,12 @@ def cmd_detect(args, config: dict) -> int:
         gt = load_ground_truth(args.hough_gt) if args.hough_gt else None
         hmap = _hough_channels(det, grid, hough, cfg, gt)
         write_vibmap(_prepared(args.emit_hough), [hmap.shaft, hmap.tip])
-    if det.low_confidence_flag:
-        print(f"low confidence ({det.confidence:.3g} < {cfg.confidence_min:g})",
-              file=sys.stderr)
+    if det.low_confidence_flag:  # one line naming each cause that holds
+        reasons = ([f"low confidence ({det.confidence:.3g} < {cfg.confidence_min:g})"]
+                   if det.confidence < cfg.confidence_min else [])
+        if det.tip_x is None:
+            reasons.append("no tip along the detected line")
+        print("; ".join(reasons), file=sys.stderr)
         return EXIT_NO_DETECTION
     return EXIT_OK
 
@@ -242,7 +248,9 @@ def _add_detect_flags(p: argparse.ArgumentParser) -> None:
                    help="blur of the rendered tip channel (bins)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser every main call shares; callers must not mutate it."""
     ap = argparse.ArgumentParser(
         prog="vibeline",
         description="Detect a vibrating needle-like line and its tip in "

@@ -166,7 +166,7 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
     A pixel whose T samples are all equal and finite scores exactly 0 at
     any level; when at most a quarter of the pixels move, only those are
     converted, correlated and scored.  A NaN or inf sample in a window
-    raises ValidationError.
+    raises ValidationError, and so does a window power past float64.
     """
     frames01 = np.asarray(frames01)
     k_star = nearest_band(window_len, fps, target_freq)
@@ -182,20 +182,26 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
     moving = ~np.isfinite(flat[0])  # so the kernel NaNs a constant inf
     for frame in flat[1:]:
         moving |= frame != flat[0]
+    dense = np.count_nonzero(moving) > moving.size // 4  # noisy: no column copy
+    # else a C-ordered copy of the few moving columns: flat[:, moving] is F
+    cols = as_float(flat if dense else np.compress(moving, flat, 1))
+    # inf * 0 in the matmul is NaN; power past float64 is inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = _band_power_sums(rows, cols, k_star, hop)
+    if dense:
+        sums[:, ~moving] = 0.0
+    bad = np.count_nonzero(~np.isfinite(sums[1]))  # its bins include the target's
+    if bad:  # only now look for the inf or NaN sample a window read
+        raise ValidationError(
+            "the window power overflows float64; frames belong in [0, 1]"
+            if np.isfinite(flat).all() else
+            f"{bad} pixel(s) have a non-finite sample; frames must be finite")
     m = window_count(t, window_len, hop)
-    with np.errstate(invalid="ignore"):  # inf * 0 in the matmul is NaN
-        if np.count_nonzero(moving) > moving.size // 4:  # noisy: no column copy
-            sums = _band_power_sums(rows, as_float(flat), k_star, hop)
-            sums[:, ~moving] = 0.0
-            values = _energy_ratio(*sums, m)
-        else:  # a C-ordered copy of the few moving columns: flat[:, moving] is F
-            cols = as_float(np.compress(moving, flat, 1))
-            values = np.zeros(h * w)
-            values[moving] = _energy_ratio(*_band_power_sums(rows, cols, k_star, hop), m)
-    bad = np.count_nonzero(np.isnan(values))  # an inf or NaN in a window
-    if bad:
-        raise ValidationError(f"{bad} pixel(s) have a non-finite sample; "
-                              "frames must be finite")
+    if dense:
+        values = _energy_ratio(*sums, m)
+    else:
+        values = np.zeros(h * w)
+        values[moving] = _energy_ratio(*sums, m)
     return values.reshape(h, w), k_star
 
 

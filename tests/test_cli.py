@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -218,7 +219,7 @@ def test_detect_emit_hough_without_a_tip_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("error", ["NoTipError", "GeometryError"])
 def test_detect_whose_tip_walk_fails_exits_3_with_the_shaft_written(
-        tmp_path, monkeypatch, error):
+        tmp_path, monkeypatch, capsys, error):
     # the shaft decodes, then the walk along it raises: the record keeps
     # the shaft and its confidence, with no tip, and is flagged
     from vibeline import cli, errors
@@ -232,10 +233,13 @@ def test_detect_whose_tip_walk_fails_exits_3_with_the_shaft_written(
         raise getattr(errors, error)("tip walk failed")
 
     monkeypatch.setattr("vibeline.pipeline.tip_along_line", fails)
+    capsys.readouterr()
     assert cli.main(DETECT_3HZ + [str(seq), "--out", str(out)]) == 3
     got = json.loads(out.read_text())
     assert got == {**want, "tip_x_px": None, "tip_y_px": None,
                    "low_confidence": True}
+    # the confidence clears its threshold, so no comparison is printed
+    assert capsys.readouterr().err == "no tip along the detected line\n"
 
 
 def test_detect_vibration_off_exits_3_but_writes_record(tmp_path):
@@ -246,6 +250,80 @@ def test_detect_vibration_off_exits_3_but_writes_record(tmp_path):
     proc = run(DETECT_3HZ + [str(seq), "--out", str(out)])
     assert proc.returncode == 3
     assert json.loads(out.read_text())["low_confidence"] is True
+    # one line, led by a comparison that holds
+    (line,) = proc.stderr.splitlines()
+    confidence, threshold = re.match(
+        r"low confidence \((\S+) < (\S+)\)", line).groups()
+    assert float(confidence) < float(threshold) == 12.0
+
+
+# --------------------------------------------------------------------------
+# one parser per process: main reuses it, and no call leaves state in it
+# --------------------------------------------------------------------------
+
+def test_main_builds_its_parser_once_per_process(tmp_path):
+    from vibeline import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    seq = gen_small(tmp_path / "a.vibseq")
+    cli.build_parser.cache_clear()
+    for name in ("a.json", "b.json"):
+        assert cli.main(DETECT_3HZ + [str(seq), "--out", str(tmp_path / name)]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_a_flag_of_one_call_does_not_reach_the_next(tmp_path):
+    from vibeline import cli
+
+    seq = gen_small(tmp_path / "a.vibseq")
+    timing = tmp_path / "t.json"
+    assert cli.main(DETECT_3HZ + [str(seq), "--out", str(tmp_path / "a.json"),
+                                  "--timing", str(timing)]) == 0
+    timing.unlink()
+    plain = cli.build_parser().parse_args(["detect", str(seq)])
+    assert plain.vib_freq is None and plain.timing is None
+    second = tmp_path / "second.json"
+    code = cli.main(["detect", str(seq), "--out", str(second)])
+    assert not timing.exists()
+    fresh = tmp_path / "fresh.json"
+    proc = run(["detect", str(seq), "--out", str(fresh)])
+    assert code == proc.returncode
+    assert second.read_bytes() == fresh.read_bytes()
+
+
+def test_a_call_argparse_rejects_leaves_the_parser_usable(tmp_path, capsys):
+    from vibeline import cli
+
+    seq = gen_small(tmp_path / "a.vibseq")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(DETECT_3HZ + [str(seq), "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "--no-such-flag" in capsys.readouterr().err
+    out = tmp_path / "a.json"
+    assert cli.main(DETECT_3HZ + [str(seq), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["low_confidence"] is False
+
+
+@pytest.mark.parametrize("command", [None, "gen", "detect", "stream", "eval",
+                                     "spectro"])
+def test_help_of_the_shared_parser_is_that_of_a_fresh_one(command, capsys,
+                                                          monkeypatch):
+    from vibeline import cli
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal
+    cli.build_parser().parse_args(["--seed", "3", "gen", "--out", "x.vibseq"])
+    argv = [command] if command else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--help"])
+    assert exc.value.code == 0
+    fresh = cli.build_parser.__wrapped__()
+    if command:
+        (sub,) = [a for a in fresh._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        fresh = sub.choices[command]
+    assert capsys.readouterr().out == fresh.format_help()
+    proc = run(argv + ["--help"], env={**os.environ, "COLUMNS": "80"})
+    assert proc.returncode == 0 and proc.stdout == fresh.format_help()
 
 
 # --------------------------------------------------------------------------
@@ -960,7 +1038,6 @@ def test_a_grid_the_image_rejects_exits_1_before_any_frame_work(
 
 def test_readme_quick_start_reproduces_its_printed_record(tmp_path,
                                                           monkeypatch):
-    import re
     import shlex
     from pathlib import Path
 

@@ -457,6 +457,35 @@ def test_a_non_finite_sample_in_a_window_is_rejected_without_a_warning(
             detect_frames(frames, 30.0, cfg)
 
 
+# finite frames far outside [0, 1]: every pixel moving (no column copy),
+# or one of 64 (a copy of that column)
+@pytest.mark.parametrize("scale", [1e200, 1e155])
+@pytest.mark.parametrize("moving", [64, 1])
+def test_window_power_past_float64_is_rejected_without_a_warning(scale, moving):
+    frames = np.random.default_rng(5).uniform(size=(12, 64))
+    frames[:, moving:] = frames[0, moving:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError,
+                           match=r"^the window power overflows float64; "
+                                 r"frames belong in \[0, 1\]$"):
+            band_energy_from_frames(frames.reshape(12, 8, 8) * scale, 30.0, 3.0)
+
+
+def test_a_scale_whose_power_fits_float64_keeps_the_map():
+    frames = np.random.default_rng(5).uniform(size=(12, 8, 8))
+    base, _ = band_energy_from_frames(frames, 30.0, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled, _ = band_energy_from_frames(frames * 1e153, 30.0, 3.0)
+        # a static pixel scores 0 at any level, though its dust overflows
+        frames[:, 0, 0] = 1e200
+        static, _ = band_energy_from_frames(frames, 30.0, 3.0)
+    assert np.max(np.abs(scaled - base)) <= 1e-12
+    assert static[0, 0] == 0.0
+    assert np.array_equal(static.ravel()[1:], base.ravel()[1:])
+
+
 @settings(max_examples=20, deadline=None)
 @given(_frames_with_static_pixels(), st.booleans())
 def test_mostly_moving_frames_reach_the_kernel_without_a_copy(case, clipped):
