@@ -1,9 +1,9 @@
 """Command-line front end: gen, detect, stream, eval, spectro.
 
-Importing this module loads no numeric library (the package resolves
-its names lazily); numpy, the only one the package uses, loads after
---threads has been written to the BLAS environment variables, so the
-cap takes effect.
+Importing this module loads no numeric library (the package resolves its
+names lazily), so --threads reaches the BLAS environment variables before
+numpy, the only one the package uses, loads; in a process that has loaded
+numpy already, --threads exits 1 and writes no variable.
 
 Every settings flag stores into the PhantomSpec (gen) or DetectConfig
 (detect, stream, spectro) field it sets, which names its metavar:
@@ -60,6 +60,9 @@ def _apply_threads(n) -> None:
     if n is None:
         return
     _check_setting("--threads", n, 1, lo_closed=True, integer=True)
+    if "numpy" in sys.modules:
+        raise ValidationError("--threads needs a fresh process: numpy is "
+                              "already loaded, so the cap would not apply")
     for var in _THREAD_ENV_VARS:
         os.environ[var] = str(n)
 

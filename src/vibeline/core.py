@@ -233,7 +233,10 @@ def pixel_signal(seq: UsSequence, x: int, y: int) -> np.ndarray:
 
 
 def _bilinear_clamped(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Bilinear samples of a float64 image at (xs, ys), edge-clamped."""
+    """Bilinear samples of a float64 image at (xs, ys), edge-clamped.
+
+    At an integer (x, y), border rows and columns too, a finite texel v comes
+    back bit for bit (v * 1.0 + u * 0.0 == v), though -0.0 may become +0.0."""
     h, w = img.shape
     xs = np.clip(xs, 0.0, w - 1.0)
     ys = np.clip(ys, 0.0, h - 1.0)

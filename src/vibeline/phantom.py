@@ -11,12 +11,12 @@ speckle carries it, which is the regime the detector is built for.
 A PhantomSpec checks every field when built, so no function here checks it.
 
 Only the needle changes anything from frame to frame, so synthesis builds
-the static frame once and recomputes just each frame's active pixels,
-with the same bytes as a full-frame computation (see synth_sequence).
-The GroundTruth it returns, and its .gt.json file, are defined in metrics.
-Each frame's displacement is one expression, _displacement.  Synthesis
-never calls warp_bilinear, the same warp rule over a whole (H, W, 2)
-field; perfbench's tracer wraps it by name.
+the static frame once and recomputes two pixel sets, fixed for the
+sequence, in every frame, with the same bytes as a full-frame
+computation (see synth_sequence).  The GroundTruth it returns, and its
+.gt.json file, are defined in metrics.  Each frame's displacement is one
+expression, _displacement.  Synthesis never calls warp_bilinear, the same
+sampler over a whole (H, W, 2) field; perfbench's tracer wraps it by name.
 """
 
 from __future__ import annotations
@@ -264,38 +264,13 @@ def _displacement(amp: float, normal: np.ndarray, envelope: np.ndarray):
     return (amp * normal[0]) * envelope, (amp * normal[1]) * envelope
 
 
-def _moves(xs, ys, dx, dy):
-    """(sx, sy, moved): the warp's sample coordinates of the pixels
-    (xs, ys) and where they differ from the pixel's own."""
-    sx = xs - dx
-    sy = ys - dy
-    return sx, sy, (sx != xs) | (sy != ys)
-
-
-def _resample_moved(tex: np.ndarray, xs, ys, dx, dy, out: np.ndarray):
-    """Backward-warp the pixels (xs, ys) whose sample point moves.
-
-    out holds the texels of those pixels.  Where the sample coordinate
-    (xs - dx, ys - dy) differs from the pixel's own, out gets the
-    edge-clamped bilinear sample there; returns that mask.  Skipping the
-    other pixels is exact for a finite texture: at an integer coordinate
-    the sampler's weights are 1.0 and 0.0, and v * 1.0 + u * 0.0 is v.
-    A displacement of -0.0, or one too small to move the coordinate
-    (x - 1e-300 == x for x >= 1), resamples nothing.
-    """
-    sx, sy, moved = _moves(xs, ys, dx, dy)
-    out[moved] = _bilinear_clamped(tex, sx[moved], sy[moved])
-    return moved
-
-
 def warp_bilinear(texture: np.ndarray, field: np.ndarray) -> np.ndarray:
     """Backward warp: output(p) = texture sampled at p - field(p).
 
     Bilinear interpolation with sample coordinates clamped to the image,
-    so border pixels replicate edge values.  Only pixels whose sample
-    coordinate differs from their own go through the sampler; every
-    other pixel copies its texel, which is exact (`_resample_moved`, the
-    rule `synth_sequence` uses as well).
+    so border pixels replicate edge values.  A non-finite texture raises
+    ValidationError: a texel weighted 0.0 still turns its neighbours' samples
+    into NaN (inf * 0.0).
     """
     tex = np.asarray(texture, dtype=np.float64)
     h, w = tex.shape
@@ -303,10 +278,10 @@ def warp_bilinear(texture: np.ndarray, field: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"field shape {field.shape} does not match texture {(h, w)}"
         )
-    out = tex.copy()
-    _resample_moved(tex, *_pixel_grid(slice(0, h), slice(0, w)),
-                    field[:, :, 0], field[:, :, 1], out)
-    return out
+    if not np.isfinite(tex).all():
+        raise ValidationError("texture must be finite")
+    xs, ys = _pixel_grid(slice(0, h), slice(0, w))
+    return _bilinear_clamped(tex, xs - field[:, :, 0], ys - field[:, :, 1])
 
 
 def _ridge(xs: np.ndarray, ys: np.ndarray, p0: np.ndarray,
@@ -360,16 +335,17 @@ def synth_sequence(spec: PhantomSpec):
     is reproducible from the seed alone.
 
     Every frame starts as a copy of the static frame (speckle plus
-    artifacts), and only its active pixels are recomputed: those whose
-    warp sample coordinate moves in that frame, and, at visibility > 0,
-    those within _RIDGE_REACH + vib_amplitude of the rest-position
-    segment.  Everywhere else the warp returns the texel and the ridge
-    adds 0.0, so the bytes equal those of a full-frame computation with
-    the same expression order.  A pixel's displacement is a rounded
-    product of the frame amplitude and its envelope, monotone in the
-    amplitude, and so is its sample coordinate; a pixel that moves at
-    neither the smallest nor the largest amplitude moves in no frame and
-    is left out of every frame's set.
+    artifacts); two pixel sets, fixed for the sequence, are recomputed in
+    every frame.  The pixels whose warp sample coordinate moves in some
+    frame go through the sampler, which gives a pixel's texel back bit for
+    bit where its coordinate is its own (core._bilinear_clamped).  At
+    visibility > 0, those within _RIDGE_REACH + vib_amplitude of the
+    rest-position segment get the ridge, which adds 0.0 farther out.  So
+    the bytes equal those of a full-frame computation with the same
+    expression order.  A pixel's displacement is a rounded product of the
+    frame amplitude and its envelope, monotone in the amplitude, and so is
+    its sample coordinate; a pixel that moves at neither the smallest nor
+    the largest amplitude moves in no frame and is never sampled.
     """
     gt = ground_truth_of(spec)
     rng = np.random.default_rng(spec.seed)
@@ -388,26 +364,28 @@ def synth_sequence(spec: PhantomSpec):
     amps = [spec.vib_amplitude * math.sin(
         2.0 * math.pi * spec.vib_freq * t / spec.fps)
         for t in range(spec.frame_count)]
-    # every pixel that is active in some frame, gathered once
-    keep = ridged.copy()
+    moving = np.zeros_like(ridged)
     for amp in {min(amps), max(amps)}:
-        keep |= _moves(xs, ys, *_displacement(amp, normal, env))[2]
-    idx = r[keep] * spec.width + c[keep]
-    xs, ys, env, ridged = xs[keep], ys[keep], env[keep], ridged[keep]
-    texels, art = base.reshape(-1)[idx], artifacts.reshape(-1)[idx]
-    rx, ry = xs[ridged], ys[ridged]
+        dx, dy = _displacement(amp, normal, env)
+        moving |= (xs - dx != xs) | (ys - dy != ys)  # the sample point moves
+    # gathered once, in three runs: moving only, moving and ridged, ridged
+    # only; so the moving pixels are [:m] and the ridged ones [k:]
+    runs = (moving & ~ridged, moving & ridged, ridged & ~moving)
+    pick = np.concatenate([np.flatnonzero(run) for run in runs])
+    m, k = np.count_nonzero(moving), np.count_nonzero(runs[0])
+    idx = r[pick] * spec.width + c[pick]
+    xs, ys, env = xs[pick], ys[pick], env[pick]
+    texels, art = base.reshape(-1)[idx[m:]], artifacts.reshape(-1)[idx]
     frames = np.empty((spec.frame_count, spec.height, spec.width), dtype=np.uint8)
     frames[:] = _to_uint8(base + artifacts)
     for t, amp in enumerate(amps):
-        frame = texels.copy()
-        moved = _resample_moved(base, xs, ys,
-                                *_displacement(amp, normal, env), frame)
+        dx, dy = _displacement(amp, normal, env[:m])
+        frame = np.concatenate((_bilinear_clamped(base, xs[:m] - dx,
+                                                  ys[:m] - dy), texels))
         if spec.visibility > 0:
             shift = amp * normal
-            frame[ridged] = frame[ridged] + spec.visibility * _ridge(
-                rx, ry, entry + shift, tip + shift)
-        active = moved | ridged
-        frames[t].reshape(-1)[idx[active]] = _to_uint8(frame[active]
-                                                       + art[active])
+            frame[k:] += spec.visibility * _ridge(xs[k:], ys[k:],
+                                                  entry + shift, tip + shift)
+        frames[t].reshape(-1)[idx] = _to_uint8(frame + art)
     seq = UsSequence(frames, spec.fps, spec.pixel_spacing)
     return seq, gt

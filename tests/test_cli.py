@@ -636,17 +636,43 @@ def test_threads_below_one_exits_1_and_writes_nothing(tmp_path, capsys, value):
     assert "--threads" in capsys.readouterr().err
 
 
-def test_threads_sets_every_thread_variable(tmp_path, monkeypatch):
+def test_threads_sets_every_thread_variable(tmp_path):
+    # a fresh process: --threads must reach the variables before numpy loads
     from vibeline import cli
 
-    for var in cli._THREAD_ENV_VARS:
-        monkeypatch.setenv(var, "")  # so the test's exit restores it
-        monkeypatch.delenv(var)
     seq_path = _noise_sequence(tmp_path / "a.vibseq")
-    assert cli.main(["--threads", "2", "spectro", str(seq_path), "--x", "1",
-                     "--y", "1", "--out-csv", str(tmp_path / "s.csv")]) == 0
-    assert {var: os.environ.get(var) for var in cli._THREAD_ENV_VARS} \
-        == dict.fromkeys(cli._THREAD_ENV_VARS, "2")
+    code = (
+        "import json, os, sys\n"
+        "from vibeline import cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        f"code = cli.main(['--threads', '2', 'spectro', {str(seq_path)!r}, "
+        f"'--x', '1', '--y', '1', '--out-csv', {str(tmp_path / 's.csv')!r}])\n"
+        "print(json.dumps([code, {var: os.environ.get(var) "
+        "for var in cli._THREAD_ENV_VARS}]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in cli._THREAD_ENV_VARS}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, dict.fromkeys(cli._THREAD_ENV_VARS,
+                                                        "2")]
+
+
+def test_threads_after_numpy_loaded_exits_1_and_leaves_the_environment(
+        tmp_path, capsys):
+    from vibeline import cli
+
+    assert "numpy" in sys.modules  # this module imported it
+    seq_path = _noise_sequence(tmp_path / "a.vibseq")
+    out = tmp_path / "a.json"
+    before = dict(os.environ)
+    assert cli.main(["--threads", "3"] + DETECT_3HZ
+                    + [str(seq_path), "--out", str(out)]) == 1
+    assert dict(os.environ) == before
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --threads")
+    assert "fresh process" in err[0]
 
 
 def _command_args(command, tmp_path):

@@ -8,7 +8,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -388,6 +388,27 @@ def test_vibmap_round_trip_is_bit_exact(tmp_path_factory, arr):
         write_vibmap(path, arr[0])
         assert np.array_equal(read_vibmap(path).view(np.uint32),
                               arr.view(np.uint32))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+           lambda shape: arrays(np.float64, shape, elements=_FINITE)),
+       st.sampled_from([0.0, -0.0, 1e-300, 5e-324]))
+# neighbours whose difference overflows: a lerp v + (u - v) * 0.0 is NaN
+@example(np.array([[1e308, -1e308], [-1e308, 1e308]]), 0.0)
+def test_bilinear_sampler_returns_the_texel_at_an_integer_coordinate(img, d):
+    # synthesis samples its moving pixels in every frame, relying on this;
+    # x - d == x for the displacements d drawn here (clamped at x = 0)
+    h, w = img.shape
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    got = _bilinear_clamped(img, xs - d, ys - d)
+    assert np.array_equal(got, img)
+    # bit for bit, except that -0.0 may come back as +0.0
+    signed = ~((img == 0.0) & np.signbit(img))
+    assert got[signed].tobytes() == img[signed].tobytes()
 
 
 def test_bilinear_sampler_clamps_copies_of_its_coordinates():

@@ -302,8 +302,19 @@ def test_warp_rejects_mismatched_field():
         warp_bilinear(np.zeros((8, 8)), np.zeros((8, 9, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", [(0, 0), (3, 5), (7, 7)])
+def test_warp_rejects_a_non_finite_texture(bad, where):
+    # a texel weighted 0.0 would still turn its neighbours' samples into NaN
+    tex = np.zeros((8, 8))
+    tex[where] = bad
+    with pytest.raises(ValidationError, match="texture must be finite"):
+        warp_bilinear(tex, np.zeros((8, 8, 2)))
+
+
 def _dense_warp(texture, field):
-    """The sampler run on every pixel, as warp_bilinear once did."""
+    """The sampler run on every pixel, written out here as the oracle for
+    warp_bilinear and for synth_sequence's warp."""
     h, w = texture.shape
     xs = np.arange(w, dtype=np.float64)[None, :] - field[:, :, 0]
     ys = np.arange(h, dtype=np.float64)[:, None] - field[:, :, 1]
