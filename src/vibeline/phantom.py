@@ -268,9 +268,9 @@ def warp_bilinear(texture: np.ndarray, field: np.ndarray) -> np.ndarray:
     """Backward warp: output(p) = texture sampled at p - field(p).
 
     Bilinear interpolation with sample coordinates clamped to the image,
-    so border pixels replicate edge values.  A non-finite texture raises
-    ValidationError: a texel weighted 0.0 still turns its neighbours' samples
-    into NaN (inf * 0.0).
+    so border pixels replicate edge values.  A non-finite texture or field
+    raises ValidationError: a texel weighted 0.0 still turns its neighbours'
+    samples into NaN (inf * 0.0), and a NaN or inf shift has no texel.
     """
     tex = np.asarray(texture, dtype=np.float64)
     h, w = tex.shape
@@ -278,8 +278,9 @@ def warp_bilinear(texture: np.ndarray, field: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"field shape {field.shape} does not match texture {(h, w)}"
         )
-    if not np.isfinite(tex).all():
-        raise ValidationError("texture must be finite")
+    for name, a in (("texture", tex), ("field", field)):
+        if not np.isfinite(a).all():
+            raise ValidationError(f"{name} must be finite")
     xs, ys = _pixel_grid(slice(0, h), slice(0, w))
     return _bilinear_clamped(tex, xs - field[:, :, 0], ys - field[:, :, 1])
 

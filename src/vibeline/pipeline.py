@@ -2,10 +2,10 @@
 
 The detector is fully deterministic.  Its confidence is the ratio of the
 Hough peak to the mean Hough cell; the default threshold below sits
-under the weakest true-needle confidence and above that of a Hough map
-of uniform noise, so scenes with no coherent vibration raise the
-low-confidence flag rather than a hard error.  The Detection record and
-its JSON form are defined in metrics.
+under the weakest clean true-needle confidence and above that of a Hough
+map of uniform noise, so a scene with no coherent vibration, or a true
+shaft under sensor noise, raises the low-confidence flag rather than a
+hard error.  The Detection record and its JSON form are in metrics.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ CONFIDENCE_EPS = 1e-12
 # The no-needle phantom is noise-free: every pixel is static and scores
 # exactly 0, so its confidence is 0 and carries no usable margin.  The
 # frozen default instead sits an order of magnitude below the weakest
-# true-needle confidence measured across 300 default-preset seeds
-# (~150) and well above the confidence of a Hough map of uniform
-# random noise (~6), so it flags degenerate scenes without ever
-# rejecting a genuine detection.  All of this was measured at 328x335;
-# the peak/mean ratio shrinks with the image, so on a 16x16 noisy scene
-# with a clear 2.5 Hz line batch finds the shaft (118 deg) yet flags it
-# at confidence 8.742.
+# clean true-needle confidence measured across 300 default-preset seeds
+# (~150) and above that of a Hough map of uniform random noise (~6).
+# Sensor noise flags genuine detections too: at 328x335 with sigma = 1
+# grey level, seeds 1000-1002 decode the true shaft (30 deg, rho 140)
+# yet score 6.96-7.30.  The peak/mean ratio also shrinks with the image:
+# on a 16x16 noisy scene with a clear 2.5 Hz line batch finds the shaft
+# (118 deg) yet flags it at confidence 8.742.
 DEFAULT_CONFIDENCE_MIN = 12.0
 
 DEFAULT_WARMUP = 30  # frames before a stream emits detections

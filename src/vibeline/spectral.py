@@ -7,9 +7,9 @@ Batch and stream energy maps share one kernel, _band_power_sums, which
 correlates the raw frames with the non-DC pairs alone (detection reads
 only non-DC power); the STFT uses every row.  No temporal mean is
 removed: the non-DC rows cancel a constant up to rounding dust, which
-the energy ratio zeroes (see RATIO_EPS); batch maps zero a pixel whose
-samples are all equal outright, at any offset, convert uint8 frames to
-floats only in the columns they correlate, and reject non-finite samples.
+the energy ratio zeroes (see RATIO_EPS); batch maps convert, correlate
+and score exactly the pixels that move, copied out unless all move, so a
+static pixel is 0 at any offset, and reject non-finite samples.
 
 Trig values go through core's snap, so a phase that is an exact quarter
 turn gives exactly -1, 0 or 1; floating-point pi makes np.cos(pi/2) a
@@ -164,8 +164,8 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
     is the H x W map: mean-over-windows power in the target bin divided
     by mean-over-windows total non-DC power (+ eps), clipped to [0, 1].
     A pixel whose T samples are all equal and finite scores exactly 0 at
-    any level; when at most a quarter of the pixels move, only those are
-    converted, correlated and scored.  A NaN or inf sample in a window
+    any level; exactly the moving pixels are converted, correlated and
+    scored, copied out unless all move.  A NaN or inf sample in a window
     raises ValidationError, and so does a window power past float64.
     """
     frames01 = np.asarray(frames01)
@@ -182,26 +182,20 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
     moving = ~np.isfinite(flat[0])  # so the kernel NaNs a constant inf
     for frame in flat[1:]:
         moving |= frame != flat[0]
-    dense = np.count_nonzero(moving) > moving.size // 4  # noisy: no column copy
-    # else a C-ordered copy of the few moving columns: flat[:, moving] is F
-    cols = as_float(flat if dense else np.compress(moving, flat, 1))
+    # a C-ordered copy of the moving columns (flat[:, moving] is F), unless
+    # every pixel moves, as on a noisy stack: then no copy at all
+    cols = as_float(flat if moving.all() else np.compress(moving, flat, 1))
     # inf * 0 in the matmul is NaN; power past float64 is inf
     with np.errstate(invalid="ignore", over="ignore"):
         sums = _band_power_sums(rows, cols, k_star, hop)
-    if dense:
-        sums[:, ~moving] = 0.0
     bad = np.count_nonzero(~np.isfinite(sums[1]))  # its bins include the target's
     if bad:  # only now look for the inf or NaN sample a window read
         raise ValidationError(
             "the window power overflows float64; frames belong in [0, 1]"
             if np.isfinite(flat).all() else
             f"{bad} pixel(s) have a non-finite sample; frames must be finite")
-    m = window_count(t, window_len, hop)
-    if dense:
-        values = _energy_ratio(*sums, m)
-    else:
-        values = np.zeros(h * w)
-        values[moving] = _energy_ratio(*sums, m)
+    values = np.zeros(h * w)
+    values[moving] = _energy_ratio(*sums, window_count(t, window_len, hop))
     return values.reshape(h, w), k_star
 
 

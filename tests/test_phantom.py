@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,6 +46,9 @@ def test_named_presets():
 def test_spec_validation_rejects_bad_geometry():
     with pytest.raises(ValidationError):  # entry not on the left border
         synth_sequence(small_vibrating_spec(needle_entry=(5.0, 100.0)))
+    with pytest.raises(ValidationError,  # on the left border, below the image
+                       match=r"^needle_entry \(0\.0, 400\.0\) outside image$"):
+        PhantomSpec(needle_entry=(0.0, 400.0))
     with pytest.raises(ValidationError):  # tip would leave the image
         synth_sequence(small_vibrating_spec(needle_length=400.0))
     with pytest.raises(ValidationError):  # vibration above Nyquist
@@ -310,6 +314,20 @@ def test_warp_rejects_a_non_finite_texture(bad, where):
     tex[where] = bad
     with pytest.raises(ValidationError, match="texture must be finite"):
         warp_bilinear(tex, np.zeros((8, 8, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_warp_rejects_a_non_finite_field(bad, axis):
+    # NaN once raised a bare IndexError after a cast warning, and inf
+    # silently sampled the clamped border
+    tex = np.arange(16.0).reshape(4, 4)
+    field = np.zeros((4, 4, 2))
+    field[1, 2, axis] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^field must be finite$"):
+            warp_bilinear(tex, field)
 
 
 def _dense_warp(texture, field):

@@ -403,6 +403,9 @@ def test_tip_along_line_rejects_line_outside_image():
     cfg = DetectConfig()
     with pytest.raises(GeometryError):
         tip_along_line(np.ones((64, 64)), 90.0, 500.0, cfg)
+    # a 45 deg line is parallel to no border, so both axes clip it
+    with pytest.raises(GeometryError, match="misses the image"):
+        tip_along_line(np.ones((32, 32)), 45.0, -100.0, cfg)
 
 
 # --------------------------------------------------------------------------

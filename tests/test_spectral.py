@@ -391,9 +391,9 @@ def test_pixel_blocks_match_whole_image_formula_bit_for_bit(h, w, window_len, ho
 
 
 # frames in [0, 1] with a random set of exactly static pixels, including
-# none, all, and all but one; half or a tenth of the pixels moving takes
-# the in-place or the packed-copy branch.  At least two pixels, so the
-# whole-image oracle never multiplies a single column
+# none, all, and all but one; with none static the kernel reads the frames
+# in place, else a packed copy of the moving columns.  At least two
+# pixels, so the whole-image oracle never multiplies a single column
 @st.composite
 def _frames_with_static_pixels(draw):
     window_len, hop = draw(st.sampled_from([(10, 1), (10, 3), (12, 1)]))
@@ -432,8 +432,8 @@ def test_a_pixel_inf_in_every_frame_is_rejected_without_a_warning(case, inf):
             detect_frames(frames, 30.0, cfg)
 
 
-# one NaN, inf or -inf sample at a drawn (t, y, x) of a stack with static
-# pixels on both sides of the quarter rule, at hop 1 and 3.  t is drawn
+# one NaN, inf or -inf sample at a drawn (t, y, x) of a stack read in
+# place or as a packed copy, at hop 1 and 3.  t is drawn
 # from the samples some window reads: one after the last window (or, at
 # hop > window_len, between two windows) is never read, so no map can
 # show it, and it lies outside the rule
@@ -488,9 +488,10 @@ def test_a_scale_whose_power_fits_float64_keeps_the_map():
 
 @settings(max_examples=20, deadline=None)
 @given(_frames_with_static_pixels(), st.booleans())
-def test_mostly_moving_frames_reach_the_kernel_without_a_copy(case, clipped):
-    # past a quarter of the pixels moving, the static ones are zeroed after
-    # the kernel instead of leaving it a packed copy of the rest
+def test_the_kernel_gets_the_stack_itself_only_when_every_pixel_moves(
+        case, clipped):
+    # with no static pixel the kernel reads the frames in place; one static
+    # pixel sends it a packed, C-ordered copy of the other P - 1 columns
     frames, window_len, hop = case
     frames[-1] = (frames[0] + 0.5) % 1.0  # no pixel is static
     if clipped:  # but one, as a pixel clipped at 0 in every frame would be
@@ -506,21 +507,27 @@ def test_mostly_moving_frames_reach_the_kernel_without_a_copy(case, clipped):
         mp.setattr(spectral, "_band_power_sums", recorded)
         values, k_star = band_energy_from_frames(frames, 30.0, 2.5,
                                                  window_len, hop)
-    assert len(seen) == 1 and seen[0].base is frames
+    assert len(seen) == 1 + (seen[0].shape[1] == 1)  # a lone column re-enters
+    t, h, w = frames.shape
+    if clipped:
+        assert seen[0].shape == (t, h * w - 1) and seen[0].flags.c_contiguous
+        assert seen[0].flags.owndata and not np.shares_memory(seen[0], frames)
+    else:
+        assert seen[0].base is frames
     assert np.array_equal(values, _whole_image_band_energy(
         frames, k_star, window_len, hop))
 
 
-# uint8 stacks with every count of moving pixels, exactly a quarter and
-# one past it included, so both sides of the quarter rule are drawn; 1x1
-# and one-column images, T == window_len and hop > 1 among them
+# uint8 stacks with every count of moving pixels, all and all but one
+# included, so the kernel gets both the frames in place and a packed copy;
+# 1x1 and one-column images, T == window_len and hop > 1 among them
 @st.composite
 def _uint8_frames_with_static_pixels(draw):
     window_len, hop = draw(st.sampled_from([(10, 1), (10, 3), (12, 1), (12, 2)]))
     t = draw(st.sampled_from([window_len, window_len + 1, window_len + 7]))
     h, w = draw(st.sampled_from([(1, 1), (9, 1), (1, 9)])
                 | st.tuples(st.integers(1, 9), st.integers(1, 9)))
-    n_moving = draw(st.sampled_from([h * w // 4, h * w // 4 + 1])
+    n_moving = draw(st.sampled_from([h * w - 1, h * w])
                     | st.integers(0, h * w))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     frames = rng.integers(0, 256, size=(t, h * w), dtype=np.uint8)
