@@ -133,14 +133,17 @@ def hough_transform(feature: np.ndarray, grid: HoughGrid) -> np.ndarray:
 
     When at most a quarter of the pixels are non-zero (a clean batch
     map), only those vote: each theta row computes their bins with
-    _rho_bin and builds no table.  A denser map (stream, noisy input)
-    votes every pixel through the rho-index table, built on the first
-    such call for a grid and cached for the most recent grid only; it
-    holds theta_bins * H * W bin indices of 2 bytes each (1 byte when
-    rho_bins <= 256): ~40 MB at 328x335 with 1-degree steps.  The two
-    give the same bits: a table entry is the same _rho_bin expression
-    of the same float (x, y), both bincounts add in row-major pixel
-    order, and a skipped zero only ever adds 0.0 to a sum.
+    _rho_bin and builds no table.  One boolean mask, weights != 0, both
+    counts the non-zero pixels and finds them, so the float map is
+    scanned once; -0.0 is zero to it and a subnormal is not.  A denser
+    map (stream, noisy input) votes every pixel through the rho-index
+    table, built on the first such call for a grid and cached for the
+    most recent grid only; it holds theta_bins * H * W bin indices of 2
+    bytes each (1 byte when rho_bins <= 256): ~40 MB at 328x335 with
+    1-degree steps.  The two give the same bits: a table entry is the
+    same _rho_bin expression of the same float (x, y), both bincounts add
+    in row-major pixel order, and a skipped zero only ever adds 0.0 to a
+    sum.
     """
     feat = np.asarray(feature, dtype=np.float64)
     if feat.shape != (grid.image_h, grid.image_w):
@@ -153,10 +156,11 @@ def hough_transform(feature: np.ndarray, grid: HoughGrid) -> np.ndarray:
         raise ValidationError(f"energy map has {bad} non-finite value(s); "
                               "frames must be finite")
     weights = feat.ravel()
-    if np.count_nonzero(weights) > weights.size // 4:  # dense: the table
+    nz = weights != 0
+    if np.count_nonzero(nz) > weights.size // 4:  # dense: the table
         rows = _rho_index_table(grid)
     else:  # only the non-zero pixels vote, in the same order
-        voters = np.flatnonzero(weights)
+        voters = np.flatnonzero(nz)
         ys, xs = (v.astype(np.float64) for v in np.divmod(voters, grid.image_w))
         weights, rho_units = weights[voters], np.empty(voters.size)
         rows = (_rho_bin(grid, c, s, xs, ys, out=rho_units).astype(np.intp)

@@ -273,6 +273,7 @@ def warp_bilinear(texture: np.ndarray, field: np.ndarray) -> np.ndarray:
     samples into NaN (inf * 0.0), and a NaN or inf shift has no texel.
     """
     tex = np.asarray(texture, dtype=np.float64)
+    field = np.asarray(field, dtype=np.float64)
     h, w = tex.shape
     if field.shape != (h, w, 2):
         raise ValidationError(

@@ -18,6 +18,7 @@ turn gives exactly -1, 0 or 1; floating-point pi makes np.cos(pi/2) a
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,11 @@ RATIO_EPS = 1e-12
 # 45.6 ms of CPU time in blocks against 66.4 ms as one whole-frame matmul
 # per window (a repeat: 48.1 vs 69.3 ms; one BLAS thread, 2-core VM).
 _PIXEL_BLOCK = 4096
+
+# Window lengths whose basis stays cached; batch and stream detection use
+# one length per config, and the basis of a long window is large (N^2
+# floats: 32 MB at N = 2048).
+_BASIS_LENGTHS = 4
 
 @dataclass(frozen=True)
 class SpectralBasis:
@@ -63,7 +69,16 @@ class SpectralBasis:
 
 
 def dft_basis(window_len: int) -> SpectralBasis:
+    """The basis for window_len samples, built on the first call for that
+    length and then shared: the same read-only object on every later call
+    while it stays cached (_BASIS_LENGTHS most recent lengths).  An
+    integer-valued float, a bool or a str is rejected, cached or not."""
     _check_setting("window_len", window_len, 2, lo_closed=True, integer=True)
+    return _cached_basis(int(window_len))
+
+
+@functools.lru_cache(maxsize=_BASIS_LENGTHS)
+def _cached_basis(window_len: int) -> SpectralBasis:
     n_bins = window_len // 2
     n = np.arange(window_len)
     rows = np.empty((2 * n_bins, window_len), dtype=np.float64)

@@ -220,6 +220,40 @@ def test_sparse_vote_equals_the_table_vote_bit_for_bit(
                           _table_vote(feat, grid).view(np.uint64))
 
 
+# (non-zero pixels, of them 5e-324, -0.0 pixels, table built) on the
+# fullsize 328x335 grid, where a quarter is 27,470 pixels
+@pytest.mark.parametrize("count, subnormal, negative_zero, table", [
+    (1318, 50, 5000, False),  # ~1.2% non-zero, as a clean batch map
+    (27470, 50, 0, False),
+    (27471, 50, 0, True),
+    (27470, 50, 27470, False),  # -0.0 pixels do not count toward a quarter
+    (1, 1, 328 * 335 - 1, False),  # one smallest subnormal, -0.0 elsewhere
+], ids=["sparse", "quarter", "quarter+1", "quarter+negative_zeros",
+        "one_subnormal"])
+def test_mask_scan_votes_the_nonzero_pixels_bit_for_bit(
+        count, subnormal, negative_zero, table):
+    from vibeline.hough import _rho_index_table
+
+    grid = HoughGrid(328, 335)
+    n = 328 * 335
+    rng = np.random.default_rng(count + negative_zero)
+    order = rng.permutation(n)
+    feat = np.zeros(n)
+    feat[order[:count]] = (rng.uniform(0.5, 1.0, count)
+                           * 10.0 ** rng.integers(-8, 8, count))
+    feat[order[:subnormal]] = 5e-324
+    feat[order[count:count + negative_zero]] = -0.0
+    feat = feat.reshape(328, 335)
+    _rho_index_table.cache_clear()
+    got = hough_transform(feat, grid)
+    assert _rho_index_table.cache_info().misses == table
+    for want in (_table_vote(feat, grid), _recomputed_vote(feat, grid)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if count == 1:  # the subnormal lands in one bin per theta row
+        assert (got == 5e-324).sum(axis=1).tolist() == [1] * grid.theta_bins
+        assert np.count_nonzero(got) == grid.theta_bins
+
+
 def test_rho_index_table_is_read_only_and_compact():
     from vibeline.hough import _rho_index_table
 

@@ -306,6 +306,17 @@ def test_warp_rejects_mismatched_field():
         warp_bilinear(np.zeros((8, 8)), np.zeros((8, 9, 2)))
 
 
+def test_warp_takes_a_nested_list_field_as_its_array():
+    tex = np.arange(20.0).reshape(4, 5)
+    field = np.random.default_rng(5).uniform(-1.5, 1.5, (4, 5, 2))
+    got = warp_bilinear(tex.tolist(), field.tolist())
+    assert got.tobytes() == warp_bilinear(tex, field).tobytes()
+    with pytest.raises(ValidationError,
+                       match=r"^field shape \(4, 4, 2\) does not match "
+                             r"texture \(4, 5\)$"):
+        warp_bilinear(tex, np.zeros((4, 4, 2)).tolist())
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("where", [(0, 0), (3, 5), (7, 7)])
 def test_warp_rejects_a_non_finite_texture(bad, where):

@@ -126,6 +126,24 @@ def test_basis_rejects_tiny_window():
         dft_basis(1)
 
 
+def test_basis_is_built_once_per_length_and_shared_read_only():
+    basis = dft_basis(10)
+    assert dft_basis(10) is basis
+    assert not basis.rows.flags.writeable
+    with pytest.raises(ValueError):
+        basis.rows[0, 0] = 2.0
+    same = dft_basis(np.int64(10))
+    assert same.window_len == 10 and type(same.window_len) is int
+    assert _same_bits(same.rows, basis.rows)
+
+
+@pytest.mark.parametrize("bad", [10.0, True, 1, "10"])
+def test_a_cached_basis_still_rejects_a_bad_length(bad):
+    dft_basis(10)
+    with pytest.raises(ValidationError, match="^window_len must be"):
+        dft_basis(bad)
+
+
 def test_constant_signal_hits_only_bin_zero():
     rows = dft_basis(4).rows
     bins = rows @ np.ones(4)
