@@ -88,9 +88,13 @@ class HoughMap:
             )
 
 
-# Grids whose rho-index table stays cached; stream detection and dense
-# batch maps reuse one grid per image size, so one table is enough.
+# Grids whose rho-index table stays cached; dense batch maps reuse one
+# grid per image size, so one table is enough.
 _RHO_TABLE_GRIDS = 1
+
+# _peak's floor: the map's 90th percentile, so that about a tenth of the
+# pixels vote their excess over it sparsely
+_FLOOR_SHARE = 0.9
 
 
 def _rho_bin(grid: HoughGrid, cos_t, sin_t, x, y, out=None) -> np.ndarray:
@@ -103,6 +107,13 @@ def _rho_bin(grid: HoughGrid, cos_t, sin_t, x, y, out=None) -> np.ndarray:
     np.floor(v, out=v)
     v += grid.rho_offset
     return v
+
+
+def _row_vote(grid: HoughGrid, c, s, xs, ys, weights, out) -> np.ndarray:
+    """One theta row: the weights summed into the _rho_bin of (xs, ys), in
+    row-major pixel order; out holds the bins as floats."""
+    idx = _rho_bin(grid, c, s, xs, ys, out=out).astype(np.intp).ravel()
+    return np.bincount(idx, weights=weights, minlength=grid.rho_bins)
 
 
 @functools.lru_cache(maxsize=_RHO_TABLE_GRIDS)
@@ -122,29 +133,30 @@ def _rho_index_table(grid: HoughGrid) -> np.ndarray:
     return table
 
 
-def hough_transform(feature: np.ndarray, grid: HoughGrid) -> np.ndarray:
-    """Soft-voting line transform of a non-negative feature image.
+def _vote(grid: HoughGrid, voters: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(theta_bins, rho_bins) image of weights[i] voted by the row-major
+    pixel voters[i], one _row_vote per theta row."""
+    ys, xs = (v.astype(np.float64) for v in np.divmod(voters, grid.image_w))
+    rho_units = np.empty(voters.size)
+    acc = np.empty(grid.shape(), dtype=np.float64)
+    for i, (c, s) in enumerate(zip(*grid.theta_trig())):
+        acc[i] = _row_vote(grid, c, s, xs, ys, weights, rho_units)
+    return acc
 
-    Every pixel adds its value to exactly one rho bin per theta column,
-    so each theta column sums to the total feature mass (vote
-    conservation).  Returns a (theta_bins, rho_bins) float64 image.
-    A NaN or inf pixel would spread NaN over the whole image, so it is
-    rejected with ValidationError.
 
-    When at most a quarter of the pixels are non-zero (a clean batch
-    map), only those vote: each theta row computes their bins with
-    _rho_bin and builds no table.  One boolean mask, weights != 0, both
-    counts the non-zero pixels and finds them, so the float map is
-    scanned once; -0.0 is zero to it and a subnormal is not.  A denser
-    map (stream, noisy input) votes every pixel through the rho-index
-    table, built on the first such call for a grid and cached for the
-    most recent grid only; it holds theta_bins * H * W bin indices of 2
-    bytes each (1 byte when rho_bins <= 256): ~40 MB at 328x335 with
-    1-degree steps.  The two give the same bits: a table entry is the
-    same _rho_bin expression of the same float (x, y), both bincounts add
-    in row-major pixel order, and a skipped zero only ever adds 0.0 to a
-    sum.
-    """
+@functools.lru_cache(maxsize=1)
+def _cell_counts(grid: HoughGrid) -> np.ndarray:
+    """Read-only (theta_bins, rho_bins) float count of the pixels that vote
+    into each cell: 1.4 MB at 328x335 with 1-degree steps."""
+    npix = grid.image_h * grid.image_w
+    counts = _vote(grid, np.arange(npix), np.ones(npix))
+    counts.setflags(write=False)
+    return counts
+
+
+def _checked_feature(feature, grid: HoughGrid) -> np.ndarray:
+    """The feature as float64 once it has the grid's image shape and no
+    NaN or inf pixel, which would spread NaN over the whole image."""
     feat = np.asarray(feature, dtype=np.float64)
     if feat.shape != (grid.image_h, grid.image_w):
         raise ValidationError(
@@ -155,20 +167,101 @@ def hough_transform(feature: np.ndarray, grid: HoughGrid) -> np.ndarray:
     if bad:
         raise ValidationError(f"energy map has {bad} non-finite value(s); "
                               "frames must be finite")
-    weights = feat.ravel()
+    return feat
+
+
+def hough_transform(feature: np.ndarray, grid: HoughGrid) -> np.ndarray:
+    """Soft-voting line transform of a non-negative feature image.
+
+    Every pixel adds its value to exactly one rho bin per theta column,
+    so each theta column sums to the total feature mass (vote
+    conservation).  Returns a (theta_bins, rho_bins) float64 image.
+    A NaN or inf pixel is rejected with ValidationError.  Batch
+    detection and --emit-hough vote here; a stream emission needs only
+    the argmax and the peak, and finds them with _peak.
+
+    When at most a quarter of the pixels are non-zero (a clean batch
+    map), only those vote: each theta row computes their bins with
+    _rho_bin and builds no table.  One boolean mask, weights != 0, both
+    counts the non-zero pixels and finds them, so the float map is
+    scanned once; -0.0 is zero to it and a subnormal is not.  A denser
+    map (noisy batch input) votes every pixel through the rho-index
+    table, built on the first such call for a grid and cached for the
+    most recent grid only; it holds theta_bins * H * W bin indices of 2
+    bytes each (1 byte when rho_bins <= 256): ~40 MB at 328x335 with
+    1-degree steps.  The two give the same bits: a table entry is the
+    same _rho_bin expression of the same float (x, y), both bincounts add
+    in row-major pixel order, and a skipped zero only ever adds 0.0 to a
+    sum.
+    """
+    weights = _checked_feature(feature, grid).ravel()
     nz = weights != 0
-    if np.count_nonzero(nz) > weights.size // 4:  # dense: the table
-        rows = _rho_index_table(grid)
-    else:  # only the non-zero pixels vote, in the same order
-        voters = np.flatnonzero(nz)
-        ys, xs = (v.astype(np.float64) for v in np.divmod(voters, grid.image_w))
-        weights, rho_units = weights[voters], np.empty(voters.size)
-        rows = (_rho_bin(grid, c, s, xs, ys, out=rho_units).astype(np.intp)
-                for c, s in zip(*grid.theta_trig()))
+    if np.count_nonzero(nz) <= weights.size // 4:
+        voters = np.flatnonzero(nz)  # only they vote, in the same order
+        return _vote(grid, voters, weights[voters])
     acc = np.empty(grid.shape(), dtype=np.float64)
-    for i, idx in enumerate(rows):
+    for i, idx in enumerate(_rho_index_table(grid)):
         acc[i] = np.bincount(idx, weights=weights, minlength=grid.rho_bins)
     return acc
+
+
+def _floor_vote(weights: np.ndarray, grid: HoughGrid):
+    """(floor, vote): the flat map's _FLOOR_SHARE quantile, and the sparse
+    vote of each pixel's excess over it.  At floor 0 the excess of each
+    non-zero pixel is its value, so the vote is hough_transform's image."""
+    k = int(weights.size * _FLOOR_SHARE)
+    floor = float(np.partition(weights, k)[k])
+    voters = np.flatnonzero(weights > floor if floor else weights != 0)
+    return floor, _vote(grid, voters, weights[voters] - floor)
+
+
+def _row_bounds(floor: float, excess_vote: np.ndarray,
+                grid: HoughGrid) -> np.ndarray:
+    """An upper bound on each theta row's maximum of a non-negative map.
+
+    A cell's sum splits into its pixels' parts up to the floor, at most
+    floor * (pixel count), and their excess over it.  Each bound is
+    padded by 2 (H*W + 2) eps relative, more than the rounding of a sum
+    of H*W terms on either side, so rounding cannot prune the true row.
+    """
+    bound = (excess_vote + floor * _cell_counts(grid)).max(axis=1)
+    pad = 2.0 * (grid.image_h * grid.image_w + 2) * np.finfo(np.float64).eps
+    return bound * (1.0 + pad)
+
+
+def _peak(values: np.ndarray, grid: HoughGrid):
+    """(theta_idx, rho_idx, peak) of hough_transform(values, grid) bit for
+    bit, without building the image: its argmax cell, the first (theta,
+    rho) on a tie, and its value.  values must be non-negative.
+
+    Rows are visited in falling _row_bounds order; each is voted exactly,
+    every pixel through _row_vote in row-major order as hough_transform
+    votes it, and the search stops once the next bound is below the best
+    exact value.  On a noisy stream map about three rows are voted; with
+    no vibrating line a few dozen are.  When the floor is 0 the sparse
+    vote already is the image.  A NaN or inf pixel raises as in
+    hough_transform.
+    """
+    feat = _checked_feature(values, grid)
+    weights = feat.ravel()
+    floor, vote = _floor_vote(weights, grid)
+    if floor == 0.0:
+        ti, ri = divmod(int(np.argmax(vote)), grid.rho_bins)
+        return ti, ri, float(vote[ti, ri])
+    bound = _row_bounds(floor, vote, grid)
+    xs = np.arange(grid.image_w, dtype=np.float64)[None, :]
+    ys = np.arange(grid.image_h, dtype=np.float64)[:, None]
+    rho_units = np.empty(feat.shape)
+    cos_t, sin_t = grid.theta_trig()
+    best, cell = -math.inf, (0, 0)
+    for ti in np.argsort(-bound, kind="stable").tolist():
+        if bound[ti] < best:
+            break
+        row = _row_vote(grid, cos_t[ti], sin_t[ti], xs, ys, weights, rho_units)
+        ri = int(np.argmax(row))
+        if row[ri] > best or (row[ri] == best and ti < cell[0]):
+            best, cell = float(row[ri]), (ti, ri)
+    return (*cell, best)
 
 
 def line_from_cell(grid: HoughGrid, theta_idx: int, rho_idx: int):

@@ -1,7 +1,10 @@
 """Batch and streaming detection: frames -> energy -> Hough -> shaft/tip.
 
 The detector is fully deterministic.  Its confidence is the ratio of the
-Hough peak to the mean Hough cell; the default threshold below sits
+Hough peak to the mean Hough cell, taken from vote conservation as the
+energy map's mass / rho_bins.  Batch detection votes the whole Hough
+image (--emit-hough writes it); a stream emission finds only the argmax
+cell and the peak, with hough._peak.  The default threshold below sits
 under the weakest clean true-needle confidence and above that of a Hough
 map of uniform noise, so a scene with no coherent vibration, or a true
 shaft under sensor noise, raises the low-confidence flag rather than a
@@ -19,8 +22,8 @@ import numpy as np
 from .core import (UsSequence, _bilinear_clamped, _inward, _snapped_cos_sin,
                    _unit_float)
 from .errors import GeometryError, NoTipError, ValidationError, _check_setting
-from .hough import (HoughGrid, HoughMap, _check_steps, hough_transform,
-                    render_tip_gt, shaft_from_hough)
+from .hough import (HoughGrid, HoughMap, _check_steps, _peak, hough_transform,
+                    line_from_cell, render_tip_gt, shaft_from_hough)
 # moved to metrics; perfbench resolves pipeline.Detection
 from .metrics import Detection
 from .spectral import (_band_power_sums, _energy_ratio,
@@ -147,16 +150,21 @@ def tip_along_line(energy_values: np.ndarray, theta: float, rho: float,
     return float(tip[0]), float(tip[1])
 
 
-def _decode(values: np.ndarray, grid: HoughGrid, hough: np.ndarray,
+def _decode(values: np.ndarray, grid: HoughGrid, line, peak: float,
             cfg: DetectConfig) -> Detection:
-    """Decode step of batch and stream detection: shaft, tip, confidence."""
-    peak = float(hough.max())
+    """Decode step of batch and stream detection: shaft, tip, confidence.
+
+    line is the (theta, rho) of the Hough argmax cell and peak its value;
+    line is not read when peak <= 0.  The mean Hough cell is the map's
+    mass / rho_bins, as every pixel votes once per theta row.
+    """
     if peak <= 0.0:
         return Detection(theta=0.0, rho=0.0, tip_x=None, tip_y=None,
                          confidence=0.0, low_confidence_flag=True)
-    confidence = peak / (float(hough.mean()) + CONFIDENCE_EPS)
+    mean = float(values.sum()) / grid.rho_bins
+    confidence = peak / (mean + CONFIDENCE_EPS)
     flagged = confidence < cfg.confidence_min
-    theta, rho = shaft_from_hough(hough, grid)
+    theta, rho = line
     try:
         tip_x, tip_y = tip_along_line(values, theta, rho, cfg)
     except (NoTipError, GeometryError):
@@ -189,7 +197,9 @@ def detect_with_timing(frames01: np.ndarray, fps: float,
     t1 = time.perf_counter()
     hough = hough_transform(values, grid)
     t2 = time.perf_counter()
-    det = _decode(values, grid, hough, cfg)
+    peak = float(hough.max())
+    line = shaft_from_hough(hough, grid) if peak > 0.0 else None
+    det = _decode(values, grid, line, peak, cfg)
     t3 = time.perf_counter()
     timing = {
         "spectral_ms": (t1 - t0) * 1000.0,
@@ -248,6 +258,10 @@ class StreamState:
     circular shift of the window, and running sums of the last
     warmup - N + 1 window powers are updated in place and re-summed from
     their ring once per turn; both differ from batch only in rounding.
+    The frame ring, the power ring and the sums are views of one block.
+    An emission decodes through hough._peak, which gives batch's argmax
+    cell and peak bits without the Hough image, and takes the mean cell
+    from vote conservation as batch does.
     """
 
     def __init__(self, height: int, width: int, fps: float,
@@ -268,10 +282,15 @@ class StreamState:
         npix = height * width
         self.k_star = nearest_band(n, fps, cfg.vib_freq)
         self._rows = dft_basis(n).rows
-        self._frame_ring = np.zeros((n, npix), dtype=np.float64)
         self._stat_len = window_count(self.warmup, n, 1)
-        self._power_ring = np.zeros((self._stat_len, 2, npix), dtype=np.float64)
-        self._sums = np.zeros((2, npix), dtype=np.float64)  # num, den
+        # one block, 47.5 MB at 328x335: past glibc's 32 MB mmap ceiling, so
+        # it is mapped and handed back whole rather than kept on the heap
+        sizes = (n * npix, self._stat_len * 2 * npix, 2 * npix)
+        block = np.zeros(sum(sizes), dtype=np.float64)
+        frames, powers, sums = np.split(block, np.cumsum(sizes[:-1]))
+        self._frame_ring = frames.reshape(n, npix)
+        self._power_ring = powers.reshape(self._stat_len, 2, npix)
+        self._sums = sums.reshape(2, npix)  # num, den
 
     def push(self, frame: np.ndarray):
         """Absorb one uint8 (H, W) frame; returns a Detection once warmed up."""
@@ -296,13 +315,14 @@ class StreamState:
         self._sums += power - self._power_ring[pos]
         self._power_ring[pos] = power
         if pos == self._stat_len - 1:
-            self._sums = self._power_ring.sum(axis=0)
+            np.sum(self._power_ring, axis=0, out=self._sums)
         if self.frames_seen < self.warmup:
             return None
         values = _energy_ratio(*self._sums, self._stat_len)
         values = values.reshape(self.height, self.width)
-        return _decode(values, self._grid,
-                       hough_transform(values, self._grid), self.cfg)
+        ti, ri, peak = _peak(values, self._grid)
+        return _decode(values, self._grid, line_from_cell(self._grid, ti, ri),
+                       peak, self.cfg)
 
 
 def stream_push(state: StreamState, frame: np.ndarray):

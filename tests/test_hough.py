@@ -307,6 +307,114 @@ def test_forward_rejects_shape_mismatch():
 
 
 # --------------------------------------------------------------------------
+# Pruned peak: the vote's argmax cell and peak without the image
+# --------------------------------------------------------------------------
+
+def _peak_map(h, w, share, values, seed):
+    """A map with count non-zero pixels, drawn as test_sparse_vote_... does;
+    (0, 3) and (3, 0) (rho 1.5 px at 30 and 60 degrees) come first, then
+    -0.0 and the smallest subnormal on some of the zero pixels."""
+    n = h * w
+    count = {"none": 0, "one": 1, "quarter": n // 4, "all": n}[share] \
+        if isinstance(share, str) else round(share * n)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    tied = np.array([i for i, inside in ((3 * w, h > 3), (3, w > 3))
+                     if inside], dtype=np.intp)
+    order = np.concatenate([tied, order[~np.isin(order, tied)]])
+    feat = np.zeros(n)
+    if values == "decades":  # a different summation order shows
+        feat[order[:count]] = (rng.uniform(0.5, 1.0, count)
+                               * 10.0 ** rng.integers(-8, 8, count))
+    else:  # few levels: equal cells in many rows, so the tie rule shows
+        feat[order[:count]] = rng.integers(1, 3, count).astype(np.float64)
+    rest = order[count:]
+    feat[rest[: rest.size // 3]] = -0.0
+    feat[rest[rest.size // 3: rest.size // 3 + 2]] = 5e-324
+    return feat.reshape(h, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=st.integers(1, 40), w=st.integers(1, 40),
+       theta_step=st.sampled_from([1.0, 0.7, 3.0, 7.0, 45.0]),
+       rho_step=st.sampled_from([0.5, 0.7, 1.0, 2.0, 3.0]),
+       share=st.one_of(st.sampled_from(["none", "one", "quarter", "all"]),
+                       st.floats(0.0, 1.0)),
+       values=st.sampled_from(["decades", "levels"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(h=1, w=1, theta_step=1.0, rho_step=1.0, share="one",
+         values="decades", seed=0)
+@example(h=40, w=40, theta_step=0.7, rho_step=1.0, share="all",
+         values="levels", seed=0)
+@example(h=40, w=40, theta_step=1.0, rho_step=2.0, share=0.2,
+         values="decades", seed=1)
+@example(h=40, w=40, theta_step=1.0, rho_step=3.0, share="quarter",
+         values="levels", seed=2)
+def test_peak_equals_the_vote_argmax_and_peak_bit_for_bit(
+        h, w, theta_step, rho_step, share, values, seed):
+    from vibeline.hough import _floor_vote, _peak, _row_bounds
+
+    grid = HoughGrid(h, w, theta_step, rho_step)
+    feat = _peak_map(h, w, share, values, seed)
+    image = hough_transform(feat, grid)
+    ti, ri, peak = _peak(feat, grid)
+    # np.argmax takes the first cell: the smallest (theta, rho) on a tie
+    assert (ti, ri) == divmod(int(np.argmax(image)), grid.rho_bins)
+    assert np.float64(peak).view(np.uint64) == image.max().view(np.uint64)
+    floor, vote = _floor_vote(feat.ravel(), grid)
+    assert np.all(_row_bounds(floor, vote, grid) >= image.max(axis=1))
+    if floor == 0.0:  # the vote of the non-zero pixels is the image
+        assert np.array_equal(vote.view(np.uint64), image.view(np.uint64))
+
+
+def test_peak_of_a_noisy_fullsize_map_votes_few_rows_exactly():
+    from vibeline.hough import _floor_vote, _peak, _row_bounds
+
+    grid = HoughGrid(328, 335)
+    rng = np.random.default_rng(5)
+    feat = rng.exponential(size=(328, 335))
+    feat[np.arange(300), np.arange(300) + 20] += 8.0  # a line at 135 deg
+    image = hough_transform(feat, grid)
+    ti, ri, peak = _peak(feat, grid)
+    assert (ti, ri) == divmod(int(np.argmax(image)), grid.rho_bins)
+    assert peak == image.max() and ti == 135
+    floor, vote = _floor_vote(feat.ravel(), grid)
+    bound = _row_bounds(floor, vote, grid)
+    assert floor > 0.0 and np.all(bound >= image.max(axis=1))
+    assert np.count_nonzero(bound >= peak) <= 5  # the rows _peak votes
+
+
+def test_peak_of_an_all_zero_map_is_zero_at_the_first_cell():
+    from vibeline.hough import _peak
+
+    grid = small_grid()
+    assert _peak(np.zeros((grid.image_h, grid.image_w)), grid) == (0, 0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_peak_rejects_a_non_finite_map(bad):
+    from vibeline.hough import _peak
+
+    grid = small_grid()
+    feat = np.ones((grid.image_h, grid.image_w))
+    feat[3, 4] = bad
+    with pytest.raises(ValidationError,
+                       match=r"^energy map has 1 non-finite value\(s\); "
+                             r"frames must be finite$"):
+        _peak(feat, grid)
+
+
+def test_cell_counts_are_the_vote_of_a_map_of_ones_and_read_only():
+    from vibeline.hough import _cell_counts
+
+    grid = small_grid(17, 19, theta_step=7.0, rho_step=0.7)
+    counts = _cell_counts(grid)
+    assert np.array_equal(counts, hough_transform(np.ones((17, 19)), grid))
+    assert not counts.flags.writeable
+    assert _cell_counts(grid) is counts
+
+
+# --------------------------------------------------------------------------
 # Cell decoding
 # --------------------------------------------------------------------------
 

@@ -636,6 +636,67 @@ def test_stream_longer_than_warmup_keeps_emitting():
     assert count == 6  # one at warm-up, one per frame afterwards
 
 
+@pytest.mark.parametrize("amplitude", [0.8, 0.0], ids=["vibrating", "off"])
+def test_every_noisy_fullsize_emission_decodes_as_the_full_vote(amplitude):
+    # an emission finds the peak with _peak; decoding the full image of
+    # the same map must give the same answer, and the conservation mean
+    # the mean of that image up to rounding
+    from vibeline import hough, pipeline
+    from vibeline.pipeline import CONFIDENCE_EPS, _decode
+
+    spec = replace(preset("fullsize"), visibility=0.0, artifact_count=1,
+                   vib_amplitude=amplitude, frame_count=DEFAULT_WARMUP + 5,
+                   seed=1201)
+    seq, _ = synth_sequence(spec)
+    frames = _noisy(seq.frames, seed=7)
+    maps = []
+
+    def spy(values, grid):
+        maps.append(values.copy())
+        return hough._peak(values, grid)
+
+    state = StreamState(seq.height, seq.width, seq.fps)
+    cfg, grid = state.cfg, HoughGrid(seq.height, seq.width)
+    hough._rho_index_table.cache_clear()
+    emitted = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_peak", spy)
+        for frame in frames:
+            out = state.push(frame)
+            if out is not None:
+                emitted.append(out)
+    # every pixel moves, yet no emission builds the rho-index table
+    assert hough._rho_index_table.cache_info().misses == 0
+    assert len(emitted) == len(maps) == 6
+    for got, values in zip(emitted, maps):
+        image = hough.hough_transform(values, grid)
+        peak = float(image.max())
+        want = _decode(values, grid, hough.shaft_from_hough(image, grid),
+                       peak, cfg)
+        assert (got.theta, got.rho, got.tip_x, got.tip_y) == \
+            (want.theta, want.rho, want.tip_x, want.tip_y)
+        assert got.low_confidence_flag == want.low_confidence_flag
+        assert got.confidence == want.confidence
+        assert got.confidence == pytest.approx(
+            peak / (float(image.mean()) + CONFIDENCE_EPS), rel=1e-12, abs=0)
+
+
+def test_stream_rings_share_one_block_and_resum_in_place():
+    seq, _ = small_phantom(seed=17)
+    state = StreamState(seq.height, seq.width, seq.fps, CFG3)
+    rings = (state._frame_ring, state._power_ring, state._sums)
+    base = rings[0].base
+    assert base is not None and all(a.base is base for a in rings)
+    assert sum(a.nbytes for a in rings) == base.nbytes
+    # 30 frames end the first turn of the 21-window power ring
+    for frame in seq.frames:
+        state.push(frame)
+    assert all(a.base is base for a in (state._frame_ring, state._power_ring,
+                                        state._sums))
+    want = state._power_ring.sum(axis=0)
+    assert np.array_equal(state._sums.view(np.uint64), want.view(np.uint64))
+
+
 # --------------------------------------------------------------------------
 # Emitted Hough channels
 # --------------------------------------------------------------------------
