@@ -134,6 +134,7 @@ def cmd_gen(args, config: dict) -> int:
 
 def cmd_detect(args, config: dict) -> int:
     from .core import load_sequence, write_vibmap
+    from .hough import hough_transform
     from .pipeline import _hough_channels, detect_with_timing
 
     cfg = _build_detect_config(args, config)
@@ -151,6 +152,8 @@ def cmd_detect(args, config: dict) -> int:
         write_vibmap(_prepared(args.emit_energy), values)
     if args.emit_hough:
         gt = load_ground_truth(args.hough_gt) if args.hough_gt else None
+        if hough is None:  # a dense map's peak was found without the image
+            hough = hough_transform(values, grid)
         hmap = _hough_channels(det, grid, hough, cfg, gt)
         write_vibmap(_prepared(args.emit_hough), [hmap.shaft, hmap.tip])
     if det.low_confidence_flag:  # one line naming each cause that holds

@@ -22,7 +22,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import _EXP_ZERO_REACH, _reach_slice, _snapped_cos_sin
 from .errors import NoDetectionError, ValidationError, _check_setting
 
-# a theta or rho bin index fits in 2 bytes, so the rho-index table is uint16
+# bins per axis: a finer step fails naming the least one, not as an image
+# numpy refuses (rho_step 1e-300) or a vote over millions of theta rows
 _MAX_BINS = 65536
 
 
@@ -88,10 +89,6 @@ class HoughMap:
             )
 
 
-# Grids whose rho-index table stays cached; dense batch maps reuse one
-# grid per image size, so one table is enough.
-_RHO_TABLE_GRIDS = 1
-
 # _peak's floor: the map's 90th percentile, so that about a tenth of the
 # pixels vote their excess over it sparsely
 _FLOOR_SHARE = 0.9
@@ -99,8 +96,8 @@ _FLOOR_SHARE = 0.9
 
 def _rho_bin(grid: HoughGrid, cos_t, sin_t, x, y, out=None) -> np.ndarray:
     """Rho bin of (x, y) at each angle, as floats (in out if given):
-    floor(cos*(1/step)*x + sin*(1/step)*y + 0.5) + rho_offset.  The vote's
-    table and the tip curve share it, so they break half-bin ties alike."""
+    floor(cos*(1/step)*x + sin*(1/step)*y + 0.5) + rho_offset.  The vote
+    and the tip curve share it, so they break half-bin ties alike."""
     inv_step = 1.0 / grid.rho_step
     v = np.add((cos_t * inv_step) * x, (sin_t * inv_step) * y, out=out)
     v += 0.5
@@ -111,31 +108,16 @@ def _rho_bin(grid: HoughGrid, cos_t, sin_t, x, y, out=None) -> np.ndarray:
 
 def _row_vote(grid: HoughGrid, c, s, xs, ys, weights, out) -> np.ndarray:
     """One theta row: the weights summed into the _rho_bin of (xs, ys), in
-    row-major pixel order; out holds the bins as floats."""
+    row-major pixel order, or the pixels counted (as int64) when weights is
+    None; out holds the bins as floats."""
     idx = _rho_bin(grid, c, s, xs, ys, out=out).astype(np.intp).ravel()
     return np.bincount(idx, weights=weights, minlength=grid.rho_bins)
 
 
-@functools.lru_cache(maxsize=_RHO_TABLE_GRIDS)
-def _rho_index_table(grid: HoughGrid) -> np.ndarray:
-    """Read-only (theta_bins, H*W) rho bin (_rho_bin) of every row-major
-    pixel per theta."""
-    xs = np.arange(grid.image_w, dtype=np.float64)[None, :]
-    ys = np.arange(grid.image_h, dtype=np.float64)[:, None]
-    cos_t, sin_t = grid.theta_trig()
-    table = np.empty((grid.theta_bins, grid.image_h * grid.image_w),
-                     dtype=np.min_scalar_type(grid.rho_bins - 1))
-    rho_units = np.empty((grid.image_h, grid.image_w), dtype=np.float64)
-    for i in range(grid.theta_bins):
-        table[i] = _rho_bin(grid, cos_t[i], sin_t[i], xs, ys,
-                            out=rho_units).ravel()
-    table.setflags(write=False)
-    return table
-
-
-def _vote(grid: HoughGrid, voters: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _vote(grid: HoughGrid, voters: np.ndarray, weights) -> np.ndarray:
     """(theta_bins, rho_bins) image of weights[i] voted by the row-major
-    pixel voters[i], one _row_vote per theta row."""
+    pixel voters[i], one _row_vote per theta row; of 1 per voter when
+    weights is None."""
     ys, xs = (v.astype(np.float64) for v in np.divmod(voters, grid.image_w))
     rho_units = np.empty(voters.size)
     acc = np.empty(grid.shape(), dtype=np.float64)
@@ -147,9 +129,10 @@ def _vote(grid: HoughGrid, voters: np.ndarray, weights: np.ndarray) -> np.ndarra
 @functools.lru_cache(maxsize=1)
 def _cell_counts(grid: HoughGrid) -> np.ndarray:
     """Read-only (theta_bins, rho_bins) float count of the pixels that vote
-    into each cell: 1.4 MB at 328x335 with 1-degree steps."""
+    into each cell: 1.4 MB at 328x335 with 1-degree steps.  An unweighted
+    count gives the integer bits of the vote of a map of ones."""
     npix = grid.image_h * grid.image_w
-    counts = _vote(grid, np.arange(npix), np.ones(npix))
+    counts = _vote(grid, np.arange(npix), None)
     counts.setflags(write=False)
     return counts
 
@@ -176,33 +159,18 @@ def hough_transform(feature: np.ndarray, grid: HoughGrid) -> np.ndarray:
     Every pixel adds its value to exactly one rho bin per theta column,
     so each theta column sums to the total feature mass (vote
     conservation).  Returns a (theta_bins, rho_bins) float64 image.
-    A NaN or inf pixel is rejected with ValidationError.  Batch
-    detection and --emit-hough vote here; a stream emission needs only
-    the argmax and the peak, and finds them with _peak.
-
-    When at most a quarter of the pixels are non-zero (a clean batch
-    map), only those vote: each theta row computes their bins with
-    _rho_bin and builds no table.  One boolean mask, weights != 0, both
-    counts the non-zero pixels and finds them, so the float map is
-    scanned once; -0.0 is zero to it and a subnormal is not.  A denser
-    map (noisy batch input) votes every pixel through the rho-index
-    table, built on the first such call for a grid and cached for the
-    most recent grid only; it holds theta_bins * H * W bin indices of 2
-    bytes each (1 byte when rho_bins <= 256): ~40 MB at 328x335 with
-    1-degree steps.  The two give the same bits: a table entry is the
-    same _rho_bin expression of the same float (x, y), both bincounts add
-    in row-major pixel order, and a skipped zero only ever adds 0.0 to a
-    sum.
+    A NaN or inf pixel is rejected with ValidationError.  Only the
+    non-zero pixels vote, found by one mask, weights != 0 (-0.0 is zero to
+    it, a subnormal is not); a skipped zero would only add 0.0.  Each theta
+    row bins them with _rho_bin and adds their weights with one bincount,
+    in row-major pixel order: ~5 ms on a clean 328x335 map (1.2%
+    non-zero), ~115-150 ms on a dense one.  Detection builds this image
+    only for a clean map (pipeline._vote_or_search); --emit-hough and the
+    tests vote here.
     """
     weights = _checked_feature(feature, grid).ravel()
-    nz = weights != 0
-    if np.count_nonzero(nz) <= weights.size // 4:
-        voters = np.flatnonzero(nz)  # only they vote, in the same order
-        return _vote(grid, voters, weights[voters])
-    acc = np.empty(grid.shape(), dtype=np.float64)
-    for i, idx in enumerate(_rho_index_table(grid)):
-        acc[i] = np.bincount(idx, weights=weights, minlength=grid.rho_bins)
-    return acc
+    voters = np.flatnonzero(weights != 0)
+    return _vote(grid, voters, weights[voters])
 
 
 def _floor_vote(weights: np.ndarray, grid: HoughGrid):
@@ -237,10 +205,11 @@ def _peak(values: np.ndarray, grid: HoughGrid):
     Rows are visited in falling _row_bounds order; each is voted exactly,
     every pixel through _row_vote in row-major order as hough_transform
     votes it, and the search stops once the next bound is below the best
-    exact value.  On a noisy stream map about three rows are voted; with
-    no vibrating line a few dozen are.  When the floor is 0 the sparse
-    vote already is the image.  A NaN or inf pixel raises as in
-    hough_transform.
+    exact value.  On a noisy map about three rows are voted; with no
+    vibrating line a few dozen are.  When the floor is 0 the sparse vote
+    already is the image.  The first call on a grid builds _cell_counts
+    (~110 ms at 328x335 with 1-degree steps, cached for one grid).  A NaN
+    or inf pixel raises as in hough_transform.
     """
     feat = _checked_feature(values, grid)
     weights = feat.ravel()

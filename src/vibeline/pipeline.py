@@ -2,13 +2,14 @@
 
 The detector is fully deterministic.  Its confidence is the ratio of the
 Hough peak to the mean Hough cell, taken from vote conservation as the
-energy map's mass / rho_bins.  Batch detection votes the whole Hough
-image (--emit-hough writes it); a stream emission finds only the argmax
-cell and the peak, with hough._peak.  The default threshold below sits
-under the weakest clean true-needle confidence and above that of a Hough
-map of uniform noise, so a scene with no coherent vibration, or a true
-shaft under sensor noise, raises the low-confidence flag rather than a
-hard error.  The Detection record and its JSON form are in metrics.
+energy map's mass / rho_bins.  Batch and stream find the argmax cell
+and the peak by one rule, _vote_or_search: a clean map votes the whole
+Hough image, a dense (noisy) one builds none and searches with
+hough._peak.  The default threshold below sits under the weakest clean
+true-needle confidence and above that of a Hough map of uniform noise,
+so a scene with no coherent vibration, or a true shaft under sensor
+noise, raises the low-confidence flag rather than a hard error.  The
+Detection record and its JSON form are in metrics.
 """
 
 from __future__ import annotations
@@ -174,6 +175,28 @@ def _decode(values: np.ndarray, grid: HoughGrid, line, peak: float,
                      confidence=confidence, low_confidence_flag=bool(flagged))
 
 
+def _vote_or_search(values: np.ndarray, grid: HoughGrid):
+    """(image, cell) by batch's and stream's one peak rule.  A map at most a
+    quarter non-zero (every clean map) votes its image, which then costs
+    what its peak would, and cell is None.  A denser map builds no image
+    (None); cell is hough._peak's (theta_idx, rho_idx, peak), the bits of
+    that image's argmax and max."""
+    if np.count_nonzero(values != 0) <= values.size // 4:  # one cheap mask
+        return hough_transform(values, grid), None
+    return None, _peak(values, grid)
+
+
+def _line_and_peak(image, cell, grid: HoughGrid):
+    """(line, peak) of _vote_or_search's result; line is None when a voted
+    image's peak is 0.  Kept apart so that hough_ms times a clean map's
+    vote alone, the span perfbench's traced batch run checks it against."""
+    if image is None:
+        ti, ri, peak = cell
+        return line_from_cell(grid, ti, ri), peak
+    peak = float(image.max())
+    return (shaft_from_hough(image, grid) if peak > 0.0 else None), peak
+
+
 def detect_with_timing(frames01: np.ndarray, fps: float,
                        cfg: DetectConfig | None = None):
     """One timed batch run: (Detection, timing, energy, grid, Hough image).
@@ -183,7 +206,10 @@ def detect_with_timing(frames01: np.ndarray, fps: float,
     frames give the result of their float64 copy, and a NaN or inf
     sample is rejected by band_energy_from_frames.  Callers that export
     the maps reuse the ones the detection came from; perfbench/tracing.py
-    wraps this name.  Timing is reported per stage in milliseconds.
+    wraps this name.  The Hough image is None on a dense map, whose peak
+    is found without it (_vote_or_search); hough_transform votes it.
+    Timing is reported per stage in milliseconds; hough_ms times a clean
+    map's vote, or a dense one's whole peak search.
     """
     cfg = cfg or DetectConfig()
     frames = np.asarray(frames01)
@@ -195,11 +221,9 @@ def detect_with_timing(frames01: np.ndarray, fps: float,
     values, _ = band_energy_from_frames(frames, fps, cfg.vib_freq,
                                         cfg.window_len, cfg.hop)
     t1 = time.perf_counter()
-    hough = hough_transform(values, grid)
+    hough, cell = _vote_or_search(values, grid)
     t2 = time.perf_counter()
-    peak = float(hough.max())
-    line = shaft_from_hough(hough, grid) if peak > 0.0 else None
-    det = _decode(values, grid, line, peak, cfg)
+    det = _decode(values, grid, *_line_and_peak(hough, cell, grid), cfg)
     t3 = time.perf_counter()
     timing = {
         "spectral_ms": (t1 - t0) * 1000.0,
@@ -259,9 +283,9 @@ class StreamState:
     warmup - N + 1 window powers are updated in place and re-summed from
     their ring once per turn; both differ from batch only in rounding.
     The frame ring, the power ring and the sums are views of one block.
-    An emission decodes through hough._peak, which gives batch's argmax
-    cell and peak bits without the Hough image, and takes the mean cell
-    from vote conservation as batch does.
+    An emission finds the argmax cell and the peak by batch's rule,
+    _vote_or_search, so a noisy map builds no Hough image, and takes the
+    mean cell from vote conservation as batch does.
     """
 
     def __init__(self, height: int, width: int, fps: float,
@@ -320,9 +344,9 @@ class StreamState:
             return None
         values = _energy_ratio(*self._sums, self._stat_len)
         values = values.reshape(self.height, self.width)
-        ti, ri, peak = _peak(values, self._grid)
-        return _decode(values, self._grid, line_from_cell(self._grid, ti, ri),
-                       peak, self.cfg)
+        line, peak = _line_and_peak(*_vote_or_search(values, self._grid),
+                                    self._grid)
+        return _decode(values, self._grid, line, peak, self.cfg)
 
 
 def stream_push(state: StreamState, frame: np.ndarray):

@@ -62,8 +62,8 @@ def test_grid_validation():
                                         ("rho_step", 5e-324),
                                         ("theta_step", 1e-6)])
 def test_grid_rejects_more_bins_than_a_two_byte_index(name, step):
-    # numpy refused a 1e-300 rho step's array; a tiny theta step sized a
-    # theta_bins x H*W table before any check
+    # numpy refused a 1e-300 rho step's array; a tiny theta step would
+    # loop over millions of theta rows before any check
     with pytest.raises(ValidationError) as info:
         HoughGrid(image_h=16, image_w=16, **{name: step})
     msg = str(info.value)
@@ -76,8 +76,6 @@ def test_grid_rejects_more_bins_than_a_two_byte_index(name, step):
 
 
 def test_grid_at_the_smallest_rho_step_votes_with_two_byte_indices():
-    from vibeline.hough import _rho_index_table
-
     with pytest.raises(ValidationError) as info:
         HoughGrid(image_h=16, image_w=16, rho_step=1e-300)
     least = float(str(info.value).split(">= ")[1].split()[0])
@@ -85,7 +83,7 @@ def test_grid_at_the_smallest_rho_step_votes_with_two_byte_indices():
     feat = np.zeros((16, 16))
     feat[3, 5] = 1.0
     assert hough_transform(feat, grid).sum() == grid.theta_bins
-    assert _rho_index_table(grid).dtype == np.uint16
+    assert grid.rho_bins - 1 <= np.iinfo(np.uint16).max
 
 
 # --------------------------------------------------------------------------
@@ -127,7 +125,7 @@ def test_forward_transform_matches_brute_force_oracle():
 
 
 def _recomputed_vote(feat, grid):
-    """The vote with every rho bin recomputed per call (pre-table form)."""
+    """The vote of every pixel, each rho bin computed over the whole grid."""
     xs = np.arange(grid.image_w, dtype=np.float64)
     ys = np.arange(grid.image_h, dtype=np.float64)
     cos_t, sin_t = grid.theta_trig()
@@ -148,21 +146,25 @@ def test_cached_vote_is_bit_identical_to_recomputed_bins():
              ((328, 335), [(1.0, 1.0), (0.5, 0.7), (7.0, 2.5)])]
     grids = [(HoughGrid(h, w, t, r), rng.uniform(size=(h, w)))
              for (h, w), grid_steps in cases for t, r in grid_steps]
-    # every call switches grid, so the one-grid cache replaces its table;
-    # the second pass revisits each grid after its table was evicted
+    # dense maps, every pixel a voter; every call switches grid, and the
+    # second pass revisits each grid
     for _ in range(2):
         for grid, feat in grids:
             got = hough_transform(feat, grid)
             assert np.array_equal(got, _recomputed_vote(feat, grid)), grid
 
 
-def _table_vote(feat, grid):
-    """Every pixel voted through the rho-index table's rows."""
-    from vibeline.hough import _rho_index_table
+def _voted_by_the_pipeline_rule(feat, grid, dense):
+    """The peak detection finds: pipeline._vote_or_search builds no image
+    past a quarter of the pixels non-zero, and otherwise hough_transform's."""
+    from vibeline.pipeline import _line_and_peak, _vote_or_search
 
-    weights = feat.ravel()
-    return np.stack([np.bincount(row, weights=weights, minlength=grid.rho_bins)
-                     for row in _rho_index_table(grid)])
+    image, cell = _vote_or_search(feat, grid)
+    assert (image is None) == dense
+    if image is not None:
+        assert np.array_equal(image.view(np.uint64),
+                              hough_transform(feat, grid).view(np.uint64))
+    return _line_and_peak(image, cell, grid)[1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -176,7 +178,8 @@ def _table_vote(feat, grid):
                                         "quarter+1", "all"]),
                        st.floats(0.0, 1.0)),
        ties=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-# a 4x4 map with exactly a quarter (4 pixels) non-zero votes table-free
+# a 4x4 map with exactly a quarter (4 pixels) non-zero keeps its image in
+# detection, and one more pixel does not
 @example(h=4, w=4, theta_step=1.0, rho_step=1.0, share="quarter",
          ties=True, seed=0)
 @example(h=4, w=4, theta_step=1.0, rho_step=1.0, share="quarter+1",
@@ -193,10 +196,8 @@ def _table_vote(feat, grid):
          seed=1)
 @example(h=40, w=40, theta_step=1.0, rho_step=3.0, share="one",
          ties=True, seed=2)
-def test_sparse_vote_equals_the_table_vote_bit_for_bit(
+def test_sparse_vote_equals_the_recomputed_vote_bit_for_bit(
         h, w, theta_step, rho_step, share, ties, seed):
-    from vibeline.hough import _rho_index_table
-
     grid = HoughGrid(h, w, theta_step, rho_step)
     n = h * w
     count = {"none": 0, "one": 1, "quarter": n // 4, "quarter+1": n // 4 + 1,
@@ -212,17 +213,16 @@ def test_sparse_vote_equals_the_table_vote_bit_for_bit(
     feat[order[:count]] = (rng.uniform(0.5, 1.0, count)
                            * 10.0 ** rng.integers(-8, 8, count))
     feat = feat.reshape(h, w)
-    _rho_index_table.cache_clear()
     got = hough_transform(feat, grid)
-    # the table is built only past a quarter of the pixels non-zero
-    assert _rho_index_table.cache_info().misses == (count > n // 4)
     assert np.array_equal(got.view(np.uint64),
-                          _table_vote(feat, grid).view(np.uint64))
+                          _recomputed_vote(feat, grid).view(np.uint64))
+    peak = _voted_by_the_pipeline_rule(feat, grid, count > n // 4)
+    assert np.float64(peak).view(np.uint64) == got.max().view(np.uint64)
 
 
-# (non-zero pixels, of them 5e-324, -0.0 pixels, table built) on the
-# fullsize 328x335 grid, where a quarter is 27,470 pixels
-@pytest.mark.parametrize("count, subnormal, negative_zero, table", [
+# (non-zero pixels, of them 5e-324, -0.0 pixels, dense) on the fullsize
+# 328x335 grid, where a quarter is 27,470 pixels
+@pytest.mark.parametrize("count, subnormal, negative_zero, dense", [
     (1318, 50, 5000, False),  # ~1.2% non-zero, as a clean batch map
     (27470, 50, 0, False),
     (27471, 50, 0, True),
@@ -231,9 +231,7 @@ def test_sparse_vote_equals_the_table_vote_bit_for_bit(
 ], ids=["sparse", "quarter", "quarter+1", "quarter+negative_zeros",
         "one_subnormal"])
 def test_mask_scan_votes_the_nonzero_pixels_bit_for_bit(
-        count, subnormal, negative_zero, table):
-    from vibeline.hough import _rho_index_table
-
+        count, subnormal, negative_zero, dense):
     grid = HoughGrid(328, 335)
     n = 328 * 335
     rng = np.random.default_rng(count + negative_zero)
@@ -244,29 +242,14 @@ def test_mask_scan_votes_the_nonzero_pixels_bit_for_bit(
     feat[order[:subnormal]] = 5e-324
     feat[order[count:count + negative_zero]] = -0.0
     feat = feat.reshape(328, 335)
-    _rho_index_table.cache_clear()
     got = hough_transform(feat, grid)
-    assert _rho_index_table.cache_info().misses == table
-    for want in (_table_vote(feat, grid), _recomputed_vote(feat, grid)):
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    want = _recomputed_vote(feat, grid)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    peak = _voted_by_the_pipeline_rule(feat, grid, dense)
+    assert np.float64(peak).view(np.uint64) == got.max().view(np.uint64)
     if count == 1:  # the subnormal lands in one bin per theta row
         assert (got == 5e-324).sum(axis=1).tolist() == [1] * grid.theta_bins
         assert np.count_nonzero(got) == grid.theta_bins
-
-
-def test_rho_index_table_is_read_only_and_compact():
-    from vibeline.hough import _rho_index_table
-
-    small = _rho_index_table(small_grid(16, 16))
-    assert small.dtype == np.uint8  # rho_bins = 47
-    table = _rho_index_table(small_grid(328, 335))
-    assert table.dtype == np.uint16  # rho_bins = 939
-    assert table.shape == (180, 328 * 335)
-    assert not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0, 0] = 0
-    assert _rho_index_table(small_grid(328, 335)) is table
-    assert _rho_index_table.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -563,11 +546,11 @@ def test_tip_render_at_origin_is_constant_center_column():
 @example(h=64, w=80, theta_step=1.0, rho_step=3.0, pixel=(0, 3))
 def test_each_tip_curve_row_peaks_in_the_bin_its_pixel_votes_into(
         h, w, theta_step, rho_step, pixel):
-    from vibeline.hough import _rho_index_table
-
     grid = HoughGrid(h, w, theta_step, rho_step)
     x, y = pixel[0] % w, pixel[1] % h
-    votes = _rho_index_table(grid)[:, y * w + x]
+    feat = np.zeros((h, w))
+    feat[y, x] = 1.0
+    votes = np.argmax(hough_transform(feat, grid), axis=1)
     peaks = np.argmax(render_tip_gt(grid, float(x), float(y)), axis=1)
     assert np.array_equal(peaks, votes)
 

@@ -26,6 +26,7 @@ from vibeline import (
     band_energy_from_frames,
     detect,
     detect_frames,
+    hough_transform,
     hybrid_loss,
     nearest_band,
     preset,
@@ -33,6 +34,7 @@ from vibeline import (
     render_truth_map,
     save_ground_truth,
     save_sequence,
+    shaft_from_hough,
     stream_push,
     synth_sequence,
     tip_along_line,
@@ -214,7 +216,13 @@ def test_detect_takes_a_real_dtype_as_its_float64_copy(dtype, noisy):
     want = detect_with_timing(frames.astype(np.float64), seq.fps, CFG3)
     assert got[0] == want[0]
     assert got[2].tobytes() == want[2].tobytes()
-    assert got[4].tobytes() == want[4].tobytes()
+    # a dense map's peak is found without the image, so vote it here; bool
+    # frames threshold the noise away from most pixels
+    assert (got[4] is None) == (want[4] is None) == \
+        (noisy and dtype is not np.bool_)
+    images = [hough_transform(values, grid) if image is None else image
+              for _, _, values, grid, image in (got, want)]
+    assert images[0].tobytes() == images[1].tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, object, str])
@@ -285,23 +293,29 @@ def test_timing_report_structure():
     assert timing["total_ms"] >= timing["hough_ms"]
 
 
-def test_a_clean_batch_detect_builds_no_rho_table_and_a_noisy_one_builds_it_once():
-    from vibeline.hough import _rho_index_table
+@pytest.mark.parametrize("amplitude", [0.8, 0.0], ids=["vibrating", "still"])
+def test_a_noisy_fullsize_batch_detect_decodes_as_the_full_vote(amplitude):
+    # sensor noise moves every pixel: the dense map's peak is found without
+    # the Hough image, and decoding the full vote of the same map must give
+    # the same detection, confidence bits included
+    from vibeline.pipeline import _decode
 
-    # ~1.2% of a clean fullsize map is non-zero: it votes table-free, so
-    # a cold detect skips the ~40 MB table and its build
-    seq, _ = challenging_phantom(0)
-    _rho_index_table.cache_clear()
-    det, _ = detect_frames(seq.frames, seq.fps)
-    assert not det.low_confidence_flag
-    assert _rho_index_table.cache_info().misses == 0
-    # sensor noise moves every pixel: the dense map votes through the
-    # table, built on the first call and reused on the second
-    noisy = _noisy(seq.frames, seed=3)
-    for _ in range(2):
-        detect_frames(noisy, seq.fps)
-    info = _rho_index_table.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    spec = replace(preset("fullsize"), visibility=0.0, artifact_count=1,
+                   vib_amplitude=amplitude, seed=1203)
+    seq, _ = synth_sequence(spec)
+    clean = detect_with_timing(seq.frames, seq.fps)
+    assert clean[4] is not None  # a clean map keeps its image
+    det, _, values, grid, image = detect_with_timing(
+        _noisy(seq.frames, seed=3), seq.fps)
+    assert image is None and np.count_nonzero(values) == values.size
+    full = hough_transform(values, grid)
+    want = _decode(values, grid, shaft_from_hough(full, grid),
+                   float(full.max()), DetectConfig())
+    assert (det.theta, det.rho, det.tip_x, det.tip_y) == \
+        (want.theta, want.rho, want.tip_x, want.tip_y)
+    assert det.low_confidence_flag == want.low_confidence_flag
+    assert np.float64(det.confidence).view(np.uint64) == \
+        np.float64(want.confidence).view(np.uint64)
 
 
 # --------------------------------------------------------------------------
@@ -655,18 +669,20 @@ def test_every_noisy_fullsize_emission_decodes_as_the_full_vote(amplitude):
         maps.append(values.copy())
         return hough._peak(values, grid)
 
+    def unvoted(values, grid):
+        raise AssertionError("a dense emission voted the Hough image")
+
     state = StreamState(seq.height, seq.width, seq.fps)
     cfg, grid = state.cfg, HoughGrid(seq.height, seq.width)
-    hough._rho_index_table.cache_clear()
     emitted = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "_peak", spy)
+        mp.setattr(pipeline, "hough_transform", unvoted)
         for frame in frames:
             out = state.push(frame)
             if out is not None:
                 emitted.append(out)
-    # every pixel moves, yet no emission builds the rho-index table
-    assert hough._rho_index_table.cache_info().misses == 0
+    # every pixel moves, and no emission builds the Hough image
     assert len(emitted) == len(maps) == 6
     for got, values in zip(emitted, maps):
         image = hough.hough_transform(values, grid)
