@@ -13,6 +13,7 @@ Conventions, fixed across the package:
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -89,41 +90,70 @@ class HoughMap:
             )
 
 
-# _peak's floor: the map's 90th percentile, so that about a tenth of the
-# pixels vote their excess over it sparsely
-_FLOOR_SHARE = 0.9
+# _peak's floors, coarse to fine: the map's 95th and 85th percentiles.  The
+# coarse one bounds every theta row from ~5% of the pixels, voted in blocks
+# of _BLOCK_ROWS rows; the fine one tightens a row's bound before it is voted
+# exactly
+_FLOOR_SHARES = (0.95, 0.85)
+_BLOCK_ROWS = 8
 
 
-def _rho_bin(grid: HoughGrid, cos_t, sin_t, x, y, out=None) -> np.ndarray:
+def _rho_bin(grid: HoughGrid, cos_t, sin_t, x, y, out=None,
+             shift=0) -> np.ndarray:
     """Rho bin of (x, y) at each angle, as floats (in out if given):
-    floor(cos*(1/step)*x + sin*(1/step)*y + 0.5) + rho_offset.  The vote
+    floor(cos*(1/step)*x + sin*(1/step)*y + 0.5) + rho_offset, plus shift,
+    whole numbers that _vote adds in the same exact float add.  The vote
     and the tip curve share it, so they break half-bin ties alike."""
     inv_step = 1.0 / grid.rho_step
-    v = np.add((cos_t * inv_step) * x, (sin_t * inv_step) * y, out=out)
+    v = np.multiply(cos_t * inv_step, x, out=out)
+    v += (sin_t * inv_step) * y
     v += 0.5
     np.floor(v, out=v)
-    v += grid.rho_offset
+    v += grid.rho_offset + shift
     return v
 
 
 def _row_vote(grid: HoughGrid, c, s, xs, ys, weights, out) -> np.ndarray:
-    """One theta row: the weights summed into the _rho_bin of (xs, ys), in
-    row-major pixel order, or the pixels counted (as int64) when weights is
-    None; out holds the bins as floats."""
+    """One theta row: the weights summed into the _rho_bin of (xs, ys) in
+    the order given; out holds the bins as floats."""
     idx = _rho_bin(grid, c, s, xs, ys, out=out).astype(np.intp).ravel()
     return np.bincount(idx, weights=weights, minlength=grid.rho_bins)
 
 
-def _vote(grid: HoughGrid, voters: np.ndarray, weights) -> np.ndarray:
-    """(theta_bins, rho_bins) image of weights[i] voted by the row-major
-    pixel voters[i], one _row_vote per theta row; of 1 per voter when
-    weights is None."""
+def _excess(grid: HoughGrid, weights: np.ndarray, floor: float):
+    """(xs, ys, excess) of the flat map's pixels above floor, in row-major
+    order: their coordinates as floats and weights - floor.  At floor 0 they
+    are the non-zero pixels (-0.0 is zero, a subnormal is not), whose vote is
+    hough_transform's image."""
+    voters = np.flatnonzero(weights > floor if floor else weights != 0)
     ys, xs = (v.astype(np.float64) for v in np.divmod(voters, grid.image_w))
-    rho_units = np.empty(voters.size)
-    acc = np.empty(grid.shape(), dtype=np.float64)
-    for i, (c, s) in enumerate(zip(*grid.theta_trig())):
-        acc[i] = _row_vote(grid, c, s, xs, ys, weights, rho_units)
-    return acc
+    return xs, ys, weights[voters] - floor
+
+
+def _vote(grid: HoughGrid, xs, ys, weights, block: int = 1) -> np.ndarray:
+    """(theta_bins, rho_bins) image of weights[i] voted by pixel (xs[i],
+    ys[i]); of 1 per pixel when weights is None.  Each block of theta rows
+    takes one _rho_bin chain and one bincount: row j of a block adds
+    j * rho_bins to its floored bins, an exact float add, so every cell sums
+    its pixels in the order given, as a vote one row at a time does.  The
+    last block is padded with rows of cos = sin = 0, voted and dropped.  One
+    row per block hands _rho_bin scalar angles and a flat buffer, which cost
+    least per call."""
+    rows, cols = grid.theta_bins, grid.rho_bins
+    cos_t, sin_t = grid.theta_trig()
+    tiled, shift, rho_units = weights, 0, np.empty(xs.size)
+    if block > 1:  # each block's angles as a column, a row of bins apiece
+        cos_t, sin_t = (np.pad(t, (0, -rows % block)).reshape(-1, block, 1)
+                        for t in (cos_t, sin_t))
+        tiled = None if weights is None else np.tile(weights, block)
+        shift = np.arange(block, dtype=np.float64)[:, None] * cols
+        rho_units = np.empty((block, xs.size))
+    acc = np.empty((len(cos_t), block * cols), dtype=np.float64)
+    for i, (c, s) in enumerate(zip(cos_t, sin_t)):
+        bins = _rho_bin(grid, c, s, xs, ys, out=rho_units, shift=shift)
+        acc[i] = np.bincount(bins.astype(np.intp).ravel(), weights=tiled,
+                             minlength=block * cols)
+    return acc.reshape(-1, cols)[:rows]
 
 
 @functools.lru_cache(maxsize=1)
@@ -131,8 +161,8 @@ def _cell_counts(grid: HoughGrid) -> np.ndarray:
     """Read-only (theta_bins, rho_bins) float count of the pixels that vote
     into each cell: 1.4 MB at 328x335 with 1-degree steps.  An unweighted
     count gives the integer bits of the vote of a map of ones."""
-    npix = grid.image_h * grid.image_w
-    counts = _vote(grid, np.arange(npix), None)
+    xs, ys, _ = _excess(grid, np.ones(grid.image_h * grid.image_w), 0.0)
+    counts = _vote(grid, xs, ys, None)
     counts.setflags(write=False)
     return counts
 
@@ -163,38 +193,49 @@ def hough_transform(feature: np.ndarray, grid: HoughGrid) -> np.ndarray:
     non-zero pixels vote, found by one mask, weights != 0 (-0.0 is zero to
     it, a subnormal is not); a skipped zero would only add 0.0.  Each theta
     row bins them with _rho_bin and adds their weights with one bincount,
-    in row-major pixel order: ~5 ms on a clean 328x335 map (1.2%
-    non-zero), ~115-150 ms on a dense one.  Detection builds this image
-    only for a clean map (pipeline._vote_or_search); --emit-hough and the
-    tests vote here.
+    in row-major pixel order: ~2-3 ms on a clean 328x335 map (1.2%
+    non-zero), ~85-105 ms on a dense one.  It votes one row per bincount:
+    _vote's blocks of 8 rows take a clean map's vote from ~2.1 to ~1.9 ms,
+    but perfbench's traced batch run checks this span against --timing's
+    hough_ms, and the tracer's fixed cost per call, a larger share of a
+    faster vote, then takes that check from ~7% to ~9% of its 10% limit;
+    past ~16k voters blocks are slower.  Detection builds this image only
+    for a clean map (pipeline._vote_or_search); --emit-hough and the tests
+    vote here.
     """
     weights = _checked_feature(feature, grid).ravel()
-    voters = np.flatnonzero(weights != 0)
-    return _vote(grid, voters, weights[voters])
+    return _vote(grid, *_excess(grid, weights, 0.0))
 
 
-def _floor_vote(weights: np.ndarray, grid: HoughGrid):
-    """(floor, vote): the flat map's _FLOOR_SHARE quantile, and the sparse
-    vote of each pixel's excess over it.  At floor 0 the excess of each
-    non-zero pixel is its value, so the vote is hough_transform's image."""
-    k = int(weights.size * _FLOOR_SHARE)
-    floor = float(np.partition(weights, k)[k])
-    voters = np.flatnonzero(weights > floor if floor else weights != 0)
-    return floor, _vote(grid, voters, weights[voters] - floor)
+def _levels(grid: HoughGrid, weights: np.ndarray) -> list:
+    """_peak's levels, coarse to fine: (floor, *_excess over it) for each
+    _FLOOR_SHARES quantile of the flat map but one that is 0 or no lower
+    than the floor before it, which would add nothing; the coarsest always
+    stays.  One partition at the finest share, and one more of the slice
+    above it per coarser share, find them: 0.18 ms at 328x335, where one
+    partition with both kth values took 1.26 ms."""
+    floors, rest, lo = [], weights, 0
+    for share in reversed(_FLOOR_SHARES):
+        k = int(weights.size * share)
+        rest = np.partition(rest, k - lo)[k - lo:]
+        floors.insert(0, float(rest[0]))
+        lo = k
+    return [(f, *_excess(grid, weights, f)) for i, f in enumerate(floors)
+            if i == 0 or 0.0 < f < floors[i - 1]]
 
 
-def _row_bounds(floor: float, excess_vote: np.ndarray,
-                grid: HoughGrid) -> np.ndarray:
-    """An upper bound on each theta row's maximum of a non-negative map.
+def _row_bounds(floor: float, vote: np.ndarray, counts: np.ndarray,
+                grid: HoughGrid):
+    """An upper bound on the maximum of each theta row of a non-negative
+    map, from the vote of its excess over floor and the rows' counts.
 
     A cell's sum splits into its pixels' parts up to the floor, at most
     floor * (pixel count), and their excess over it.  Each bound is
     padded by 2 (H*W + 2) eps relative, more than the rounding of a sum
     of H*W terms on either side, so rounding cannot prune the true row.
     """
-    bound = (excess_vote + floor * _cell_counts(grid)).max(axis=1)
     pad = 2.0 * (grid.image_h * grid.image_w + 2) * np.finfo(np.float64).eps
-    return bound * (1.0 + pad)
+    return (vote + floor * counts).max(axis=-1) * (1.0 + pad)
 
 
 def _peak(values: np.ndarray, grid: HoughGrid):
@@ -202,31 +243,48 @@ def _peak(values: np.ndarray, grid: HoughGrid):
     bit, without building the image: its argmax cell, the first (theta,
     rho) on a tie, and its value.  values must be non-negative.
 
-    Rows are visited in falling _row_bounds order; each is voted exactly,
-    every pixel through _row_vote in row-major order as hough_transform
-    votes it, and the search stops once the next bound is below the best
-    exact value.  On a noisy map about three rows are voted; with no
-    vibrating line a few dozen are.  When the floor is 0 the sparse vote
-    already is the image.  The first call on a grid builds _cell_counts
-    (~110 ms at 328x335 with 1-degree steps, cached for one grid).  A NaN
-    or inf pixel raises as in hough_transform.
+    A best-first search over _levels.  The excess over the coarsest floor
+    is voted in blocks of _BLOCK_ROWS theta rows, and _row_bounds bounds
+    every row from it.  A heap holds (bound, theta, level) and pops the
+    highest bound: a row at a coarser level is voted at the next floor and
+    pushed back with that bound, and a row at the finest level is voted
+    exactly, every pixel through _row_vote in row-major order as
+    hough_transform votes it.  The search stops once the top bound is
+    below the best exact value.  On a noisy fullsize map with a vibrating
+    needle about 3 rows are voted exactly; with the vibration off about a
+    dozen, where one 90th-percentile floor left ~35.  When the coarsest
+    floor is 0 its vote already is the image.  The first call on a grid
+    builds _cell_counts (~80-100 ms at 328x335 with 1-degree steps,
+    cached for one grid).  A NaN or inf pixel raises as in hough_transform.
     """
-    feat = _checked_feature(values, grid)
-    weights = feat.ravel()
-    floor, vote = _floor_vote(weights, grid)
+    weights = _checked_feature(values, grid).ravel()
+    levels = _levels(grid, weights)
+    floor = levels[0][0]
+    vote = _vote(grid, *levels[0][1:], _BLOCK_ROWS)
     if floor == 0.0:
         ti, ri = divmod(int(np.argmax(vote)), grid.rho_bins)
         return ti, ri, float(vote[ti, ri])
-    bound = _row_bounds(floor, vote, grid)
+    counts = _cell_counts(grid)
+    heap = [(-b, ti, 0) for ti, b in
+            enumerate(_row_bounds(floor, vote, counts, grid).tolist())]
+    heapq.heapify(heap)
     xs = np.arange(grid.image_w, dtype=np.float64)[None, :]
     ys = np.arange(grid.image_h, dtype=np.float64)[:, None]
-    rho_units = np.empty(feat.shape)
+    rho_units = np.empty(weights.size)  # one row's bins, at any level
     cos_t, sin_t = grid.theta_trig()
     best, cell = -math.inf, (0, 0)
-    for ti in np.argsort(-bound, kind="stable").tolist():
-        if bound[ti] < best:
-            break
-        row = _row_vote(grid, cos_t[ti], sin_t[ti], xs, ys, weights, rho_units)
+    while heap and -heap[0][0] >= best:
+        _, ti, lv = heapq.heappop(heap)
+        if lv + 1 < len(levels):
+            lv += 1
+            floor, fxs, fys, excess = levels[lv]
+            row = _row_vote(grid, cos_t[ti], sin_t[ti], fxs, fys, excess,
+                            rho_units[:fxs.size])
+            bound = _row_bounds(floor, row, counts[ti], grid)
+            heapq.heappush(heap, (-float(bound), ti, lv))
+            continue
+        row = _row_vote(grid, cos_t[ti], sin_t[ti], xs, ys, weights,
+                        rho_units.reshape(grid.image_h, grid.image_w))
         ri = int(np.argmax(row))
         if row[ri] > best or (row[ri] == best and ti < cell[0]):
             best, cell = float(row[ri]), (ti, ri)

@@ -317,6 +317,22 @@ def _peak_map(h, w, share, values, seed):
     return feat.reshape(h, w)
 
 
+def _level_bounds_hold(feat, grid, image):
+    """Each level of _peak bounds every theta row's maximum from above;
+    returns the levels' floors."""
+    from vibeline.hough import _cell_counts, _levels, _row_bounds, _vote
+
+    floors = []
+    for floor, xs, ys, excess in _levels(grid, feat.ravel()):
+        vote = _vote(grid, xs, ys, excess)
+        bound = _row_bounds(floor, vote, _cell_counts(grid), grid)
+        assert np.all(bound >= image.max(axis=1)), floor
+        if floor == 0.0:  # the vote of the non-zero pixels is the image
+            assert np.array_equal(vote.view(np.uint64), image.view(np.uint64))
+        floors.append(floor)
+    return floors
+
+
 @settings(max_examples=150, deadline=None)
 @given(h=st.integers(1, 40), w=st.integers(1, 40),
        theta_step=st.sampled_from([1.0, 0.7, 3.0, 7.0, 45.0]),
@@ -335,7 +351,7 @@ def _peak_map(h, w, share, values, seed):
          values="levels", seed=2)
 def test_peak_equals_the_vote_argmax_and_peak_bit_for_bit(
         h, w, theta_step, rho_step, share, values, seed):
-    from vibeline.hough import _floor_vote, _peak, _row_bounds
+    from vibeline.hough import _peak
 
     grid = HoughGrid(h, w, theta_step, rho_step)
     feat = _peak_map(h, w, share, values, seed)
@@ -344,27 +360,141 @@ def test_peak_equals_the_vote_argmax_and_peak_bit_for_bit(
     # np.argmax takes the first cell: the smallest (theta, rho) on a tie
     assert (ti, ri) == divmod(int(np.argmax(image)), grid.rho_bins)
     assert np.float64(peak).view(np.uint64) == image.max().view(np.uint64)
-    floor, vote = _floor_vote(feat.ravel(), grid)
-    assert np.all(_row_bounds(floor, vote, grid) >= image.max(axis=1))
-    if floor == 0.0:  # the vote of the non-zero pixels is the image
-        assert np.array_equal(vote.view(np.uint64), image.view(np.uint64))
+    _level_bounds_hold(feat, grid, image)
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=st.integers(1, 40), w=st.integers(1, 40),
+       # 180, 258, 60, 26 and 4 theta rows: full and partial last blocks
+       theta_step=st.sampled_from([1.0, 0.7, 3.0, 7.0, 45.0]),
+       rho_step=st.sampled_from([0.5, 0.7, 1.0, 3.0]),
+       block=st.sampled_from([1, 2, 7, 8, 180]),
+       share=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+       counted=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(h=40, w=40, theta_step=1.0, rho_step=1.0, block=180, share=0.0,
+         counted=False, seed=0)
+@example(h=40, w=40, theta_step=1.0, rho_step=1.0, block=7, share=1.0,
+         counted=False, seed=1)
+@example(h=40, w=40, theta_step=0.7, rho_step=0.5, block=8, share=0.3,
+         counted=True, seed=2)
+def test_blocked_vote_equals_the_recomputed_vote_bit_for_bit(
+        h, w, theta_step, rho_step, block, share, counted, seed):
+    from vibeline.hough import _vote
+
+    grid = HoughGrid(h, w, theta_step, rho_step)
+    rng = np.random.default_rng(seed)
+    n = h * w
+    voters = np.sort(rng.permutation(n)[:round(share * n)])
+    ys, xs = (v.astype(np.float64) for v in np.divmod(voters, w))
+    # weights over 16 decades, with -0.0 and the smallest subnormal
+    weights = (rng.uniform(0.5, 1.0, voters.size)
+               * 10.0 ** rng.integers(-8, 8, voters.size))
+    weights[rng.random(voters.size) < 0.2] = -0.0
+    weights[rng.random(voters.size) < 0.2] = 5e-324
+    feat = np.zeros(n)  # a pixel that does not vote adds 0.0 below
+    feat[voters] = 1.0 if counted else weights
+    got = _vote(grid, xs, ys, None if counted else weights, block)
+    want = _recomputed_vote(feat.reshape(h, w), grid)
+    assert got.dtype == np.float64 and got.shape == grid.shape()
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# (map, floors as _levels keeps them); every map is 20x20
+_PLATEAU = np.full(400, 2.0)
+_PLATEAU[:40] = 1.0  # 90% at 2: nothing lies above either floor
+_TOP_TIE = np.linspace(0.01, 0.99, 400)
+_TOP_TIE[-80:] = 5.0  # the top 20% tie, so both floors are 5
+_MID_TIE = np.linspace(0.01, 0.99, 400)
+_MID_TIE[-64:-16] = 1.5  # the 84th-96th percentiles tie: equal floors
+_MID_TIE[-16:] = np.linspace(2.0, 3.0, 16)
+_SPARSE = np.zeros(400)
+_SPARSE[-48:] = np.linspace(0.5, 4.0, 48)  # 12% non-zero: the fine floor is 0
+
+
+@pytest.mark.parametrize("flat, floors", [
+    (_PLATEAU, [2.0]), (_TOP_TIE, [5.0]), (_MID_TIE, [1.5]),
+    (_SPARSE, [float(_SPARSE[380])]),
+], ids=["plateau", "top_tie", "mid_tie", "zero_fine_floor"])
+def test_peak_keeps_its_bits_with_equal_zero_and_empty_levels(flat, floors):
+    from vibeline.hough import _excess, _levels, _peak
+
+    grid = HoughGrid(20, 20)
+    rng = np.random.default_rng(9)
+    feat = flat[rng.permutation(400)].reshape(20, 20)
+    image = hough_transform(feat, grid)
+    assert _level_bounds_hold(feat, grid, image) == floors
+    if floors[0] == flat.max():  # no pixel lies above the coarse floor
+        assert _excess(grid, feat.ravel(), floors[0])[2].size == 0
+        assert _levels(grid, feat.ravel())[0][1].size == 0
+    ti, ri, peak = _peak(feat, grid)
+    assert (ti, ri) == divmod(int(np.argmax(image)), grid.rho_bins)
+    assert np.float64(peak).view(np.uint64) == image.max().view(np.uint64)
+
+
+def _peak_and_exact_rows(feat, grid):
+    """_peak's result and the number of theta rows it voted over every pixel."""
+    from vibeline import hough
+
+    exact = []
+    row_vote = hough._row_vote
+
+    def spy(grid, c, s, xs, ys, weights, out):
+        exact.append(weights.size == grid.image_h * grid.image_w)
+        return row_vote(grid, c, s, xs, ys, weights, out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hough, "_row_vote", spy)
+        result = hough._peak(feat, grid)
+    return result, sum(exact)
+
+
+def _one_floor_rows(feat, grid, peak):
+    """The rows a single 90th-percentile floor leaves above the peak: those
+    a search without a finer floor votes exactly."""
+    from vibeline.hough import _cell_counts, _excess, _row_bounds, _vote
+
+    weights = feat.ravel()
+    k = int(weights.size * 0.9)
+    floor = float(np.partition(weights, k)[k])
+    vote = _vote(grid, *_excess(grid, weights, floor))
+    bound = _row_bounds(floor, vote, _cell_counts(grid), grid)
+    return int(np.count_nonzero(bound >= peak))
 
 
 def test_peak_of_a_noisy_fullsize_map_votes_few_rows_exactly():
-    from vibeline.hough import _floor_vote, _peak, _row_bounds
-
     grid = HoughGrid(328, 335)
     rng = np.random.default_rng(5)
     feat = rng.exponential(size=(328, 335))
     feat[np.arange(300), np.arange(300) + 20] += 8.0  # a line at 135 deg
     image = hough_transform(feat, grid)
-    ti, ri, peak = _peak(feat, grid)
+    (ti, ri, peak), exact = _peak_and_exact_rows(feat, grid)
     assert (ti, ri) == divmod(int(np.argmax(image)), grid.rho_bins)
     assert peak == image.max() and ti == 135
-    floor, vote = _floor_vote(feat.ravel(), grid)
-    bound = _row_bounds(floor, vote, grid)
-    assert floor > 0.0 and np.all(bound >= image.max(axis=1))
-    assert np.count_nonzero(bound >= peak) <= 5  # the rows _peak votes
+    floors = _level_bounds_hold(feat, grid, image)
+    assert len(floors) == 2 and floors[0] > floors[1] > 0.0
+    assert 1 <= exact <= 5
+
+
+def test_peak_of_a_noisy_still_needle_votes_fewer_rows_than_one_floor():
+    # with no vibrating line the bound stays loose: the finer floor must
+    # leave fewer rows to vote exactly than one 90th-percentile floor does
+    from dataclasses import replace
+
+    from vibeline import detect_with_timing, preset, synth_sequence
+
+    spec = replace(preset("fullsize"), visibility=0.0, artifact_count=1,
+                   vib_amplitude=0.0, seed=1201)
+    seq, _ = synth_sequence(spec)
+    rng = np.random.default_rng(7)
+    noisy = np.clip(np.rint(seq.frames + rng.standard_normal(seq.frames.shape)),
+                    0, 255).astype(np.uint8)
+    _, _, feat, grid, image = detect_with_timing(noisy, seq.fps)
+    assert image is None and np.count_nonzero(feat) == feat.size
+    image = hough_transform(feat, grid)
+    (ti, ri, peak), exact = _peak_and_exact_rows(feat, grid)
+    assert (ti, ri) == divmod(int(np.argmax(image)), grid.rho_bins)
+    assert np.float64(peak).view(np.uint64) == image.max().view(np.uint64)
+    assert exact < _one_floor_rows(feat, grid, peak)
 
 
 def test_peak_of_an_all_zero_map_is_zero_at_the_first_cell():
