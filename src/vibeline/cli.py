@@ -140,8 +140,7 @@ def cmd_detect(args, config: dict) -> int:
     cfg = _build_detect_config(args, config)
     seq = load_sequence(args.input)
     # one run feeds the record and every --emit-* map
-    det, timing, values, grid, hough = detect_with_timing(
-        seq.frames, seq.fps, cfg)
+    det, timing, values, grid = detect_with_timing(seq.frames, seq.fps, cfg)
 
     out = _prepared(args.out) if args.out \
         else Path(args.input).with_suffix(".json")
@@ -152,9 +151,8 @@ def cmd_detect(args, config: dict) -> int:
         write_vibmap(_prepared(args.emit_energy), values)
     if args.emit_hough:
         gt = load_ground_truth(args.hough_gt) if args.hough_gt else None
-        if hough is None:  # a dense map's peak was found without the image
-            hough = hough_transform(values, grid)
-        hmap = _hough_channels(det, grid, hough, cfg, gt)
+        hmap = _hough_channels(det, grid, hough_transform(values, grid), cfg,
+                               gt)
         write_vibmap(_prepared(args.emit_hough), [hmap.shaft, hmap.tip])
     if det.low_confidence_flag:  # one line naming each cause that holds
         reasons = ([f"low confidence ({det.confidence:.3g} < {cfg.confidence_min:g})"]
@@ -173,8 +171,14 @@ def cmd_stream(args, config: dict) -> int:
     cfg = _build_detect_config(args, config)
     warmup = DEFAULT_WARMUP if args.warmup is None else args.warmup
     seq = load_sequence(args.input)
+    # a replay shorter than its warm-up emits nothing, and StreamState sizes
+    # its rings by warmup; any other replay emits at its last frame
+    if warmup > seq.frame_count:
+        raise NoDetectionError(
+            f"stream ended after {seq.frame_count} frames, before the "
+            f"{warmup}-frame warm-up"
+        )
     state = StreamState(seq.height, seq.width, seq.fps, cfg, warmup=warmup)
-    last = None
     for t in range(seq.frame_count):
         det = stream_push(state, seq.frames[t])
         if det is not None:
@@ -182,11 +186,6 @@ def cmd_stream(args, config: dict) -> int:
             line.update(det.to_dict())
             print(json.dumps(line))
             last = det
-    if last is None:
-        raise NoDetectionError(
-            f"stream ended after {seq.frame_count} frames, before the "
-            f"{warmup}-frame warm-up"
-        )
     if last.low_confidence_flag:
         return EXIT_NO_DETECTION
     return EXIT_OK

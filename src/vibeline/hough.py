@@ -209,19 +209,18 @@ def hough_transform(feature: np.ndarray, grid: HoughGrid) -> np.ndarray:
 
 def _levels(grid: HoughGrid, weights: np.ndarray) -> list:
     """_peak's levels, coarse to fine: (floor, *_excess over it) for each
-    _FLOOR_SHARES quantile of the flat map but one that is 0 or no lower
-    than the floor before it, which would add nothing; the coarsest always
-    stays.  One partition at the finest share, and one more of the slice
-    above it per coarser share, find them: 0.18 ms at 328x335, where one
-    partition with both kth values took 1.26 ms."""
+    _FLOOR_SHARES quantile of the flat map, each > 0 on every map that
+    detection sends (pipeline._vote_or_search).  One partition at the
+    finest share, and one more of the slice above it per coarser share,
+    find them: 0.18 ms at 328x335, where one partition with both kth
+    values took 1.26 ms."""
     floors, rest, lo = [], weights, 0
     for share in reversed(_FLOOR_SHARES):
         k = int(weights.size * share)
         rest = np.partition(rest, k - lo)[k - lo:]
         floors.insert(0, float(rest[0]))
         lo = k
-    return [(f, *_excess(grid, weights, f)) for i, f in enumerate(floors)
-            if i == 0 or 0.0 < f < floors[i - 1]]
+    return [(f, *_excess(grid, weights, f)) for f in floors]
 
 
 def _row_bounds(floor: float, vote: np.ndarray, counts: np.ndarray,
@@ -252,18 +251,15 @@ def _peak(values: np.ndarray, grid: HoughGrid):
     hough_transform votes it.  The search stops once the top bound is
     below the best exact value.  On a noisy fullsize map with a vibrating
     needle about 3 rows are voted exactly; with the vibration off about a
-    dozen, where one 90th-percentile floor left ~35.  When the coarsest
-    floor is 0 its vote already is the image.  The first call on a grid
-    builds _cell_counts (~80-100 ms at 328x335 with 1-degree steps,
+    dozen, where one 90th-percentile floor left ~35.  A sparse or tied map
+    (detection sends none) costs more rows, not bits.  The first call on a
+    grid builds _cell_counts (~80-100 ms at 328x335 with 1-degree steps,
     cached for one grid).  A NaN or inf pixel raises as in hough_transform.
     """
     weights = _checked_feature(values, grid).ravel()
     levels = _levels(grid, weights)
-    floor = levels[0][0]
-    vote = _vote(grid, *levels[0][1:], _BLOCK_ROWS)
-    if floor == 0.0:
-        ti, ri = divmod(int(np.argmax(vote)), grid.rho_bins)
-        return ti, ri, float(vote[ti, ri])
+    floor, *coarse = levels[0]
+    vote = _vote(grid, *coarse, _BLOCK_ROWS)
     counts = _cell_counts(grid)
     heap = [(-b, ti, 0) for ti, b in
             enumerate(_row_bounds(floor, vote, counts, grid).tolist())]

@@ -3,13 +3,14 @@
 The detector is fully deterministic.  Its confidence is the ratio of the
 Hough peak to the mean Hough cell, taken from vote conservation as the
 energy map's mass / rho_bins.  Batch and stream find the argmax cell
-and the peak by one rule, _vote_or_search: a clean map votes the whole
-Hough image, a dense (noisy) one builds none and searches with
-hough._peak.  The default threshold below sits under the weakest clean
-true-needle confidence and above that of a Hough map of uniform noise,
-so a scene with no coherent vibration, or a true shaft under sensor
-noise, raises the low-confidence flag rather than a hard error.  The
-Detection record and its JSON form are in metrics.
+and the peak by one rule, _vote_or_search, which alone votes a Hough
+image: a clean map's; a dense (noisy) one is searched by hough._peak.
+_decode reads either, and no detection returns the image.  The default
+threshold below sits under the weakest clean true-needle confidence and
+above that of a Hough map of uniform noise, so a scene with no coherent
+vibration, or a true shaft under sensor noise, raises the low-confidence
+flag rather than a hard error.  The Detection record and its JSON form
+are in metrics.
 """
 
 from __future__ import annotations
@@ -151,21 +152,24 @@ def tip_along_line(energy_values: np.ndarray, theta: float, rho: float,
     return float(tip[0]), float(tip[1])
 
 
-def _decode(values: np.ndarray, grid: HoughGrid, line, peak: float,
+def _decode(values: np.ndarray, grid: HoughGrid, image, cell,
             cfg: DetectConfig) -> Detection:
     """Decode step of batch and stream detection: shaft, tip, confidence.
 
-    line is the (theta, rho) of the Hough argmax cell and peak its value;
-    line is not read when peak <= 0.  The mean Hough cell is the map's
-    mass / rho_bins, as every pixel votes once per theta row.
+    image and cell are _vote_or_search's pair: the peak is image.max() or
+    cell[2], and the shaft is read only when the peak is > 0.  The mean
+    Hough cell is the map's mass / rho_bins, as every pixel votes once
+    per theta row.
     """
+    peak = float(image.max()) if cell is None else cell[2]
     if peak <= 0.0:
         return Detection(theta=0.0, rho=0.0, tip_x=None, tip_y=None,
                          confidence=0.0, low_confidence_flag=True)
     mean = float(values.sum()) / grid.rho_bins
     confidence = peak / (mean + CONFIDENCE_EPS)
     flagged = confidence < cfg.confidence_min
-    theta, rho = line
+    theta, rho = (shaft_from_hough(image, grid) if cell is None
+                  else line_from_cell(grid, *cell[:2]))
     try:
         tip_x, tip_y = tip_along_line(values, theta, rho, cfg)
     except (NoTipError, GeometryError):
@@ -186,30 +190,19 @@ def _vote_or_search(values: np.ndarray, grid: HoughGrid):
     return None, _peak(values, grid)
 
 
-def _line_and_peak(image, cell, grid: HoughGrid):
-    """(line, peak) of _vote_or_search's result; line is None when a voted
-    image's peak is 0.  Kept apart so that hough_ms times a clean map's
-    vote alone, the span perfbench's traced batch run checks it against."""
-    if image is None:
-        ti, ri, peak = cell
-        return line_from_cell(grid, ti, ri), peak
-    peak = float(image.max())
-    return (shaft_from_hough(image, grid) if peak > 0.0 else None), peak
-
-
 def detect_with_timing(frames01: np.ndarray, fps: float,
                        cfg: DetectConfig | None = None):
-    """One timed batch run: (Detection, timing, energy, grid, Hough image).
+    """One timed batch run: (Detection, timing, energy, grid).
 
     frames01 is a (T, H, W) stack of uint8 samples or of values in
     [0, 1] of any real dtype, passed on as it is: float32, int16 or bool
     frames give the result of their float64 copy, and a NaN or inf
     sample is rejected by band_energy_from_frames.  Callers that export
-    the maps reuse the ones the detection came from; perfbench/tracing.py
-    wraps this name.  The Hough image is None on a dense map, whose peak
-    is found without it (_vote_or_search); hough_transform votes it.
-    Timing is reported per stage in milliseconds; hough_ms times a clean
-    map's vote, or a dense one's whole peak search.
+    the maps reuse the energy map the detection came from, and vote its
+    Hough image with hough_transform(energy, grid); perfbench/tracing.py
+    wraps this name.  Timing is reported per stage in milliseconds;
+    hough_ms times _vote_or_search alone: a clean map's vote, or a dense
+    one's whole peak search.
     """
     cfg = cfg or DetectConfig()
     frames = np.asarray(frames01)
@@ -221,9 +214,9 @@ def detect_with_timing(frames01: np.ndarray, fps: float,
     values, _ = band_energy_from_frames(frames, fps, cfg.vib_freq,
                                         cfg.window_len, cfg.hop)
     t1 = time.perf_counter()
-    hough, cell = _vote_or_search(values, grid)
+    image, cell = _vote_or_search(values, grid)
     t2 = time.perf_counter()
-    det = _decode(values, grid, *_line_and_peak(hough, cell, grid), cfg)
+    det = _decode(values, grid, image, cell, cfg)
     t3 = time.perf_counter()
     timing = {
         "spectral_ms": (t1 - t0) * 1000.0,
@@ -231,7 +224,7 @@ def detect_with_timing(frames01: np.ndarray, fps: float,
         "post_ms": (t3 - t2) * 1000.0,
         "total_ms": (t3 - t0) * 1000.0,
     }
-    return det, timing, values, grid, hough
+    return det, timing, values, grid
 
 
 def detect_frames(frames01: np.ndarray, fps: float, cfg: DetectConfig | None = None):
@@ -283,9 +276,9 @@ class StreamState:
     warmup - N + 1 window powers are updated in place and re-summed from
     their ring once per turn; both differ from batch only in rounding.
     The frame ring, the power ring and the sums are views of one block.
-    An emission finds the argmax cell and the peak by batch's rule,
-    _vote_or_search, so a noisy map builds no Hough image, and takes the
-    mean cell from vote conservation as batch does.
+    An emission decodes by batch's _vote_or_search and _decode, so a
+    noisy map builds no Hough image, and takes the mean cell from vote
+    conservation as batch does.
     """
 
     def __init__(self, height: int, width: int, fps: float,
@@ -344,9 +337,8 @@ class StreamState:
             return None
         values = _energy_ratio(*self._sums, self._stat_len)
         values = values.reshape(self.height, self.width)
-        line, peak = _line_and_peak(*_vote_or_search(values, self._grid),
-                                    self._grid)
-        return _decode(values, self._grid, line, peak, self.cfg)
+        return _decode(values, self._grid,
+                       *_vote_or_search(values, self._grid), self.cfg)
 
 
 def stream_push(state: StreamState, frame: np.ndarray):

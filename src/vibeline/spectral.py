@@ -90,6 +90,13 @@ def _cached_basis(window_len: int) -> SpectralBasis:
     return SpectralBasis(window_len=window_len, rows=rows)
 
 
+def _check_window_band(window_len, fs, target_freq) -> None:
+    """nearest_band's checks, in its order, before it builds N // 2 floats."""
+    _check_setting("window_len", window_len, 4, lo_closed=True, integer=True)
+    _check_setting("fps", fs, 0)
+    _check_band(target_freq, fs)
+
+
 def nearest_band(window_len: int, fs: float, target_freq: float) -> int:
     """Index of the non-DC bin whose center is closest to target_freq.
 
@@ -97,9 +104,7 @@ def nearest_band(window_len: int, fs: float, target_freq: float) -> int:
     and target_freq in (0, fs/2) (errors._check_band); every detection
     entry point resolves its band here.
     """
-    _check_setting("window_len", window_len, 4, lo_closed=True, integer=True)
-    _check_setting("fps", fs, 0)
-    _check_band(target_freq, fs)
+    _check_window_band(window_len, fs, target_freq)
     freqs = np.arange(1, window_len // 2) * float(fs) / window_len
     return 1 + int(np.argmin(np.abs(freqs - target_freq)))
 
@@ -129,11 +134,13 @@ def stft(signal, window_len: int, hop: int = 1) -> Spectrogram:
     if x.ndim != 1:
         raise ValidationError(f"signal must be 1-D, got shape {x.shape}")
     _check_setting("hop", hop, 1, lo_closed=True, integer=True)
-    basis = dft_basis(window_len)
+    # dft_basis's check, then the length, before N^2 floats are built
+    _check_setting("window_len", window_len, 2, lo_closed=True, integer=True)
     if x.size < window_len:
         raise ValidationError(
             f"signal length {x.size} shorter than window {window_len}"
         )
+    basis = dft_basis(window_len)
     m = window_count(x.size, window_len, hop)
     starts = hop * np.arange(m)
     segs = x[starts[:, None] + np.arange(window_len)[None, :]]  # (M, N)
@@ -184,11 +191,12 @@ def band_energy_from_frames(frames01: np.ndarray, fps: float, target_freq: float
     raises ValidationError, and so does a window power past float64.
     """
     frames01 = np.asarray(frames01)
-    k_star = nearest_band(window_len, fps, target_freq)
+    _check_window_band(window_len, fps, target_freq)
     _check_setting("hop", hop, 1, lo_closed=True, integer=True)
     if frames01.ndim != 3 or frames01.shape[0] < window_len:
         raise ValidationError(f"frames must have shape (T, H, W) with "
                               f"T >= {window_len}, got {frames01.shape}")
+    k_star = nearest_band(window_len, fps, target_freq)
     if frames01.dtype.kind not in "biuf":  # the matmul upcasts these exactly
         raise ValidationError(f"frames must be real numbers, got {frames01.dtype}")
     t, h, w = frames01.shape

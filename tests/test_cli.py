@@ -1062,6 +1062,56 @@ def test_a_grid_the_image_rejects_exits_1_before_any_frame_work(
     assert not out.exists()
 
 
+# (subcommand and its flags, exit code, error line, and the (module, name)
+# that would allocate by the oversized setting); a 1e12 window's band list
+# and basis or a 1e12-frame warm-up's rings run to TiB or PiB
+_OVERSIZED = {
+    "detect_window": (["detect", "--window", "1000000000000"], 1,
+                      "error: frames must have shape (T, H, W) with "
+                      "T >= 1000000000000, got (12, 16, 16)",
+                      [("spectral", "nearest_band"), ("spectral", "dft_basis")]),
+    "spectro_window": (["spectro", "--x", "3", "--y", "3", "--window",
+                        "1000000000000"], 1,
+                       "error: signal length 12 shorter than window "
+                       "1000000000000", [("spectral", "dft_basis")]),
+    "stream_warmup": (["stream", "--warmup", "1000000000000"], 3,
+                      "error: stream ended after 12 frames, before the "
+                      "1000000000000-frame warm-up",
+                      [("pipeline", "StreamState")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERSIZED))
+def test_an_oversized_window_or_warmup_exits_before_it_allocates(
+        tmp_path, capsys, monkeypatch, case):
+    # spies stand in for the allocating calls, so a regression fails here
+    # rather than asking the host for the memory
+    import importlib
+
+    from vibeline import cli
+
+    argv, code, line, allocators = _OVERSIZED[case]
+    for module, name in allocators:
+        def refused(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} ran")
+
+        monkeypatch.setattr(importlib.import_module(f"vibeline.{module}"),
+                            name, refused)
+    frames = np.random.default_rng(11).integers(0, 256, (12, 16, 16),
+                                                dtype=np.uint8)
+    seq_path = tmp_path / "short.vibseq"
+    save_sequence(UsSequence(frames, fps=30.0, pixel_spacing=0.1), seq_path)
+    out = tmp_path / "out"
+    outputs = {"detect": ["--out", str(out / "d.json")],
+               "spectro": ["--out-csv", str(out / "s.csv")], "stream": []}
+    args = [argv[0], str(seq_path), *argv[1:], *outputs[argv[0]]]
+    assert cli.main(args) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_readme_quick_start_reproduces_its_printed_record(tmp_path,
                                                           monkeypatch):
     import shlex

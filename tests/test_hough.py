@@ -155,16 +155,17 @@ def test_cached_vote_is_bit_identical_to_recomputed_bins():
 
 
 def _voted_by_the_pipeline_rule(feat, grid, dense):
-    """The peak detection finds: pipeline._vote_or_search builds no image
-    past a quarter of the pixels non-zero, and otherwise hough_transform's."""
-    from vibeline.pipeline import _line_and_peak, _vote_or_search
+    """The peak detection finds, read as pipeline._decode reads it:
+    _vote_or_search builds no image past a quarter of the pixels non-zero,
+    and otherwise hough_transform's."""
+    from vibeline.pipeline import _vote_or_search
 
     image, cell = _vote_or_search(feat, grid)
     assert (image is None) == dense
     if image is not None:
         assert np.array_equal(image.view(np.uint64),
                               hough_transform(feat, grid).view(np.uint64))
-    return _line_and_peak(image, cell, grid)[1]
+    return float(image.max()) if cell is None else cell[2]
 
 
 @settings(max_examples=150, deadline=None)
@@ -399,7 +400,50 @@ def test_blocked_vote_equals_the_recomputed_vote_bit_for_bit(
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-# (map, floors as _levels keeps them); every map is 20x20
+@settings(max_examples=150, deadline=None)
+@given(h=st.integers(1, 40), w=st.integers(1, 40), share=st.floats(0.0, 1.0),
+       subnormal=st.floats(0.0, 1.0), negative_zero=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+# a quarter + 1 pixels non-zero, all of them the smallest subnormal, and
+# -0.0 everywhere else
+@example(h=4, w=4, share=0.0, subnormal=1.0, negative_zero=1.0, seed=0)
+@example(h=40, w=40, share=0.0, subnormal=1.0, negative_zero=1.0, seed=1)
+@example(h=1, w=1, share=0.0, subnormal=0.0, negative_zero=0.0, seed=2)
+@example(h=40, w=40, share=1.0, subnormal=0.5, negative_zero=0.0, seed=3)
+def test_every_map_detection_sends_to_peak_has_every_floor_above_zero(
+        h, w, share, subnormal, negative_zero, seed):
+    # _peak has no path for a 0 floor: _vote_or_search sends it only maps
+    # more than a quarter non-zero, so both percentile floors are > 0
+    from vibeline import pipeline
+    from vibeline.hough import _FLOOR_SHARES, _levels
+
+    grid = HoughGrid(h, w)
+    n = h * w
+    count = n // 4 + 1 + round(share * (n - n // 4 - 1))
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    feat = np.zeros(n)
+    feat[order[:count]] = (rng.uniform(0.5, 1.0, count)
+                           * 10.0 ** rng.integers(-8, 8, count))
+    feat[order[:round(subnormal * count)]] = 5e-324
+    rest = order[count:]
+    feat[rest[:round(negative_zero * rest.size)]] = -0.0
+    sent = []
+
+    def spy(values, grid):
+        sent.append(values.ravel())
+        return 0, 0, 0.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_peak", spy)
+        image, _ = pipeline._vote_or_search(feat.reshape(h, w), grid)
+    assert image is None and len(sent) == 1
+    floors = [level[0] for level in _levels(grid, sent[0])]
+    assert len(floors) == len(_FLOOR_SHARES) and min(floors) > 0.0, floors
+
+
+# (map, _levels' floors: one per share, equal or 0 as they fall); every
+# map is 20x20
 _PLATEAU = np.full(400, 2.0)
 _PLATEAU[:40] = 1.0  # 90% at 2: nothing lies above either floor
 _TOP_TIE = np.linspace(0.01, 0.99, 400)
@@ -412,8 +456,8 @@ _SPARSE[-48:] = np.linspace(0.5, 4.0, 48)  # 12% non-zero: the fine floor is 0
 
 
 @pytest.mark.parametrize("flat, floors", [
-    (_PLATEAU, [2.0]), (_TOP_TIE, [5.0]), (_MID_TIE, [1.5]),
-    (_SPARSE, [float(_SPARSE[380])]),
+    (_PLATEAU, [2.0, 2.0]), (_TOP_TIE, [5.0, 5.0]), (_MID_TIE, [1.5, 1.5]),
+    (_SPARSE, [float(_SPARSE[380]), 0.0]),
 ], ids=["plateau", "top_tie", "mid_tie", "zero_fine_floor"])
 def test_peak_keeps_its_bits_with_equal_zero_and_empty_levels(flat, floors):
     from vibeline.hough import _excess, _levels, _peak
@@ -488,8 +532,8 @@ def test_peak_of_a_noisy_still_needle_votes_fewer_rows_than_one_floor():
     rng = np.random.default_rng(7)
     noisy = np.clip(np.rint(seq.frames + rng.standard_normal(seq.frames.shape)),
                     0, 255).astype(np.uint8)
-    _, _, feat, grid, image = detect_with_timing(noisy, seq.fps)
-    assert image is None and np.count_nonzero(feat) == feat.size
+    _, _, feat, grid = detect_with_timing(noisy, seq.fps)
+    assert np.count_nonzero(feat) == feat.size
     image = hough_transform(feat, grid)
     (ti, ri, peak), exact = _peak_and_exact_rows(feat, grid)
     assert (ti, ri) == divmod(int(np.argmax(image)), grid.rho_bins)

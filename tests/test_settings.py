@@ -182,10 +182,9 @@ def test_detect_config_value_is_rejected_or_detects_cleanly(draw):
         # still reject the run, by the same error type
         run = _accepted(lambda: detect_with_timing(FRAMES, 30.0, cfg))
         if run is not None and run[0].tip_x is not None:
-            det, _, values, grid, hough = run
-            if hough is None:  # a dense map: vote the image to render it
-                hough = hough_transform(values, grid)
-            _hough_channels(det, grid, hough, cfg, None)
+            det, _, values, grid = run
+            _hough_channels(det, grid, hough_transform(values, grid), cfg,
+                            None)
 
 
 @PROPERTY
