@@ -5,16 +5,16 @@ names lazily), so --threads reaches the BLAS environment variables before
 numpy, the only one the package uses, loads; in a process that has loaded
 numpy already, --threads exits 1 and writes no variable.
 
-Every settings flag stores into the PhantomSpec (gen) or DetectConfig
-(detect, stream, spectro) field it sets, which names its metavar:
---vib-hz VIB_FREQ.  Precedence, lowest to highest: the dataclass
-defaults (or the chosen preset for gen), --config JSON values, flags
-that were given.  The config file is a flat JSON object whose keys are
+A command declares a flag for each PhantomSpec (gen) or DetectConfig
+field it reads, which names its metavar: --vib-hz VIB_FREQ.
+Precedence, lowest to highest: the dataclass defaults (or the chosen
+preset for gen), --config JSON values, flags that were given.  The
+config file, one for every command, is a flat JSON object whose keys are
 the field names of PhantomSpec and DetectConfig; any other key is
 rejected before any work starts.
 
-Exit codes: 0 success, 1 validation error, 2 I/O or file-format error,
-3 no detection (including a low-confidence result).
+Exit codes: 0 success, 1 validation error, 2 I/O or file-format error or
+an argparse usage error, 3 no detection (including a low-confidence result).
 
 Every main call in a process parses with the one parser build_parser caches.
 """
@@ -120,6 +120,21 @@ def _prepared(path) -> Path:
     return p
 
 
+def _detection_exit(det, cfg) -> int:
+    """EXIT_OK, or EXIT_NO_DETECTION with one stderr line naming each cause
+    of a flagged record that holds, joined by '; '."""
+    if not det.low_confidence_flag:
+        return EXIT_OK
+    reasons = ([f"low confidence ({det.confidence:.3g} < {cfg.confidence_min:g})"]
+               if det.confidence < cfg.confidence_min else [])
+    if det.confidence == 0.0:  # a zero Hough peak: no line was detected
+        reasons.append("no energy in the vibration band")
+    elif det.tip_x is None:
+        reasons.append("no tip along the detected line")
+    print("; ".join(reasons), file=sys.stderr)
+    return EXIT_NO_DETECTION
+
+
 def cmd_gen(args, config: dict) -> int:
     from .core import save_sequence
     from .phantom import synth_sequence
@@ -154,14 +169,7 @@ def cmd_detect(args, config: dict) -> int:
         hmap = _hough_channels(det, grid, hough_transform(values, grid), cfg,
                                gt)
         write_vibmap(_prepared(args.emit_hough), [hmap.shaft, hmap.tip])
-    if det.low_confidence_flag:  # one line naming each cause that holds
-        reasons = ([f"low confidence ({det.confidence:.3g} < {cfg.confidence_min:g})"]
-                   if det.confidence < cfg.confidence_min else [])
-        if det.tip_x is None:
-            reasons.append("no tip along the detected line")
-        print("; ".join(reasons), file=sys.stderr)
-        return EXIT_NO_DETECTION
-    return EXIT_OK
+    return _detection_exit(det, cfg)
 
 
 def cmd_stream(args, config: dict) -> int:
@@ -186,9 +194,7 @@ def cmd_stream(args, config: dict) -> int:
             line.update(det.to_dict())
             print(json.dumps(line))
             last = det
-    if last.low_confidence_flag:
-        return EXIT_NO_DETECTION
-    return EXIT_OK
+    return _detection_exit(last, cfg)
 
 
 def cmd_eval(args, config: dict) -> int:
@@ -232,25 +238,21 @@ def cmd_spectro(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _add_detect_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--vib-hz", dest="vib_freq", type=float,
-                   help="vibration frequency to look for (Hz)")
-    p.add_argument("--window", dest="window_len", type=int,
-                   help="STFT window length in frames")
-    p.add_argument("--hop", type=int, help="window hop (stream: must be 1)")
-    p.add_argument("--theta-step", type=float,
-                   help="Hough angle resolution (deg)")
-    p.add_argument("--rho-step", type=float,
-                   help="Hough offset resolution (px)")
-    p.add_argument("--entry-side", help=_ENTRY_SIDE_HELP)
-    p.add_argument("--profile-threshold", type=float,
-                   help="tip profile threshold (fraction of the 95th pct)")
-    p.add_argument("--profile-smooth", type=int,
-                   help="tip profile moving-average width (samples)")
-    p.add_argument("--confidence-min", type=float,
-                   help="low-confidence flag threshold")
-    p.add_argument("--tip-sigma", type=float,
-                   help="blur of the rendered tip channel (bins)")
+# each DetectConfig field's flag, type and help, in --help order
+_DETECT_FLAGS = {
+    "vib_freq": ("--vib-hz", float, "vibration frequency to look for (Hz)"),
+    "window_len": ("--window", int, "STFT window length in frames"),
+    "hop": ("--hop", int, "window hop"),
+    "theta_step": ("--theta-step", float, "Hough angle resolution (deg)"),
+    "rho_step": ("--rho-step", float, "Hough offset resolution (px)"),
+    "entry_side": ("--entry-side", None, _ENTRY_SIDE_HELP),
+    "profile_threshold": ("--profile-threshold", float,
+                          "tip profile threshold (fraction of the 95th pct)"),
+    "profile_smooth": ("--profile-smooth", int,
+                       "tip profile moving-average width (samples)"),
+    "confidence_min": ("--confidence-min", float, "low-confidence flag threshold"),
+    "tip_sigma": ("--tip-sigma", float, "blur of the rendered tip channel (bins)"),
+}
 
 
 @functools.cache
@@ -309,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--hough-gt",
                    help="ground-truth JSON; render the tip channel there "
                         "instead of at the detected tip")
-    _add_detect_flags(d)
     d.set_defaults(func=cmd_detect)
 
     s = sub.add_parser("stream", help="frame-by-frame detection replay")
@@ -317,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--warmup", type=int,
                    help="frames absorbed before detections are emitted "
                         "(default: pipeline.DEFAULT_WARMUP)")
-    _add_detect_flags(s)
     s.set_defaults(func=cmd_stream)
 
     e = sub.add_parser("eval", help="score detection JSONs against truth")
@@ -337,8 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-map", help="bin-by-window power as VIBMAP01")
     sp.add_argument("--out-csv",
                     help="long-form CSV: window_index, bin_freq_hz, power")
-    _add_detect_flags(sp)
     sp.set_defaults(func=cmd_spectro)
+    # the flags of the DetectConfig fields each command reads: a stream's
+    # window moves one frame a push (hop 1), and only detect draws a tip map
+    for p, fields in ((d, _DETECT_FLAGS), (sp, ("window_len", "hop")),
+                      (s, _DETECT_FLAGS.keys() - {"hop", "tip_sigma"})):
+        for dest, (flag, kind, text) in _DETECT_FLAGS.items():
+            if dest in fields:
+                p.add_argument(flag, dest=dest, type=kind, help=text)
     return ap
 
 

@@ -303,7 +303,12 @@ class StreamState:
         # one block, 47.5 MB at 328x335: past glibc's 32 MB mmap ceiling, so
         # it is mapped and handed back whole rather than kept on the heap
         sizes = (n * npix, self._stat_len * 2 * npix, 2 * npix)
-        block = np.zeros(sum(sizes), dtype=np.float64)
+        try:
+            block = np.zeros(sum(sizes), dtype=np.float64)
+        except MemoryError:
+            raise ValidationError(
+                f"warmup {self.warmup} needs a {8 * sum(sizes)}-byte ring "
+                "block, which could not be allocated") from None
         frames, powers, sums = np.split(block, np.cumsum(sizes[:-1]))
         self._frame_ring = frames.reshape(n, npix)
         self._power_ring = powers.reshape(self._stat_len, 2, npix)

@@ -364,8 +364,11 @@ def test_stream_final_line_matches_batch_detect(tmp_path):
 
 
 def test_stream_rejects_hop_other_than_one(tmp_path):
+    # stream has no --hop flag; a config hop still reaches StreamState
     seq = gen_small(tmp_path / "a.vibseq")
-    proc = run(["stream", str(seq), "--vib-hz", "3", "--hop", "3"])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"hop": 3}))
+    proc = run(["--config", str(cfg), "stream", str(seq), "--vib-hz", "3"])
     assert proc.returncode == 1
     assert "hop" in proc.stderr
     assert proc.stdout == ""
@@ -407,6 +410,26 @@ def test_detect_on_a_non_finite_header_exits_1(tmp_path, capsys, field):
     assert cli.main(DETECT_3HZ + [str(path), "--out", str(out)]) == 1
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scene", ["static", "noise"])
+def test_stream_exit_3_prints_the_line_detect_prints(tmp_path, capsys, scene):
+    # the last emission is batch detection of the same 30 frames
+    from vibeline import cli
+
+    seq = tmp_path / "a.vibseq"
+    if scene == "static":
+        frames = np.full((30, 32, 32), 90, dtype=np.uint8)
+        save_sequence(UsSequence(frames, fps=30.0, pixel_spacing=0.1), seq)
+    else:
+        _noise_sequence(seq)
+    assert cli.main(["detect", str(seq), "--out", str(tmp_path / "a.json")]) == 3
+    line = capsys.readouterr().err
+    assert cli.main(["stream", str(seq)]) == 3
+    assert capsys.readouterr().err == line
+    assert len(line.splitlines()) == 1 and line.startswith("low confidence (")
+    if scene == "static":  # a zero Hough peak: no line was detected
+        assert line == "low confidence (0 < 12); no energy in the vibration band\n"
 
 
 def test_stream_too_short_input_exits_3(tmp_path):
@@ -558,8 +581,7 @@ def _spectro_rows(tmp_path, seq, x, y):
     out_map = tmp_path / "s.vibmap"
     out_csv = tmp_path / "s.csv"
     proc = run(["spectro", str(seq), "--x", str(x), "--y", str(y),
-                "--vib-hz", "3", "--out-map", str(out_map),
-                "--out-csv", str(out_csv)])
+                "--out-map", str(out_map), "--out-csv", str(out_csv)])
     assert proc.returncode == 0, proc.stderr
     rows = list(csv.DictReader(out_csv.read_text().splitlines()))
     assert read_vibmap(out_map).shape[2] == 21  # windows of a 30-frame run
@@ -688,7 +710,7 @@ def _command_args(command, tmp_path):
     }[command]
 
 
-@pytest.mark.parametrize("command", ["gen", "detect", "stream", "spectro"])
+@pytest.mark.parametrize("command", ["gen", "detect", "stream"])
 def test_unknown_entry_side_exits_1_naming_the_sides(tmp_path, capsys,
                                                      command):
     # argparse holds no copy of the sides; the settings dataclass rejects
@@ -822,6 +844,12 @@ DETECT_COMMANDS = {
     "stream": ["stream", "in.vibseq"],
     "spectro": ["spectro", "in.vibseq", "--x", "1", "--y", "2"],
 }
+# the DetectConfig fields each command reads, so the flags it declares: a
+# stream's window moves one frame a push (hop 1) and draws no tip channel
+_DETECT_FIELDS = {f.name for f in dataclasses.fields(DetectConfig)}
+DETECT_READS = {"detect": _DETECT_FIELDS,
+                "stream": _DETECT_FIELDS - {"hop", "tip_sigma"},
+                "spectro": {"window_len", "hop"}}
 
 
 def _gen_spec(flags, config):
@@ -863,13 +891,15 @@ def test_gen_flag_and_config_key_set_their_field(flag, field, text,
 def test_detect_flag_and_config_key_set_their_field(command, flag, field,
                                                     text, flag_value,
                                                     cfg_value):
+    # every command takes every key; only the flags it reads are declared
     assert getattr(DetectConfig(), field) not in (flag_value, cfg_value)
-    cfg = _detect_cfg(command, [flag, text], {})
-    assert getattr(cfg, field) == flag_value
     cfg = _detect_cfg(command, [], {field: cfg_value})
     assert getattr(cfg, field) == cfg_value
-    cfg = _detect_cfg(command, [flag, text], {field: cfg_value})
-    assert getattr(cfg, field) == flag_value
+    if field in DETECT_READS[command]:
+        cfg = _detect_cfg(command, [flag, text], {})
+        assert getattr(cfg, field) == flag_value
+        cfg = _detect_cfg(command, [flag, text], {field: cfg_value})
+        assert getattr(cfg, field) == flag_value
 
 
 # a config value of each JSON type but a number, which no field takes
@@ -913,29 +943,57 @@ COMMAND_ARGS = {
 
 
 def test_every_option_is_a_settings_field_or_a_command_argument():
+    # each command declares a flag for exactly the settings fields it reads
     from vibeline import PhantomSpec, cli
 
-    fields = {
-        cls: {f.name for f in dataclasses.fields(cls)}
-        for cls in (PhantomSpec, DetectConfig)
-    }
-    builds = {"gen": PhantomSpec, "detect": DetectConfig,
-              "stream": DetectConfig, "spectro": DetectConfig, "eval": None}
+    reads = {**DETECT_READS, "eval": set(),
+             # --seed is global, and --entry-x/--entry-y set needle_entry
+             "gen": {f.name for f in dataclasses.fields(PhantomSpec)}
+                    - {"seed", "needle_entry"}}
 
     def dests(parser):
-        return {a.dest for a in parser._actions
+        return [a.dest for a in parser._actions
                 if not isinstance(a, (argparse._HelpAction,
-                                      argparse._SubParsersAction))}
+                                      argparse._SubParsersAction))]
 
     ap = cli.build_parser()
-    assert dests(ap) <= COMMAND_ARGS | fields[PhantomSpec]  # --seed
+    assert set(dests(ap)) - COMMAND_ARGS == {"seed"}
     (sub,) = [a for a in ap._actions
               if isinstance(a, argparse._SubParsersAction)]
-    assert set(sub.choices) == set(builds)
+    assert set(sub.choices) == set(reads)
     for command, parser in sub.choices.items():
-        bound = fields.get(builds[command], set())
-        stray = dests(parser) - bound - COMMAND_ARGS
-        assert not stray, f"{command}: {sorted(stray)} set nothing"
+        settings = [d for d in dests(parser) if d not in COMMAND_ARGS]
+        assert len(settings) == len(set(settings)), command  # each declared once
+        assert set(settings) == reads[command], command
+    assert {c: len(reads[c]) for c in DETECT_READS} == {
+        "detect": 10, "stream": 8, "spectro": 2}
+
+
+# (command, a flag that sets a field the command does not read, its value)
+REMOVED_FLAGS = [
+    (command, flag, text)
+    for command in ("stream", "spectro")
+    for flag, field, text, _, _ in DETECT_SETTINGS
+    if field not in DETECT_READS[command]
+]
+
+
+@pytest.mark.parametrize("command, flag, text", REMOVED_FLAGS)
+def test_a_flag_of_a_field_the_command_does_not_read_exits_2(
+        tmp_path, capsys, command, flag, text):
+    from vibeline import cli
+
+    args = _command_args(command, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + [flag, text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {flag} {text}\n" in err
+    assert not (tmp_path / "out").exists()
+    # the cached parser still runs the same call without the flag; on noise
+    # a stream ends flagged
+    assert cli.main(args) == {"stream": 3, "spectro": 0}[command]
+    assert "error" not in capsys.readouterr().err
 
 
 def test_output_directories_are_created(tmp_path):

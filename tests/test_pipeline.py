@@ -503,6 +503,14 @@ def test_stream_accepts_a_warmup_of_one_window():
     assert state.warmup == CFG3.window_len
 
 
+def test_stream_whose_ring_block_cannot_be_allocated_raises_validation_error():
+    # 3.64 PiB, past the 128 TiB x86-64 user address space, so the request
+    # fails at once on any host; numpy's MemoryError used to escape
+    with pytest.raises(ValidationError, match=r"^warmup 1000000000000 needs a "
+                                              r"4095999999987712-byte ring"):
+        StreamState(16, 16, 30.0, warmup=10**12)
+
+
 def test_detect_frames_rejects_frames_that_are_not_3d():
     with pytest.raises(ValidationError, match=r"\(30, 64\)"):
         detect_frames(np.zeros((30, 64)), 30.0)
