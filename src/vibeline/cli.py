@@ -255,6 +255,18 @@ _DETECT_FLAGS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser.  It rejects an argument it does not know
+    itself, so the error comes with its own usage line; the root parser
+    would print the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser every main call shares; callers must not mutate it."""
@@ -268,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--threads", type=int, help="cap numeric library threads")
     ap.add_argument("--seed", type=int,
                     help="RNG seed (overrides config and preset)")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=_CommandParser)
 
     g = sub.add_parser("gen", help="synthesize a phantom sequence")
     g.add_argument("--out", required=True, help="output .vibseq path")

@@ -235,17 +235,20 @@ def pixel_signal(seq: UsSequence, x: int, y: int) -> np.ndarray:
 def _bilinear_clamped(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Bilinear samples of a float64 image at (xs, ys), edge-clamped.
 
-    At an integer (x, y), border rows and columns too, a finite texel v comes
-    back bit for bit (v * 1.0 + u * 0.0 == v), though -0.0 may become +0.0."""
+    xs and ys are broadcast to one shape, which the result takes.  At an
+    integer (x, y), border rows and columns too, a finite texel v comes
+    back bit for bit (v * 1.0 + u * 0.0 == v), though -0.0 may become +0.0.
+    The four texels are gathered by flat index."""
     h, w = img.shape
     xs = np.clip(xs, 0.0, w - 1.0)
     ys = np.clip(ys, 0.0, h - 1.0)
     x0 = np.floor(xs).astype(np.intp)
     y0 = np.floor(ys).astype(np.intp)
     x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    row0 = y0 * w
+    row1 = np.minimum(y0 + 1, h - 1) * w
     fx = xs - x0
     fy = ys - y0
-    top = img[y0, x0] * (1.0 - fx) + img[y0, x1] * fx
-    bot = img[y1, x0] * (1.0 - fx) + img[y1, x1] * fx
+    top = img.take(row0 + x0) * (1.0 - fx) + img.take(row0 + x1) * fx
+    bot = img.take(row1 + x0) * (1.0 - fx) + img.take(row1 + x1) * fx
     return top * (1.0 - fy) + bot * fy

@@ -11,8 +11,8 @@ speckle carries it, which is the regime the detector is built for.
 A PhantomSpec checks every field when built, so no function here checks it.
 
 Only the needle changes anything from frame to frame, so synthesis builds
-the static frame once and recomputes two pixel sets, fixed for the
-sequence, in every frame, with the same bytes as a full-frame
+the static frame once and recomputes only the pixels whose bytes can
+change, a set fixed for the sequence, with the same bytes as a full-frame
 computation (see synth_sequence).  The GroundTruth it returns, and its
 .gt.json file, are defined in metrics.  Each frame's displacement is one
 expression, _displacement.  Synthesis never calls warp_bilinear, the same
@@ -327,6 +327,47 @@ def _to_uint8(frame: np.ndarray) -> np.ndarray:
     return np.rint(np.clip(frame, 0.0, 1.0) * 255.0).astype(np.uint8)
 
 
+# a pixel displaced by less than this (px, |dx| + |dy|) samples inside its
+# own clamped 3 x 3 block
+_STATIC_SHIFT = 0.5
+# grey levels added to the byte rule's bound; float rounding in a frame's
+# value and in the bound itself comes to ~1e-13 grey levels
+_BYTE_MARGIN = 1e-9
+
+
+def _block_spread(img: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Largest |img.flat[i] - neighbour| over the clamped 3 x 3 block of
+    each flat index i."""
+    h, w = img.shape
+    r, c = np.divmod(idx, w)
+    centre = img.take(idx)
+    spread = np.zeros_like(centre)
+    for rr in (np.maximum(r - 1, 0), r, np.minimum(r + 1, h - 1)):
+        for cc in (np.maximum(c - 1, 0), c, np.minimum(c + 1, w - 1)):
+            np.maximum(spread, np.abs(img.take(rr * w + cc) - centre), out=spread)
+    return spread
+
+
+def _byte_may_change(u: np.ndarray, shift: np.ndarray, spread: np.ndarray,
+                     ridge: np.ndarray) -> np.ndarray:
+    """Whether a pixel's byte may differ from its static byte in some frame.
+
+    u is its static value clip(speckle + artifact, 0, 1) * 255 before
+    rounding, shift its largest displacement |dx| + |dy|, spread its
+    _block_spread and ridge the largest ridge any frame can add to it.  A
+    bilinear sample within shift < _STATIC_SHIFT of the pixel is a convex
+    combination of texels of its 3 x 3 block whose non-centre weights sum
+    to at most shift, so it differs from the pixel's texel by at most
+    shift * spread; the ridge adds at most ridge; clip is 1-Lipschitz.  So
+    a pixel whose u lies farther than 255 (shift * spread + ridge) +
+    _BYTE_MARGIN from the nearest half grey level rounds to its static
+    byte in every frame.
+    """
+    half_gap = np.abs(u - np.floor(u) - 0.5)
+    bound = 255.0 * (shift * spread + ridge) + _BYTE_MARGIN
+    return (shift >= _STATIC_SHIFT) | (half_gap <= bound)
+
+
 def synth_sequence(spec: PhantomSpec):
     """Generate (UsSequence, GroundTruth); pure function of the parameters.
 
@@ -337,17 +378,19 @@ def synth_sequence(spec: PhantomSpec):
     is reproducible from the seed alone.
 
     Every frame starts as a copy of the static frame (speckle plus
-    artifacts); two pixel sets, fixed for the sequence, are recomputed in
-    every frame.  The pixels whose warp sample coordinate moves in some
-    frame go through the sampler, which gives a pixel's texel back bit for
-    bit where its coordinate is its own (core._bilinear_clamped).  At
-    visibility > 0, those within _RIDGE_REACH + vib_amplitude of the
-    rest-position segment get the ridge, which adds 0.0 farther out.  So
-    the bytes equal those of a full-frame computation with the same
-    expression order.  A pixel's displacement is a rounded product of the
-    frame amplitude and its envelope, monotone in the amplitude, and so is
-    its sample coordinate; a pixel that moves at neither the smallest nor
-    the largest amplitude moves in no frame and is never sampled.
+    artifacts); only the pixels whose byte can change are recomputed, with
+    the same expression order as a full-frame computation, so the bytes
+    equal its bytes.  A pixel can change only if its warp sample
+    coordinate moves in some frame or, at visibility > 0, it lies within
+    _RIDGE_REACH + vib_amplitude of the rest-position segment (the ridge
+    adds 0.0 farther out).  A pixel's displacement is a rounded product of
+    the frame amplitude and its envelope, monotone in the amplitude, and so
+    is its sample coordinate; a pixel that moves at neither the smallest
+    nor the largest amplitude moves in no frame, and where its coordinate
+    is its own the sampler gives its texel back bit for bit
+    (core._bilinear_clamped).  Of those pixels, _byte_may_change keeps the
+    ones whose byte the largest shift and ridge can move; the moving ones
+    among them go through the sampler for all frames in one call.
     """
     gt = ground_truth_of(spec)
     rng = np.random.default_rng(spec.seed)
@@ -359,35 +402,49 @@ def synth_sequence(spec: PhantomSpec):
         spec, ridge_reach if spec.visibility > 0 else 0.0)
     in_reach = (dist <= ridge_reach) & (spec.visibility > 0)
     r, c = np.nonzero((envelope != 0) | in_reach)
-    env, ridged = envelope[r, c], in_reach[r, c]
+    env, ridged, dist = envelope[r, c], in_reach[r, c], dist[r, c]
     r += rows.start
     c += cols.start
     xs, ys = c.astype(np.float64), r.astype(np.float64)
-    amps = [spec.vib_amplitude * math.sin(
+    flat = r * spec.width + c
+    amps = np.array([spec.vib_amplitude * math.sin(
         2.0 * math.pi * spec.vib_freq * t / spec.fps)
-        for t in range(spec.frame_count)]
-    moving = np.zeros_like(ridged)
-    for amp in {min(amps), max(amps)}:
+        for t in range(spec.frame_count)])
+    moving = np.zeros(r.size, dtype=bool)
+    for amp in {amps.min(), amps.max()}:
         dx, dy = _displacement(amp, normal, env)
         moving |= (xs - dx != xs) | (ys - dy != ys)  # the sample point moves
+    # the byte rule, on the moving or ridged pixels only
+    near = np.flatnonzero(moving | ridged)
+    idx = flat[near]
+    peak = float(np.abs(amps).max())
+    peak_shift = peak * (abs(normal[0]) + abs(normal[1])) * env[near]
+    # the shifted shaft comes no closer than dist - peak
+    ridge_top = spec.visibility * NEEDLE_RIDGE_PEAK * np.exp(
+        -np.maximum(dist[near] - peak, 0.0) ** 2
+        / (2.0 * NEEDLE_RIDGE_SIGMA * NEEDLE_RIDGE_SIGMA))
+    u = np.clip(base.take(idx) + artifacts.take(idx), 0.0, 1.0) * 255.0
+    near = near[_byte_may_change(u, peak_shift, _block_spread(base, idx),
+                                 ridge_top)]
+    moving, ridged = moving[near], ridged[near]
     # gathered once, in three runs: moving only, moving and ridged, ridged
     # only; so the moving pixels are [:m] and the ridged ones [k:]
     runs = (moving & ~ridged, moving & ridged, ridged & ~moving)
-    pick = np.concatenate([np.flatnonzero(run) for run in runs])
+    pick = near[np.concatenate([np.flatnonzero(run) for run in runs])]
     m, k = np.count_nonzero(moving), np.count_nonzero(runs[0])
-    idx = r[pick] * spec.width + c[pick]
-    xs, ys, env = xs[pick], ys[pick], env[pick]
-    texels, art = base.reshape(-1)[idx[m:]], artifacts.reshape(-1)[idx]
+    idx, xs, ys, env = flat[pick], xs[pick], ys[pick], env[pick]
     frames = np.empty((spec.frame_count, spec.height, spec.width), dtype=np.uint8)
     frames[:] = _to_uint8(base + artifacts)
-    for t, amp in enumerate(amps):
-        dx, dy = _displacement(amp, normal, env[:m])
-        frame = np.concatenate((_bilinear_clamped(base, xs[:m] - dx,
-                                                  ys[:m] - dy), texels))
-        if spec.visibility > 0:
+    values = np.empty((spec.frame_count, idx.size))
+    dx, dy = _displacement(amps[:, None], normal, env[:m])
+    values[:, :m] = _bilinear_clamped(base, xs[:m] - dx, ys[:m] - dy)
+    values[:, m:] = base.take(idx[m:])
+    if spec.visibility > 0:
+        for t, amp in enumerate(amps):
             shift = amp * normal
-            frame[k:] += spec.visibility * _ridge(xs[k:], ys[k:],
-                                                  entry + shift, tip + shift)
-        frames[t].reshape(-1)[idx] = _to_uint8(frame + art)
+            values[t, k:] += spec.visibility * _ridge(xs[k:], ys[k:],
+                                                      entry + shift, tip + shift)
+    frames.reshape(spec.frame_count, -1)[:, idx] = _to_uint8(
+        values + artifacts.take(idx))
     seq = UsSequence(frames, spec.fps, spec.pixel_spacing)
     return seq, gt

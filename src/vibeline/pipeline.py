@@ -305,7 +305,7 @@ class StreamState:
         sizes = (n * npix, self._stat_len * 2 * npix, 2 * npix)
         try:
             block = np.zeros(sum(sizes), dtype=np.float64)
-        except MemoryError:
+        except (MemoryError, ValueError):  # ValueError: past numpy's size limit
             raise ValidationError(
                 f"warmup {self.warmup} needs a {8 * sum(sizes)}-byte ring "
                 "block, which could not be allocated") from None

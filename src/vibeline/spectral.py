@@ -19,6 +19,7 @@ turn gives exactly -1, 0 or 1; floating-point pi makes np.cos(pi/2) a
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +73,8 @@ def dft_basis(window_len: int) -> SpectralBasis:
     """The basis for window_len samples, built on the first call for that
     length and then shared: the same read-only object on every later call
     while it stays cached (_BASIS_LENGTHS most recent lengths).  An
-    integer-valued float, a bool or a str is rejected, cached or not."""
+    integer-valued float, a bool or a str is rejected, cached or not, and
+    a length whose table cannot be allocated raises ValidationError."""
     _check_setting("window_len", window_len, 2, lo_closed=True, integer=True)
     return _cached_basis(int(window_len))
 
@@ -80,8 +82,13 @@ def dft_basis(window_len: int) -> SpectralBasis:
 @functools.lru_cache(maxsize=_BASIS_LENGTHS)
 def _cached_basis(window_len: int) -> SpectralBasis:
     n_bins = window_len // 2
+    try:
+        rows = np.empty((2 * n_bins, window_len), dtype=np.float64)
+    except (MemoryError, ValueError):  # ValueError: past numpy's size limit
+        raise ValidationError(
+            f"window_len {window_len} needs a {16 * n_bins * window_len}-byte "
+            "basis table, which could not be allocated") from None
     n = np.arange(window_len)
-    rows = np.empty((2 * n_bins, window_len), dtype=np.float64)
     for k in range(n_bins):
         c, s = _snapped_cos_sin(2.0 * np.pi * (k * n % window_len) / window_len)
         rows[2 * k] = c
@@ -91,7 +98,7 @@ def _cached_basis(window_len: int) -> SpectralBasis:
 
 
 def _check_window_band(window_len, fs, target_freq) -> None:
-    """nearest_band's checks, in its order, before it builds N // 2 floats."""
+    """nearest_band's checks, in its order."""
     _check_setting("window_len", window_len, 4, lo_closed=True, integer=True)
     _check_setting("fps", fs, 0)
     _check_band(target_freq, fs)
@@ -105,8 +112,13 @@ def nearest_band(window_len: int, fs: float, target_freq: float) -> int:
     entry point resolves its band here.
     """
     _check_window_band(window_len, fs, target_freq)
-    freqs = np.arange(1, window_len // 2) * float(fs) / window_len
-    return 1 + int(np.argmin(np.abs(freqs - target_freq)))
+    # the bin centres k fs / N rise with k, so their distance to the target
+    # falls, then rises: the nearest lies among the two bins either side of
+    # target N / fs, whatever that quotient's rounding
+    k = math.floor(target_freq * window_len / fs)
+    ks = np.arange(max(k - 1, 1), min(k + 3, window_len // 2))
+    freqs = ks * float(fs) / window_len
+    return int(ks[np.argmin(np.abs(freqs - target_freq))])
 
 
 @dataclass(frozen=True)

@@ -988,7 +988,9 @@ def test_a_flag_of_a_field_the_command_does_not_read_exits_2(
         cli.main(args + [flag, text])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"error: unrecognized arguments: {flag} {text}\n" in err
+    # the command's own usage, not the top-level one
+    assert err.startswith(f"usage: vibeline {command} [-h]")
+    assert f"vibeline {command}: error: unrecognized arguments: {flag} {text}\n" in err
     assert not (tmp_path / "out").exists()
     # the cached parser still runs the same call without the flag; on noise
     # a stream ends flagged

@@ -400,8 +400,9 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # neighbours whose difference overflows: a lerp v + (u - v) * 0.0 is NaN
 @example(np.array([[1e308, -1e308], [-1e308, 1e308]]), 0.0)
 def test_bilinear_sampler_returns_the_texel_at_an_integer_coordinate(img, d):
-    # synthesis samples its moving pixels in every frame, relying on this;
-    # x - d == x for the displacements d drawn here (clamped at x = 0)
+    # synthesis leaves a pixel whose sample coordinate never moves at its
+    # texel, relying on this; x - d == x for the displacements d drawn here
+    # (clamped at x = 0)
     h, w = img.shape
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     got = _bilinear_clamped(img, xs - d, ys - d)
@@ -409,6 +410,51 @@ def test_bilinear_sampler_returns_the_texel_at_an_integer_coordinate(img, d):
     # bit for bit, except that -0.0 may come back as +0.0
     signed = ~((img == 0.0) & np.signbit(img))
     assert got[signed].tobytes() == img[signed].tobytes()
+
+
+def _fancy_index_bilinear(img, xs, ys):
+    """The sampler as it was before it gathered by flat index, with 2-D
+    fancy indexing: the oracle for core._bilinear_clamped's gather."""
+    h, w = img.shape
+    xs = np.clip(xs, 0.0, w - 1.0)
+    ys = np.clip(ys, 0.0, h - 1.0)
+    x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xs - x0
+    fy = ys - y0
+    top = img[y0, x0] * (1.0 - fx) + img[y0, x1] * fx
+    bot = img[y1, x0] * (1.0 - fx) + img[y1, x1] * fx
+    return top * (1.0 - fy) + bot * fy
+
+
+def _axis_coordinates(n):
+    """Coordinates along an axis of n samples: inside it, on both of its
+    borders and beyond them."""
+    edge = [0.0, -0.0, n - 1.0, -1e-300, 5e-324, -0.5, n - 0.5, n - 1 + 1e-12]
+    return st.one_of(st.integers(-3, n + 2).map(float),
+                     st.floats(-3.0, n + 2.0, allow_nan=False),
+                     st.sampled_from(edge))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_flat_index_sampler_equals_the_fancy_index_one_bit_for_bit(data):
+    h, w = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+    img = data.draw(arrays(np.float64, (h, w), elements=st.one_of(
+        st.floats(-1.0, 1.0), _FINITE)))
+    # synthesis samples a (frames, pixels) block, the tip walk a line
+    shape = data.draw(st.sampled_from([(1,), (6,), (1, 5), (4, 1), (3, 7)]))
+    n = math.prod(shape)
+    xs, ys = (np.array(data.draw(st.lists(_axis_coordinates(size), min_size=n,
+                                          max_size=n))).reshape(shape)
+              for size in (w, h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _bilinear_clamped(img, xs, ys)
+        want = _fancy_index_bilinear(img, xs, ys)
+    assert got.shape == shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_bilinear_sampler_clamps_copies_of_its_coordinates():

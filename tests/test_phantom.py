@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import small_vibrating_spec
@@ -26,7 +26,7 @@ from vibeline import (
     warp_bilinear,
 )
 from vibeline import phantom
-from vibeline.core import _bilinear_clamped
+from vibeline.core import INWARD, _bilinear_clamped
 from vibeline.phantom import needle_geometry
 
 
@@ -514,6 +514,78 @@ _DENSE_CASES = {
 def test_synth_matches_the_dense_frame_reference(spec):
     seq, _ = synth_sequence(spec)
     assert seq.frames.tobytes() == _dense_synth(spec).tobytes()
+
+
+@st.composite
+def _small_specs(draw):
+    """Random small specs whose needle enters on its border and ends
+    inside the image."""
+    h, w = draw(st.integers(16, 56)), draw(st.integers(16, 56))
+    side = draw(st.sampled_from(sorted(INWARD)))
+    axis = 0 if INWARD[side][0] else 1  # the one axis the border crosses
+    sign = INWARD[side][axis]
+    size = (w, h)
+    entry = [0.0, 0.0]
+    entry[axis] = 0.0 if sign > 0 else size[axis] - 1.0
+    entry[1 - axis] = draw(st.floats(0.0, size[1 - axis] - 1.0))
+    angle = draw(st.floats(0.0, 180.0, exclude_max=True))
+    theta = math.radians(angle)
+    direction = np.array([-math.sin(theta), math.cos(theta)])
+    assume(abs(direction[axis]) > 0.05)
+    direction *= np.sign(direction[axis] * sign)
+    # the longest needle whose tip stays inside the image (inf along an
+    # axis it barely moves on)
+    with np.errstate(over="ignore"):
+        room = min((size[i] - 1.0 - entry[i]) / direction[i]
+                   if direction[i] > 0 else -entry[i] / direction[i]
+                   for i in (0, 1) if direction[i] != 0.0)
+    length = draw(st.floats(0.2, 0.95)) * room
+    assume(length > 1.0)
+    return small_vibrating_spec(
+        height=h, width=w, entry_side=side, needle_entry=tuple(entry),
+        needle_angle=angle, needle_length=length,
+        vib_amplitude=draw(st.sampled_from([0.0, 1e-13, 0.3, 0.499, 0.5,
+                                            1.0, 1.7])),
+        motion_sigma=draw(st.floats(0.3, 40.0)),
+        visibility=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        artifact_count=draw(st.integers(0, 2)),
+        frame_count=draw(st.integers(1, 12)),
+        vib_freq=draw(st.sampled_from([2.5, 3.0, 7.0])),
+        seed=draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_specs())
+def test_synth_matches_the_dense_frame_reference_on_random_specs(spec):
+    seq, _ = synth_sequence(spec)
+    assert seq.frames.tobytes() == _dense_synth(spec).tobytes()
+
+
+def test_a_pixel_within_the_byte_bound_of_a_half_level_is_recomputed(
+        monkeypatch):
+    # a horizontal needle on row 30 vibrates along y; row 30 has the value
+    # (100.5 - gap) / 255 and rows 29 and 31 are M brighter, so the frame at
+    # the largest |amp| samples the shaft's pixels shift * M higher, 255
+    # shift M = gap / 0.9 grey levels, which flips their byte.  A bound of
+    # at most 0.9 times 255 shift M would keep them static.
+    spec = _dense_case(needle_angle=90.0, needle_entry=(0.0, 30.0),
+                       needle_length=50.0, vib_amplitude=0.3, visibility=0.0,
+                       artifact_count=0, frame_count=10)
+    peak = max(abs(spec.vib_amplitude * math.sin(
+        2.0 * math.pi * spec.vib_freq * t / spec.fps))
+        for t in range(spec.frame_count))
+    _, _, _, normal = needle_geometry(spec)
+    shift = peak * (abs(normal[0]) + abs(normal[1]))
+    assert shift < phantom._STATIC_SHIFT
+    gap = 0.3
+    spread = gap / (0.9 * 255.0 * shift)
+    texture = np.full((spec.height, spec.width), (100.5 - gap) / 255.0)
+    texture[[29, 31]] += spread
+    monkeypatch.setattr(phantom, "_speckle_from_rng",
+                        lambda rng, h, w, grain: texture.copy())
+    seq, _ = synth_sequence(spec)
+    assert seq.frames.tobytes() == _dense_synth(spec).tobytes()
+    assert set(seq.frames[:, 30, 20]) == {100, 101}
 
 
 @pytest.mark.parametrize("name", ["visibility-0.5", "whole-frame-envelope",

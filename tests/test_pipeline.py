@@ -511,6 +511,17 @@ def test_stream_whose_ring_block_cannot_be_allocated_raises_validation_error():
         StreamState(16, 16, 30.0, warmup=10**12)
 
 
+@pytest.mark.parametrize("warmup, nbytes", [
+    (3 * 10**15, 12287999999999987712), (10**17, 409599999999999987712)])
+def test_a_ring_block_past_numpys_size_limit_raises_validation_error(
+        warmup, nbytes):
+    # past the int64 byte count, numpy refuses the request with ValueError
+    # before it allocates anything
+    with pytest.raises(ValidationError, match=rf"^warmup {warmup} needs a "
+                                              rf"{nbytes}-byte ring block"):
+        StreamState(16, 16, 30.0, warmup=warmup)
+
+
 def test_detect_frames_rejects_frames_that_are_not_3d():
     with pytest.raises(ValidationError, match=r"\(30, 64\)"):
         detect_frames(np.zeros((30, 64)), 30.0)

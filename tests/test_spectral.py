@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import naive_stft, naive_window_dft, trailing_window_bins
@@ -135,6 +135,18 @@ def test_basis_is_built_once_per_length_and_shared_read_only():
     same = dft_basis(np.int64(10))
     assert same.window_len == 10 and type(same.window_len) is int
     assert _same_bits(same.rows, basis.rows)
+
+
+def test_a_basis_whose_table_cannot_be_allocated_raises_validation_error():
+    # 8e24 bytes, past numpy's size limit, so nothing is allocated
+    basis = dft_basis(10)
+    cached = spectral._cached_basis.cache_info().currsize
+    with pytest.raises(ValidationError,
+                       match=r"^window_len 1000000000000 needs a "
+                             r"8000000000000000000000000-byte basis table"):
+        dft_basis(10**12)
+    assert spectral._cached_basis.cache_info().currsize == cached
+    assert dft_basis(10) is basis
 
 
 @pytest.mark.parametrize("bad", [10.0, True, 1, "10"])
@@ -291,6 +303,47 @@ def test_nearest_band_picks_closest_non_dc_bin():
     assert nearest_band(10, 30.0, 2.5) == 1
     assert nearest_band(10, 30.0, 7.0) == 2
     assert nearest_band(10, 30.0, 4.5) == 1  # tie breaks to the lower bin
+
+
+def _argmin_band(window_len, fs, target_freq):
+    """nearest_band as an argmin over every non-DC bin centre: the oracle."""
+    freqs = np.arange(1, window_len // 2) * float(fs) / window_len
+    return 1 + int(np.argmin(np.abs(freqs - target_freq)))
+
+
+_BAND_FS = st.floats(1e-3, 1e5, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(4, 4096), _BAND_FS, st.floats(0.0, 1.0, exclude_min=True,
+                                                 exclude_max=True))
+@example(10, 30.0, 4.5 / 15.0)   # the midpoint of bins 1 and 2: 4.5 Hz
+@example(4, 30.0, 0.999999)      # one non-DC bin
+def test_nearest_band_equals_the_argmin_over_every_bin(window_len, fs, share):
+    target = share * fs / 2.0
+    assume(0.0 < target < fs / 2.0)
+    assert nearest_band(window_len, fs, target) == _argmin_band(
+        window_len, fs, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(4, 4096), _BAND_FS, st.integers(1, 2046))
+@example(10, 30.0, 1)
+def test_nearest_band_keeps_the_lower_bin_at_a_midpoint(window_len, fs, k):
+    # (k + 1/2) fs / N lies half-way between bins k and k + 1, up to rounding
+    # on either side, which the oracle resolves bit for bit
+    k = max(1, min(k, window_len // 2 - 2))
+    target = (k + 0.5) * fs / window_len
+    assume(0.0 < target < fs / 2.0)
+    want = _argmin_band(window_len, fs, target)
+    assert nearest_band(window_len, fs, target) == want
+    if (window_len, fs) == (10, 30.0):
+        assert want == 1  # 4.5 Hz: 3 and 6 Hz are 1.5 Hz away
+
+
+def test_nearest_band_of_a_huge_window_returns_at_once():
+    # the argmin over every bin would build 5e11 floats
+    assert nearest_band(10**12, 30.0, 2.5) == 83_333_333_333
 
 
 def test_constant_sequence_gives_zero_map():
