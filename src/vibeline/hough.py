@@ -93,9 +93,11 @@ class HoughMap:
 # _peak's floors, coarse to fine: the map's 95th and 85th percentiles.  The
 # coarse one bounds every theta row from ~5% of the pixels, voted in blocks
 # of _BLOCK_ROWS rows; the fine one tightens a row's bound before it is voted
-# exactly
+# exactly.  In a noisy fullsize emission's search, blocks of 4 to 10 rows
+# timed within ~2% of one another, and blocks of 1 or 16 rows 5-23% slower;
+# 6 rows split 180 evenly, with no padded row
 _FLOOR_SHARES = (0.95, 0.85)
-_BLOCK_ROWS = 8
+_BLOCK_ROWS = 6
 
 
 def _rho_bin(grid: HoughGrid, cos_t, sin_t, x, y, out=None,
@@ -120,12 +122,18 @@ def _row_vote(grid: HoughGrid, c, s, xs, ys, weights, out) -> np.ndarray:
     return np.bincount(idx, weights=weights, minlength=grid.rho_bins)
 
 
+def _above(weights: np.ndarray, floor: float) -> np.ndarray:
+    """Mask of the weights above floor; at floor 0, of the non-zero ones
+    (-0.0 is zero, a subnormal is not)."""
+    return weights > floor if floor else weights != 0
+
+
 def _excess(grid: HoughGrid, weights: np.ndarray, floor: float):
-    """(xs, ys, excess) of the flat map's pixels above floor, in row-major
-    order: their coordinates as floats and weights - floor.  At floor 0 they
-    are the non-zero pixels (-0.0 is zero, a subnormal is not), whose vote is
-    hough_transform's image."""
-    voters = np.flatnonzero(weights > floor if floor else weights != 0)
+    """(xs, ys, excess) of the flat map's pixels above floor (_above), in
+    row-major order: their coordinates as floats and weights - floor.  At
+    floor 0 they are the non-zero pixels, whose vote is hough_transform's
+    image."""
+    voters = np.flatnonzero(_above(weights, floor))
     ys, xs = (v.astype(np.float64) for v in np.divmod(voters, grid.image_w))
     return xs, ys, weights[voters] - floor
 
@@ -165,6 +173,31 @@ def _cell_counts(grid: HoughGrid) -> np.ndarray:
     counts = _vote(grid, xs, ys, None)
     counts.setflags(write=False)
     return counts
+
+
+# theta rows whose _row_bins stay cached, across grids: 5.3 MB of uint16 at
+# 328x335.  A noisy emission votes the same few rows exactly, in much the
+# same order each time: ~3 with the needle vibrating, 8-21 (median 15-16)
+# with it still on seven fullsize phantoms.  A cache smaller than a search
+# evicts each row before the next emission asks for it again: 16 rows
+# missed 6-16% of those phantoms' requests, 24 only the first of each row
+_CACHED_ROWS = 24
+
+
+@functools.lru_cache(maxsize=_CACHED_ROWS)
+def _row_bins(grid: HoughGrid, ti: int) -> np.ndarray:
+    """Read-only _rho_bin of every pixel at theta row ti, flat in row-major
+    order, in the narrowest unsigned dtype that holds rho_bins - 1 (uint16,
+    220 KB at 328x335).  They depend on the grid and the angle alone, so
+    _peak's exact rows read them here rather than recompute them per map."""
+    cos_t, sin_t = grid.theta_trig()
+    xs = np.arange(grid.image_w, dtype=np.float64)[None, :]
+    ys = np.arange(grid.image_h, dtype=np.float64)[:, None]
+    out = np.empty((grid.image_h, grid.image_w))
+    bins = _rho_bin(grid, cos_t[ti], sin_t[ti], xs, ys, out=out).ravel()
+    bins = bins.astype(np.min_scalar_type(grid.rho_bins - 1))
+    bins.setflags(write=False)
+    return bins
 
 
 def _checked_feature(feature, grid: HoughGrid) -> np.ndarray:
@@ -213,14 +246,23 @@ def _levels(grid: HoughGrid, weights: np.ndarray) -> list:
     detection sends (pipeline._vote_or_search).  One partition at the
     finest share, and one more of the slice above it per coarser share,
     find them: 0.18 ms at 328x335, where one partition with both kth
-    values took 1.26 ms."""
+    values took 1.26 ms.  The map is scanned once, at the finest floor; a
+    coarser level is the subset of those voters above its floor, in the
+    same row-major order and with the same weights - floor."""
     floors, rest, lo = [], weights, 0
     for share in reversed(_FLOOR_SHARES):
         k = int(weights.size * share)
         rest = np.partition(rest, k - lo)[k - lo:]
         floors.insert(0, float(rest[0]))
         lo = k
-    return [(f, *_excess(grid, weights, f)) for f in floors]
+    voters = np.flatnonzero(_above(weights, floors[-1]))
+    ys, xs = (v.astype(np.float64) for v in np.divmod(voters, grid.image_w))
+    vals = weights[voters]
+    levels = [(floors[-1], xs, ys, vals - floors[-1])]
+    for f in reversed(floors[:-1]):
+        keep = np.flatnonzero(_above(vals, f))  # faster than a mask's gather
+        levels.insert(0, (f, xs[keep], ys[keep], vals[keep] - f))
+    return levels
 
 
 def _row_bounds(floor: float, vote: np.ndarray, counts: np.ndarray,
@@ -234,7 +276,9 @@ def _row_bounds(floor: float, vote: np.ndarray, counts: np.ndarray,
     of H*W terms on either side, so rounding cannot prune the true row.
     """
     pad = 2.0 * (grid.image_h * grid.image_w + 2) * np.finfo(np.float64).eps
-    return (vote + floor * counts).max(axis=-1) * (1.0 + pad)
+    total = np.multiply(counts, floor)
+    total += vote
+    return total.max(axis=-1) * (1.0 + pad)
 
 
 def _peak(values: np.ndarray, grid: HoughGrid):
@@ -247,14 +291,16 @@ def _peak(values: np.ndarray, grid: HoughGrid):
     every row from it.  A heap holds (bound, theta, level) and pops the
     highest bound: a row at a coarser level is voted at the next floor and
     pushed back with that bound, and a row at the finest level is voted
-    exactly, every pixel through _row_vote in row-major order as
-    hough_transform votes it.  The search stops once the top bound is
-    below the best exact value.  On a noisy fullsize map with a vibrating
-    needle about 3 rows are voted exactly; with the vibration off about a
-    dozen, where one 90th-percentile floor left ~35.  A sparse or tied map
-    (detection sends none) costs more rows, not bits.  The first call on a
-    grid builds _cell_counts (~80-100 ms at 328x335 with 1-degree steps,
-    cached for one grid).  A NaN or inf pixel raises as in hough_transform.
+    exactly: one bincount of every pixel's cached _row_bins, in row-major
+    order as hough_transform votes it.  The search stops once the top
+    bound is below the best exact value.  On a noisy fullsize map with a
+    vibrating needle about 3 rows are voted exactly; with the vibration
+    off 8-21, 12 on a map where one 90th-percentile floor left ~35.  A
+    sparse or tied map (detection sends none) costs more rows, not bits.
+    The first call on a grid builds _cell_counts (~80-100 ms at 328x335 with
+    1-degree steps, cached for one grid), and the first exact vote of a
+    row its _row_bins (~1 ms).  A NaN or inf pixel raises as in
+    hough_transform.
     """
     weights = _checked_feature(values, grid).ravel()
     levels = _levels(grid, weights)
@@ -264,9 +310,7 @@ def _peak(values: np.ndarray, grid: HoughGrid):
     heap = [(-b, ti, 0) for ti, b in
             enumerate(_row_bounds(floor, vote, counts, grid).tolist())]
     heapq.heapify(heap)
-    xs = np.arange(grid.image_w, dtype=np.float64)[None, :]
-    ys = np.arange(grid.image_h, dtype=np.float64)[:, None]
-    rho_units = np.empty(weights.size)  # one row's bins, at any level
+    rho_units = np.empty(levels[-1][1].size)  # a row's bins at a finer level
     cos_t, sin_t = grid.theta_trig()
     best, cell = -math.inf, (0, 0)
     while heap and -heap[0][0] >= best:
@@ -279,8 +323,8 @@ def _peak(values: np.ndarray, grid: HoughGrid):
             bound = _row_bounds(floor, row, counts[ti], grid)
             heapq.heappush(heap, (-float(bound), ti, lv))
             continue
-        row = _row_vote(grid, cos_t[ti], sin_t[ti], xs, ys, weights,
-                        rho_units.reshape(grid.image_h, grid.image_w))
+        row = np.bincount(_row_bins(grid, ti), weights=weights,
+                          minlength=grid.rho_bins)
         ri = int(np.argmax(row))
         if row[ri] > best or (row[ri] == best and ti < cell[0]):
             best, cell = float(row[ri]), (ti, ri)

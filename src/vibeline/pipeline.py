@@ -315,7 +315,12 @@ class StreamState:
         self._sums = sums.reshape(2, npix)  # num, den
 
     def push(self, frame: np.ndarray):
-        """Absorb one uint8 (H, W) frame; returns a Detection once warmed up."""
+        """Absorb one uint8 (H, W) frame; returns a Detection once warmed up.
+
+        The ring slot of the oldest window power is the update's scratch:
+        it takes power - oldest, which the sums add, then power itself, so
+        the update allocates no (2, H*W) temporary.
+        """
         frame = np.asarray(frame)
         if frame.shape != (self.height, self.width):
             raise ValidationError(
@@ -334,8 +339,10 @@ class StreamState:
             return None
         power = _band_power_sums(self._rows, self._frame_ring, self.k_star)
         pos = (self.frames_seen - n) % self._stat_len
-        self._sums += power - self._power_ring[pos]
-        self._power_ring[pos] = power
+        slot = self._power_ring[pos]  # the oldest power, then the scratch
+        np.subtract(power, slot, out=slot)
+        self._sums += slot
+        slot[...] = power
         if pos == self._stat_len - 1:
             np.sum(self._power_ring, axis=0, out=self._sums)
         if self.frames_seen < self.warmup:

@@ -241,6 +241,10 @@ def _band_power_sums(rows: np.ndarray, frames: np.ndarray, k_star: int,
 
     rows is a dft_basis table; its DC pair (rows 0 and 1) is skipped.
     Blocks, none one column wide, change speed, not a bit of output.
+    Every window is correlated, squared in place and paired into buffers
+    made once per call: a bin's power is its cosine row's square plus its
+    sine row's, one add, and a window's non-DC power is summed over the
+    bins by one reduction, as power.sum(axis=0) sums them.
     """
     n = rows.shape[1]
     t, p = frames.shape
@@ -248,14 +252,26 @@ def _band_power_sums(rows: np.ndarray, frames: np.ndarray, k_star: int,
         return _band_power_sums(rows, np.repeat(frames, 2, 1), k_star, hop)[:, :1]
     sums = np.zeros((2, p), dtype=np.float64)
     edges = [*range(0, p - 1, _PIXEL_BLOCK), p]  # a one-column tail joins its block
+    basis = rows[2:]  # bins 1..K-1, cosine and sine rows interleaved
+    widest = max((b1 - b0 for b0, b1 in zip(edges, edges[1:])), default=0)
+    spec_buf = np.empty(len(basis) * widest)
+    power_buf = np.empty(len(basis) // 2 * widest)
+    bin_sum_buf = np.empty(widest)
     for b0, b1 in zip(edges, edges[1:]):
+        width = b1 - b0  # each buffer's head as a C-ordered block
+        spec = spec_buf[:len(basis) * width].reshape(-1, width)
+        power = power_buf[:spec.size // 2].reshape(-1, width)
+        bin_sum = bin_sum_buf[:width]
+        re, im, target = spec[0::2], spec[1::2], power[k_star - 1]
         block = frames[:, b0: b1]
         num_b, den_b = sums[:, b0: b1]
         for j in range(window_count(t, n, hop)):
-            spec = rows[2:] @ block[j * hop: j * hop + n]  # bins 1..K-1
-            power = spec[0::2] ** 2 + spec[1::2] ** 2
-            num_b += power[k_star - 1]
-            den_b += power.sum(axis=0)
+            np.matmul(basis, block[j * hop: j * hop + n], out=spec)
+            np.square(spec, out=spec)
+            np.add(re, im, out=power)
+            num_b += target
+            np.sum(power, axis=0, out=bin_sum)
+            den_b += bin_sum
     return sums
 
 
@@ -265,7 +281,11 @@ def _energy_ratio(num: np.ndarray, den: np.ndarray, m: int) -> np.ndarray:
     A pixel whose mean non-DC power is <= RATIO_EPS scores exactly 0; a
     NaN in num or den stays NaN, for the caller to reject.
     """
-    values = (num / m) / (den / m + RATIO_EPS)
-    values *= den / m > RATIO_EPS
+    mean_den = den / m
+    scored = mean_den > RATIO_EPS
+    mean_den += RATIO_EPS
+    values = np.divide(num, m)
+    values /= mean_den
+    values *= scored
     np.clip(values, 0.0, 1.0, out=values)
     return values

@@ -1,5 +1,6 @@
 """Hough voting, rendering, decoding, and inverse rasterization."""
 
+import functools
 import math
 
 import numpy as np
@@ -476,20 +477,21 @@ def test_peak_keeps_its_bits_with_equal_zero_and_empty_levels(flat, floors):
 
 
 def _peak_and_exact_rows(feat, grid):
-    """_peak's result and the number of theta rows it voted over every pixel."""
+    """_peak's result and the theta rows it voted over every pixel, in the
+    order voted: each exact row reads its bins from _row_bins."""
     from vibeline import hough
 
     exact = []
-    row_vote = hough._row_vote
+    row_bins = hough._row_bins
 
-    def spy(grid, c, s, xs, ys, weights, out):
-        exact.append(weights.size == grid.image_h * grid.image_w)
-        return row_vote(grid, c, s, xs, ys, weights, out)
+    def spy(grid, ti):
+        exact.append(ti)
+        return row_bins(grid, ti)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hough, "_row_vote", spy)
+        mp.setattr(hough, "_row_bins", spy)
         result = hough._peak(feat, grid)
-    return result, sum(exact)
+    return result, exact
 
 
 def _one_floor_rows(feat, grid, peak):
@@ -516,12 +518,14 @@ def test_peak_of_a_noisy_fullsize_map_votes_few_rows_exactly():
     assert peak == image.max() and ti == 135
     floors = _level_bounds_hold(feat, grid, image)
     assert len(floors) == 2 and floors[0] > floors[1] > 0.0
-    assert 1 <= exact <= 5
+    assert 1 <= len(exact) <= 5
 
 
-def test_peak_of_a_noisy_still_needle_votes_fewer_rows_than_one_floor():
-    # with no vibrating line the bound stays loose: the finer floor must
-    # leave fewer rows to vote exactly than one 90th-percentile floor does
+@functools.lru_cache(maxsize=1)
+def _noisy_still_needle_map():
+    """(energy map, grid, its Hough image) of a fullsize phantom with the
+    vibration off and sigma = 1 sensor noise: every pixel non-zero, the
+    peak search's loosest bounds among detection's maps."""
     from dataclasses import replace
 
     from vibeline import detect_with_timing, preset, synth_sequence
@@ -534,11 +538,111 @@ def test_peak_of_a_noisy_still_needle_votes_fewer_rows_than_one_floor():
                     0, 255).astype(np.uint8)
     _, _, feat, grid = detect_with_timing(noisy, seq.fps)
     assert np.count_nonzero(feat) == feat.size
-    image = hough_transform(feat, grid)
-    (ti, ri, peak), exact = _peak_and_exact_rows(feat, grid)
+    return feat, grid, hough_transform(feat, grid)
+
+
+def _assert_peak_is_the_image_argmax(result, image, grid):
+    ti, ri, peak = result
     assert (ti, ri) == divmod(int(np.argmax(image)), grid.rho_bins)
     assert np.float64(peak).view(np.uint64) == image.max().view(np.uint64)
-    assert exact < _one_floor_rows(feat, grid, peak)
+
+
+def test_peak_of_a_noisy_still_needle_votes_fewer_rows_than_one_floor():
+    # with no vibrating line the bound stays loose: the finer floor must
+    # leave fewer rows to vote exactly than one 90th-percentile floor does
+    feat, grid, image = _noisy_still_needle_map()
+    result, exact = _peak_and_exact_rows(feat, grid)
+    _assert_peak_is_the_image_argmax(result, image, grid)
+    assert len(exact) < _one_floor_rows(feat, grid, result[2])
+
+
+def test_a_repeated_still_needle_search_finds_every_exact_row_cached():
+    # the row cache holds every row this still needle's search votes
+    # exactly, so its next emission computes no row's bins again
+    from vibeline import hough
+
+    feat, grid, image = _noisy_still_needle_map()
+    _, exact = _peak_and_exact_rows(feat, grid)
+    assert len(set(exact)) == len(exact) <= hough._CACHED_ROWS
+    before = hough._row_bins.cache_info()
+    result, again = _peak_and_exact_rows(feat, grid)
+    _assert_peak_is_the_image_argmax(result, image, grid)
+    assert again == exact
+    assert hough._row_bins.cache_info().hits - before.hits == len(exact)
+
+
+def test_peak_keeps_its_bits_when_its_exact_rows_overflow_the_row_cache():
+    # a cache of 4 rows under a search that votes 12 exactly: rows are
+    # evicted within the search and between the two searches
+    from vibeline import hough
+
+    feat, grid, image = _noisy_still_needle_map()
+    small = functools.lru_cache(maxsize=4)(hough._row_bins.__wrapped__)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hough, "_row_bins", small)
+        for _ in range(2):
+            result, exact = _peak_and_exact_rows(feat, grid)
+            _assert_peak_is_the_image_argmax(result, image, grid)
+            assert len(set(exact)) > small.cache_info().maxsize
+    assert small.cache_info().misses > small.cache_info().maxsize
+
+
+def test_peak_keeps_its_bits_on_two_grids_used_alternately():
+    # one image size, two rho steps: a row's cached bins belong to one grid
+    from vibeline.hough import _peak, _row_bins
+
+    rng = np.random.default_rng(11)
+    feat = rng.exponential(size=(40, 50))
+    feat[np.arange(40), np.arange(40) + 5] += 6.0
+    grids = [HoughGrid(40, 50), HoughGrid(40, 50, rho_step=0.7)]
+    images = [hough_transform(feat, grid) for grid in grids]
+    for _ in range(3):
+        for grid, image in zip(grids, images):
+            _assert_peak_is_the_image_argmax(_peak(feat, grid), image, grid)
+    ti = int(np.argmax(images[0])) // grids[0].rho_bins
+    assert not np.array_equal(_row_bins(grids[0], ti), _row_bins(grids[1], ti))
+
+
+# rho_step on a 30x40 image (diagonal 50) for 255, 257 and 65,535 rho bins:
+# the last bin 254 fits uint8, 256 and 65,534 need uint16
+@pytest.mark.parametrize("rho_bins", [255, 257, 65535])
+def test_row_bins_fit_the_narrowest_dtype_up_to_the_largest_grid(rho_bins):
+    from vibeline.hough import _peak, _rho_bin, _row_bins
+
+    grid = HoughGrid(30, 40, theta_step=45.0,
+                     rho_step=50.0 / (rho_bins // 2 - 0.5))
+    assert grid.rho_bins == rho_bins
+    want = np.uint8 if rho_bins <= 256 else np.uint16
+    feat = np.random.default_rng(rho_bins).exponential(size=(30, 40))
+    feat[:, 7] += 4.0
+    _assert_peak_is_the_image_argmax(_peak(feat, grid),
+                                     hough_transform(feat, grid), grid)
+    xs = np.arange(40, dtype=np.float64)[None, :]
+    ys = np.arange(30, dtype=np.float64)[:, None]
+    cos_t, sin_t = grid.theta_trig()
+    for ti in range(grid.theta_bins):
+        bins = _row_bins(grid, ti)
+        assert bins.dtype == want
+        floats = _rho_bin(grid, cos_t[ti], sin_t[ti], xs, ys,
+                          out=np.empty((30, 40)))
+        assert np.array_equal(bins, floats.astype(np.intp).ravel())
+    if rho_bins == 65535:  # past int16, so a signed 16-bit bin would wrap
+        assert max(int(_row_bins(grid, ti).max())
+                   for ti in range(grid.theta_bins)) > 32767
+
+
+def test_a_cached_row_is_handed_back_read_only():
+    from vibeline.hough import _peak, _row_bins
+
+    grid = small_grid()
+    feat = np.random.default_rng(13).exponential(size=(24, 31))
+    image = hough_transform(feat, grid)
+    ti = int(np.argmax(image)) // grid.rho_bins
+    bins = _row_bins(grid, ti)
+    assert not bins.flags.writeable and _row_bins(grid, ti) is bins
+    with pytest.raises(ValueError, match="read-only"):
+        bins[0] = 0
+    _assert_peak_is_the_image_argmax(_peak(feat, grid), image, grid)
 
 
 def test_peak_of_an_all_zero_map_is_zero_at_the_first_cell():

@@ -461,6 +461,60 @@ def test_pixel_blocks_match_whole_image_formula_bit_for_bit(h, w, window_len, ho
                 stack[:t], k_star, window_len, hop))
 
 
+def _oracle_band_power_sums(rows, frames, k_star, hop=1):
+    """spectral._band_power_sums as it stood before it reused buffers: each
+    window's spectrum, squares, power and bin sum freshly allocated."""
+    n = rows.shape[1]
+    t, p = frames.shape
+    if p == 1:
+        return _oracle_band_power_sums(rows, np.repeat(frames, 2, 1), k_star,
+                                       hop)[:, :1]
+    sums = np.zeros((2, p), dtype=np.float64)
+    edges = [*range(0, p - 1, 4096), p]
+    for b0, b1 in zip(edges, edges[1:]):
+        block = frames[:, b0: b1]
+        num_b, den_b = sums[:, b0: b1]
+        for j in range(window_count(t, n, hop)):
+            spec = rows[2:] @ block[j * hop: j * hop + n]
+            power = spec[0::2] ** 2 + spec[1::2] ** 2
+            num_b += power[k_star - 1]
+            den_b += power.sum(axis=0)
+    return sums
+
+
+# every window length 4-64 (odd ones too), P across the 4096-column block
+# edges, uint8 levels or any floats in [0, 1], and a NaN sample or one
+# whose power overflows float64
+@settings(max_examples=60, deadline=None)
+@given(window_len=st.integers(4, 64), hop=st.integers(1, 3),
+       extra=st.floats(0.0, 2.0), p=st.sampled_from(
+           [1, 2, 3, 4095, 4096, 4097, 8193]), k=st.integers(1, 31),
+       levels=st.booleans(), nan=st.booleans(), overflow=st.booleans())
+@example(window_len=10, hop=1, extra=0.0, p=4097, k=1, levels=True,
+         nan=False, overflow=False)
+@example(window_len=64, hop=1, extra=0.0, p=8193, k=31, levels=False,
+         nan=True, overflow=True)
+def test_the_kernel_returns_the_bits_of_its_oracle(
+        window_len, hop, extra, p, k, levels, nan, overflow):
+    t = window_len + round(extra * window_len)  # N to 3N samples
+    k_star = 1 + (k - 1) % (window_len // 2 - 1)  # a non-DC bin
+    rng = np.random.default_rng([window_len, hop, t, p, k])
+    frames = (_unit_float(rng.integers(0, 256, (t, p), dtype=np.uint8))
+              if levels else rng.uniform(size=(t, p)))
+    if nan:
+        frames[rng.integers(t), rng.integers(p)] = np.nan
+    if overflow:
+        frames[rng.integers(t), rng.integers(p)] = 1e200
+    rows = dft_basis(window_len).rows
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = spectral._band_power_sums(rows, frames, k_star, hop)
+        want = _oracle_band_power_sums(rows, frames, k_star, hop)
+    assert got.shape == want.shape == (2, p)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got.view(np.uint64)[~np.isnan(got)],
+                          want.view(np.uint64)[~np.isnan(want)])
+
+
 # frames in [0, 1] with a random set of exactly static pixels, including
 # none, all, and all but one; with none static the kernel reads the frames
 # in place, else a packed copy of the moving columns.  At least two
