@@ -31,8 +31,9 @@ from pathlib import Path
 
 from .errors import (BoundsError, FormatError, GeometryError,
                      NoDetectionError, ValidationError, _check_setting)
-from .metrics import (ANGLE_THRESH_DEG, GT_SUFFIX, TIP_THRESH_MM, _read_json,
-                      _write_json, load_ground_truth, save_ground_truth)
+from .metrics import (ANGLE_THRESH_DEG, GT_SUFFIX, TIP_THRESH_MM,
+                      _open_output, _read_json, _write_json,
+                      load_ground_truth, save_ground_truth)
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -229,7 +230,8 @@ def cmd_spectro(args, config: dict) -> int:
     if args.out_map:
         write_vibmap(_prepared(args.out_map), power)
     if args.out_csv:
-        with open(_prepared(args.out_csv), "w", newline="", encoding="utf-8") as fh:
+        with _open_output(_prepared(args.out_csv), "w", newline="",
+                          encoding="utf-8") as fh:
             out = csv.writer(fh)
             out.writerow(["window_index", "bin_freq_hz", "power"])
             for w in range(power.shape[1]):

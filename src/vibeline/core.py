@@ -6,7 +6,8 @@ pixel spacing (mm per pixel).  A UsSequence is its frames: it takes its
 shape from them and checks itself when built.  Every uint8 sample
 becomes a float by one rule, _unit_float (value / 255), and every snapped
 cos / sin comes from _snapped_cos_sin.  Both file formats share one
-framing, kept here.  The phantom generator and the detector share the
+framing, kept here; like every output file, a framed file is opened by
+metrics._open_output.  The phantom generator and the detector share the
 entry-border table, its one check (_inward), and the bilinear sampler
 kept here, so detection never imports the generator.  The generator and
 the Hough renderers share one Gaussian reach rule (_EXP_ZERO_REACH,
@@ -24,6 +25,7 @@ import numpy as np
 
 from .errors import (BoundsError, FormatError, SizeMismatchError,
                      ValidationError, _check_setting)
+from .metrics import _open_output
 
 MAGIC = b"VIBSEQ01"
 _HEADER = struct.Struct("<III ff")  # H, W, T, fps, pixel spacing (mm)
@@ -176,7 +178,7 @@ def _write_framed(path, magic: bytes, header: struct.Struct,
                   payload: np.ndarray, *extra) -> None:
     """Write magic, header (shape[1], shape[2], shape[0], *extra), payload."""
     t, h, w = payload.shape
-    with open(path, "wb") as fh:
+    with _open_output(path, "wb") as fh:
         fh.write(magic)
         fh.write(header.pack(h, w, t, *extra))
         fh.write(np.ascontiguousarray(payload))

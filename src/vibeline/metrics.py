@@ -3,6 +3,8 @@
 The detection, the ground truth (<stem>.gt.json) and the report records are
 spelled, read and written here alone, as UTF-8 JSON with indent 2 and a
 trailing newline; a file that does not parse raises FormatError naming it.
+Every output file of the package, these and core's framed files, is
+opened by _open_output, which replaces an existing regular file.
 
 All arithmetic here is plain Python floats (sum loops, math.sqrt) so a
 recount with an independent loop reproduces every aggregate bit for
@@ -19,6 +21,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,8 +76,29 @@ class GroundTruth:
                               for k, f in _TRUTH_FIELDS.items()})
 
 
+def _open_output(path, mode: str, **kwargs):
+    """open(path, mode, **kwargs) for an output file, made anew if it exists.
+
+    An existing regular file the process may write is unlinked first, so
+    the write creates a new file instead of truncating the old one (on
+    ext4, truncating and rewriting a file flushes it at close).  A hard
+    link to the old file keeps the old bytes, and the new file takes the
+    default mode.  Any other path (missing, a symlink, a FIFO or device,
+    a file the process may not write, or one whose unlink is refused) is
+    opened as it is, so a symlink is written through.  A killed write
+    leaves a short file, which load_sequence rejects by its size check.
+    """
+    try:
+        if (stat.S_ISREG(os.lstat(path).st_mode)
+                and os.access(path, os.W_OK)):
+            os.unlink(path)
+    except OSError:
+        pass
+    return open(path, mode, **kwargs)
+
+
 def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
 
@@ -239,7 +264,7 @@ def evaluate_batch(pred_dir, gt_dir, angle_thresh: float = ANGLE_THRESH_DEG,
 def write_report_csv(records: list, path,
                      angle_thresh: float = ANGLE_THRESH_DEG,
                      tip_thresh: float = TIP_THRESH_MM) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_output(path, "w", newline="", encoding="utf-8") as fh:
         out = csv.writer(fh)
         out.writerow(CSV_HEADER)
         for r in records:

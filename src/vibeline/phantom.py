@@ -196,20 +196,53 @@ def _speckle_from_rng(rng: np.random.Generator, h: int, w: int,
     return (smooth - lo) / span
 
 
-def _pixel_grid(rows: slice, cols: slice):
-    """Column and row coordinates (xs, ys) of the pixels in image[rows, cols],
-    shaped to broadcast to that block."""
-    return (np.arange(cols.start, cols.stop, dtype=np.float64)[None, :],
-            np.arange(rows.start, rows.stop, dtype=np.float64)[:, None])
+def _between(a: float, b: np.ndarray, lo: float, hi: float):
+    """(first, last): the interval of u with lo <= a u + b <= hi, per entry
+    of b; (inf, -inf) where it is empty."""
+    if a == 0.0:
+        inside = (lo <= b) & (b <= hi)
+        return (np.where(inside, -np.inf, np.inf),
+                np.where(inside, np.inf, -np.inf))
+    with np.errstate(over="ignore"):  # a subnormal a: +-inf is the bound
+        u0, u1 = (lo - b) / a, (hi - b) / a
+    return (u0, u1) if a > 0 else (u1, u0)
 
 
-def _segment_box(p0: np.ndarray, p1: np.ndarray, reach: float, h: int,
-                 w: int):
-    """(rows, cols) slices of an h x w image that hold every pixel within
-    reach of the segment p0-p1: its bounding box widened by reach."""
-    (x0, x1), (y0, y1) = sorted((p0[0], p1[0])), sorted((p0[1], p1[1]))
-    return (_reach_slice(y0 - reach, y1 + reach, h),
-            _reach_slice(x0 - reach, x1 + reach, w))
+def _capsule(p0: np.ndarray, p1: np.ndarray, reach: float, h: int, w: int):
+    """(r, c): the pixels of an h x w image within reach + 1 of the segment
+    p0-p1 (of non-zero length), in row-major order.
+
+    The capsule is the union of a disk of radius reach + 1 around each end
+    and the rectangle alongside the segment; it is convex, so each row
+    meets it in one interval, the hull of the three pieces' intervals.  The
+    margin of 1 absorbs rounding in the distances callers compare against
+    reach.
+    """
+    big = reach + 1.0
+    rows = _reach_slice(min(p0[1], p1[1]) - reach, max(p0[1], p1[1]) + reach, h)
+    y = np.arange(rows.start, rows.stop, dtype=np.float64)
+    seg = p1 - p0
+    length = float(np.hypot(*seg))
+    ex, ey = seg / length
+    # alongside: 0 <= (p - p0) . e <= length and |(p - p0) x e| <= big
+    a0, a1 = _between(ex, (y - p0[1]) * ey, 0.0, length)
+    b0, b1 = _between(-ey, (y - p0[1]) * ex, -big, big)
+    first, last = np.maximum(a0, b0) + p0[0], np.minimum(a1, b1) + p0[0]
+    empty = first > last
+    first[empty], last[empty] = np.inf, -np.inf
+    for px, py in (p0, p1):
+        sq = big * big - (y - py) ** 2
+        half = np.sqrt(np.maximum(sq, 0.0))
+        first = np.where(sq >= 0, np.minimum(first, px - half), first)
+        last = np.where(sq >= 0, np.maximum(last, px + half), last)
+    start = np.ceil(np.clip(first, 0.0, w)).astype(np.intp)
+    stop = np.floor(np.clip(last, -1.0, w - 1.0)).astype(np.intp) + 1
+    counts = np.maximum(stop - start, 0)
+    r = np.repeat(np.arange(rows.start, rows.stop), counts)
+    # each row's columns start .. stop - 1, laid end to end
+    c = np.arange(r.size) + np.repeat(start - (np.cumsum(counts) - counts),
+                                      counts)
+    return r, c
 
 
 def _segment_fields(xs: np.ndarray, ys: np.ndarray, p0: np.ndarray,
@@ -237,25 +270,26 @@ def _segment_fields(xs: np.ndarray, ys: np.ndarray, p0: np.ndarray,
 
 
 def _co_motion_falloff(spec: PhantomSpec, reach: float):
-    """(box, envelope, dist): the static spatial envelope of the tissue
+    """(r, c, envelope, dist): the static spatial envelope of the tissue
     displacement, in [0, 1], and each pixel's distance to the rest-position
-    segment, over the (rows, cols) box of the pixels within reach of it.
+    segment, on the pixels (r, c) of its _capsule, row-major.
 
     The envelope is Gaussian in that distance, with a hard zero past the
     tip plane: the shaft drags tissue along its length, but nothing
     pushes the tissue beyond the tip, and the sharp motion boundary
-    there is what makes the tip localizable from energy alone.  The box
-    is widened to the envelope's own reach, motion_sigma *
-    _EXP_ZERO_REACH, so the envelope is exactly 0.0 outside it.
+    there is what makes the tip localizable from energy alone.  The
+    capsule's reach is the larger of reach and the envelope's own,
+    motion_sigma * _EXP_ZERO_REACH, so the envelope is exactly 0.0 off
+    it, and every pixel within reach of the segment is on it.
     """
     entry, _, tip, _ = needle_geometry(spec)
-    box = _segment_box(entry, tip,
-                       max(reach, spec.motion_sigma * _EXP_ZERO_REACH),
-                       spec.height, spec.width)
-    s, dist, length = _segment_fields(*_pixel_grid(*box), entry, tip)
+    r, c = _capsule(entry, tip, max(reach, spec.motion_sigma * _EXP_ZERO_REACH),
+                    spec.height, spec.width)
+    s, dist, length = _segment_fields(c.astype(np.float64),
+                                      r.astype(np.float64), entry, tip)
     envelope = np.exp(-(dist ** 2) / (2.0 * spec.motion_sigma ** 2))
     envelope[s > length] = 0.0
-    return box, envelope, dist
+    return r, c, envelope, dist
 
 
 def _displacement(amp: float, normal: np.ndarray, envelope: np.ndarray):
@@ -282,8 +316,9 @@ def warp_bilinear(texture: np.ndarray, field: np.ndarray) -> np.ndarray:
     for name, a in (("texture", tex), ("field", field)):
         if not np.isfinite(a).all():
             raise ValidationError(f"{name} must be finite")
-    xs, ys = _pixel_grid(slice(0, h), slice(0, w))
-    return _bilinear_clamped(tex, xs - field[:, :, 0], ys - field[:, :, 1])
+    xs, ys = np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64)
+    return _bilinear_clamped(tex, xs - field[:, :, 0],
+                             ys[:, None] - field[:, :, 1])
 
 
 def _ridge(xs: np.ndarray, ys: np.ndarray, p0: np.ndarray,
@@ -297,7 +332,7 @@ def _ridge(xs: np.ndarray, ys: np.ndarray, p0: np.ndarray,
 
 def _artifact_image(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
     """Static distractor lines, same ridge profile as the needle; each is
-    evaluated only inside the box where it can be non-zero."""
+    evaluated only on the _capsule where it can be non-zero."""
     img = np.zeros((spec.height, spec.width), dtype=np.float64)
     for _ in range(spec.artifact_count):
         cx = rng.uniform(0.2 * spec.width, 0.8 * spec.width)
@@ -307,8 +342,9 @@ def _artifact_image(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
         d = np.array([math.cos(ang), math.sin(ang)])
         p0 = np.array([cx, cy]) - half * d
         p1 = np.array([cx, cy]) + half * d
-        box = _segment_box(p0, p1, _RIDGE_REACH, spec.height, spec.width)
-        np.maximum(img[box], _ridge(*_pixel_grid(*box), p0, p1), out=img[box])
+        r, c = _capsule(p0, p1, _RIDGE_REACH, spec.height, spec.width)
+        img[r, c] = np.maximum(img[r, c], _ridge(c.astype(np.float64),
+                                                 r.astype(np.float64), p0, p1))
     return img
 
 
@@ -383,9 +419,13 @@ def synth_sequence(spec: PhantomSpec):
     equal its bytes.  A pixel can change only if its warp sample
     coordinate moves in some frame or, at visibility > 0, it lies within
     _RIDGE_REACH + vib_amplitude of the rest-position segment (the ridge
-    adds 0.0 farther out).  A pixel's displacement is a rounded product of
-    the frame amplitude and its envelope, monotone in the amplitude, and so
-    is its sample coordinate; a pixel that moves at neither the smallest
+    adds 0.0 farther out).  Both kinds lie in the capsule on which
+    _co_motion_falloff evaluates the envelope and the distance, the pixels
+    within the larger reach + 1 of the segment, and no pixel off it is
+    looked at; the capsule is row-major, so its pixels come in the order a
+    full-frame scan finds them.  A pixel's displacement is a rounded
+    product of the frame amplitude and its envelope, monotone in the
+    amplitude, and so is its sample coordinate; a pixel that moves at neither the smallest
     nor the largest amplitude moves in no frame, and where its coordinate
     is its own the sampler gives its texel back bit for bit
     (core._bilinear_clamped).  Of those pixels, _byte_may_change keeps the
@@ -398,13 +438,12 @@ def synth_sequence(spec: PhantomSpec):
     artifacts = _artifact_image(spec, rng)
     entry, _, tip, normal = needle_geometry(spec)
     ridge_reach = _RIDGE_REACH + spec.vib_amplitude
-    (rows, cols), envelope, dist = _co_motion_falloff(
+    r, c, envelope, dist = _co_motion_falloff(
         spec, ridge_reach if spec.visibility > 0 else 0.0)
     in_reach = (dist <= ridge_reach) & (spec.visibility > 0)
-    r, c = np.nonzero((envelope != 0) | in_reach)
-    env, ridged, dist = envelope[r, c], in_reach[r, c], dist[r, c]
-    r += rows.start
-    c += cols.start
+    keep = np.flatnonzero((envelope != 0) | in_reach)
+    r, c, env, ridged, dist = (r[keep], c[keep], envelope[keep],
+                               in_reach[keep], dist[keep])
     xs, ys = c.astype(np.float64), r.astype(np.float64)
     flat = r * spec.width + c
     amps = np.array([spec.vib_amplitude * math.sin(

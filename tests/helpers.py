@@ -9,6 +9,7 @@ implementation.
 
 import functools
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -158,3 +159,72 @@ def small_vibrating_spec(**overrides) -> PhantomSpec:
     )
     base.update(overrides)
     return PhantomSpec(**base)
+
+
+# --------------------------------------------------------------------------
+# Output files
+# --------------------------------------------------------------------------
+
+# what lies at an output path before it is written
+OUTPUT_CASES = ("new", "longer", "shorter", "symlink", "dangling-symlink",
+                "hard-link", "read-only", "unlink-refused")
+_OLD_BYTES = b"old output\n"
+
+
+def _lay_out(d, case):
+    """Make directory d hold case's files around d / "out"."""
+    d.mkdir()
+    out = d / "out"
+    if case in ("longer", "hard-link", "read-only", "unlink-refused"):
+        out.write_bytes(_OLD_BYTES * 100_000)
+    elif case == "shorter":
+        out.write_bytes(b"x")
+    elif case.endswith("symlink"):
+        if case == "symlink":
+            (d / "target").write_bytes(_OLD_BYTES * 100_000)
+        out.symlink_to("target")
+    if case in ("hard-link", "unlink-refused"):
+        os.link(out, d / "other")
+    if case == "read-only":
+        out.chmod(0o444)
+    return out
+
+
+def _outcome(write, path):
+    """(exception type, errno) that write(path) raises, or None."""
+    try:
+        write(path)
+    except OSError as exc:
+        return type(exc), exc.errno
+    return None
+
+
+def _snapshot(d):
+    """Each entry of d: (name, link target or None, bytes it reads)."""
+    return [(p.name, os.readlink(p) if p.is_symlink() else None,
+             p.read_bytes() if p.exists() else None)
+            for p in sorted(d.iterdir())]
+
+
+def check_output_write(tmp_path, monkeypatch, module, write, case):
+    """write(path) over case's layout leaves what a plain open() write
+    leaves (module._open_output replaced by open) and raises what it
+    raises; a hard link to the old output alone keeps the old bytes."""
+    with monkeypatch.context() as m:
+        m.setattr(module, "_open_output", open)
+        want = _outcome(write, _lay_out(tmp_path / "plain", case))
+    out = _lay_out(tmp_path / "helper", case)
+    with monkeypatch.context() as m:
+        if case == "unlink-refused":
+            def refuse(path, *args, **kwargs):
+                raise PermissionError(13, "unlink refused", str(path))
+            m.setattr(os, "unlink", refuse)
+        assert _outcome(write, out) == want
+    plain, got = _snapshot(tmp_path / "plain"), _snapshot(tmp_path / "helper")
+    if case == "hard-link":
+        # the plain write truncated the shared inode; the helper made a new
+        # file, so the other link keeps the old bytes
+        assert plain[0][2] == plain[1][2] != _OLD_BYTES * 100_000
+        assert got[0] == ("other", None, _OLD_BYTES * 100_000)
+        plain[0] = got[0]
+    assert got == plain

@@ -635,6 +635,38 @@ def test_spectro_rejects_out_of_bounds_pixel(tmp_path):
     assert proc.returncode == 1
 
 
+def test_every_output_replaces_a_hard_linked_file(tmp_path):
+    # each output path starts as a hard link to one old file; every command
+    # writes a new file there, so the old file keeps its bytes
+    from vibeline import cli
+
+    old = tmp_path / "old"
+    old.write_bytes(b"old output\n")
+    (tmp_path / "gts").mkdir()
+    (tmp_path / "preds").mkdir()
+    outs = ["gts/a.vibseq", "gts/a.gt.json", "preds/a.json", "timing.json",
+            "e.vibmap", "s.csv", "s.vibmap", "report.csv", "agg.json"]
+    for name in outs:
+        os.link(old, tmp_path / name)
+    seq = str(tmp_path / "gts/a.vibseq")
+    assert cli.main(GEN_SMALL + ["--out", seq]) == 0
+    assert cli.main(DETECT_3HZ + [seq, "--out", str(tmp_path / "preds/a.json"),
+                                  "--timing", str(tmp_path / "timing.json"),
+                                  "--emit-energy",
+                                  str(tmp_path / "e.vibmap")]) == 0
+    assert cli.main(["spectro", seq, "--x", "3", "--y", "3", "--out-csv",
+                     str(tmp_path / "s.csv"), "--out-map",
+                     str(tmp_path / "s.vibmap")]) == 0
+    assert cli.main(["eval", "--pred", str(tmp_path / "preds"), "--gt",
+                     str(tmp_path / "gts"), "--out-csv",
+                     str(tmp_path / "report.csv"), "--out-json",
+                     str(tmp_path / "agg.json")]) == 0
+    assert old.read_bytes() == b"old output\n"
+    assert os.stat(old).st_nlink == 1
+    for name in outs:
+        assert (tmp_path / name).read_bytes() != b"old output\n", name
+
+
 # --------------------------------------------------------------------------
 # config file handling
 # --------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from vibeline import (
     save_sequence,
     write_vibmap,
 )
+from helpers import OUTPUT_CASES, check_output_write
+from vibeline import core
 from vibeline.core import _bilinear_clamped, _unit_float
 
 
@@ -88,6 +90,17 @@ def test_header_stores_height_width_frames_in_that_order(tmp_path):
 # --------------------------------------------------------------------------
 # Malformed files
 # --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", OUTPUT_CASES)
+@pytest.mark.parametrize("write", ["vibseq", "vibmap"])
+def test_an_output_replaces_a_regular_file_and_writes_through_others(
+        tmp_path, monkeypatch, write, case):
+    # the bytes of a plain open(path, "wb") write, in every layout
+    seq = random_sequence(seed=3)
+    writers = {"vibseq": lambda path: save_sequence(seq, path),
+               "vibmap": lambda path: write_vibmap(path, seq.frames[:2])}
+    check_output_write(tmp_path, monkeypatch, core, writers[write], case)
+
 
 def test_bad_magic_raises_format_error(tmp_path):
     path = tmp_path / "bad.vibseq"

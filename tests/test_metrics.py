@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import recount_report
+from helpers import OUTPUT_CASES, check_output_write, recount_report
 from vibeline import (
     Detection,
     ErrorRecord,
@@ -26,6 +26,7 @@ from vibeline import (
     tip_error,
     write_report_csv,
 )
+from vibeline import metrics
 from vibeline.metrics import _write_json
 
 
@@ -321,6 +322,21 @@ def test_aggregate_json_round_trip(tmp_path):
     assert back == json.loads(json.dumps(agg))
     assert set(back) == {"angle_mean", "angle_std", "tip_mean", "tip_std",
                          "ter_percent", "n", "n_missing"}
+
+
+@pytest.mark.parametrize("case", OUTPUT_CASES)
+@pytest.mark.parametrize("write", ["truth", "json", "csv"])
+def test_a_record_replaces_a_regular_file_and_writes_through_others(
+        tmp_path, monkeypatch, write, case):
+    # the bytes of a plain open(path, "w") write, in every layout
+    records = random_records(5, seed=3)
+    writers = {
+        "truth": lambda path: save_ground_truth(
+            GroundTruth(30.0, 242.5, 130.0, 54.9, 0.15), path),
+        "json": lambda path: _write_json(path, aggregate(records)),
+        "csv": lambda path: write_report_csv(records, path),
+    }
+    check_output_write(tmp_path, monkeypatch, metrics, writers[write], case)
 
 
 def test_numpy_inputs_are_accepted():

@@ -26,7 +26,7 @@ from vibeline import (
     warp_bilinear,
 )
 from vibeline import phantom
-from vibeline.core import INWARD, _bilinear_clamped
+from vibeline.core import INWARD, _EXP_ZERO_REACH, _bilinear_clamped
 from vibeline.phantom import needle_geometry
 
 
@@ -228,9 +228,9 @@ def _frame_displacement(spec, t):
     _, _, _, normal = needle_geometry(spec)
     amp = spec.vib_amplitude * math.sin(
         2.0 * math.pi * spec.vib_freq * t / spec.fps)
-    box, envelope, _ = phantom._co_motion_falloff(spec, 0.0)
+    r, c, envelope, _ = phantom._co_motion_falloff(spec, 0.0)
     full = np.zeros((spec.height, spec.width))
-    full[box] = envelope
+    full[r, c] = envelope
     return np.stack(phantom._displacement(amp, normal, full), axis=-1)
 
 
@@ -528,7 +528,9 @@ def _small_specs(draw):
     entry = [0.0, 0.0]
     entry[axis] = 0.0 if sign > 0 else size[axis] - 1.0
     entry[1 - axis] = draw(st.floats(0.0, size[1 - axis] - 1.0))
-    angle = draw(st.floats(0.0, 180.0, exclude_max=True))
+    # an axis-aligned needle, along its border's normal, now and then
+    angle = draw(st.one_of(st.sampled_from([0.0, 90.0]),
+                           st.floats(0.0, 180.0, exclude_max=True)))
     theta = math.radians(angle)
     direction = np.array([-math.sin(theta), math.cos(theta)])
     assume(abs(direction[axis]) > 0.05)
@@ -559,6 +561,79 @@ def _small_specs(draw):
 def test_synth_matches_the_dense_frame_reference_on_random_specs(spec):
     seq, _ = synth_sequence(spec)
     assert seq.frames.tobytes() == _dense_synth(spec).tobytes()
+
+
+def _dense_capsule(h, w, p0, p1, reach, slack):
+    """Pixels, over the whole image, whose distance to the segment is at
+    most reach + 1 + slack: the full-box oracle of _capsule."""
+    _, dist, _ = _dense_segment_fields(h, w, p0, p1)
+    return dist <= reach + 1.0 + slack
+
+
+# the capsule's bounds and the dense distances round differently, by far
+# less than this, at a pixel on its rim
+_RIM = 1e-9
+
+
+def _check_capsule(r, c, h, w, p0, p1, reach):
+    """(r, c) is row-major, inside the image, and the oracle's set but for
+    pixels within _RIM of its rim."""
+    flat = r * w + c
+    assert np.all(np.diff(flat) > 0)
+    assert np.all((0 <= r) & (r < h) & (0 <= c) & (c < w))
+    got = np.zeros(h * w, dtype=bool)
+    got[flat] = True
+    assert not np.any(_dense_capsule(h, w, p0, p1, reach, -_RIM).ravel() & ~got)
+    assert not np.any(got & ~_dense_capsule(h, w, p0, p1, reach, _RIM).ravel())
+
+
+@st.composite
+def _segments(draw):
+    """(h, w, p0, p1): a segment of non-zero length that may leave the
+    image on any side, or an axis-aligned one on whole pixels."""
+    h, w = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        p0 = np.array([draw(st.integers(-10, w + 10)),
+                       draw(st.integers(-10, h + 10))], dtype=np.float64)
+        p1 = p0.copy()
+        p1[draw(st.integers(0, 1))] += draw(st.sampled_from([-1, 1])) * draw(
+            st.integers(1, 40))
+    else:
+        p0, p1 = (np.array([draw(st.floats(-20.0, w + 20.0)),
+                            draw(st.floats(-20.0, h + 20.0))]) for _ in range(2))
+        assume(np.hypot(*(p1 - p0)) > 1e-3)
+    return h, w, p0, p1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_segments(), st.one_of(st.floats(0.0, 30.0),
+                              st.sampled_from([0.0, 2.0, 100.0, 1e6, math.inf])))
+def test_capsule_equals_the_full_box_oracle(segment, reach):
+    h, w, p0, p1 = segment
+    r, c = phantom._capsule(p0, p1, reach, h, w)
+    _check_capsule(r, c, h, w, p0, p1, reach)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_specs(), st.one_of(st.floats(0.0, 20.0), st.just(1e3)))
+def test_falloff_and_artifacts_equal_the_full_box_oracle(spec, reach):
+    # reach 1e3 is larger than any image here: the capsule is every pixel
+    h, w = spec.height, spec.width
+    entry, _, tip, _ = needle_geometry(spec)
+    r, c, envelope, dist = phantom._co_motion_falloff(spec, reach)
+    _check_capsule(r, c, h, w, entry, tip,
+                   max(reach, spec.motion_sigma * _EXP_ZERO_REACH))
+    full = np.zeros((h, w))
+    full[r, c] = envelope
+    assert full.tobytes() == _dense_envelope(spec).tobytes()
+    _, dense_dist, _ = _dense_segment_fields(h, w, entry, tip)
+    assert dist.tobytes() == dense_dist[r, c].tobytes()
+    rng = np.random.default_rng(spec.seed)
+    phantom._speckle_from_rng(rng, h, w, spec.speckle_grain)
+    want = np.zeros((h, w))
+    for p0, p1 in _speckle_and_artifact_segments(spec)[1]:
+        np.maximum(want, _dense_ridge(h, w, p0, p1), out=want)
+    assert phantom._artifact_image(spec, rng).tobytes() == want.tobytes()
 
 
 def test_a_pixel_within_the_byte_bound_of_a_half_level_is_recomputed(
@@ -605,8 +680,10 @@ def test_displacement_field_equals_the_dense_envelope_bit_for_bit(name):
 
 def test_dense_cases_cover_what_they_name():
     spec = _DENSE_CASES["whole-frame-envelope"]
-    _, envelope, _ = phantom._co_motion_falloff(spec, 0.0)
-    assert envelope.shape == (spec.height, spec.width)
+    r, c, envelope, _ = phantom._co_motion_falloff(spec, 0.0)
+    # every pixel of the image, row-major, and non-zero on each
+    assert np.array_equal(r * spec.width + c,
+                          np.arange(spec.height * spec.width))
     assert np.all(envelope != 0)
     _, _, _, normal = needle_geometry(_DENSE_CASES["angle-0"])
     assert normal[1] == 0.0
@@ -616,11 +693,11 @@ def test_dense_cases_cover_what_they_name():
     [((x0, y0), (x1, y1))] = _speckle_and_artifact_segments(spec)[1]
     reach = phantom._RIDGE_REACH
     assert min(x0, x1, y0, y1) - reach < 0  # clipped at the border ...
-    rows, cols = phantom._segment_box(np.array([x0, y0]), np.array([x1, y1]),
-                                      reach, spec.height, spec.width)
+    r, c = phantom._capsule(np.array([x0, y0]), np.array([x1, y1]), reach,
+                            spec.height, spec.width)
+    assert 0 in (r.min(), c.min())
     # ... and still short of the whole image
-    assert (rows.stop - rows.start) * (cols.stop - cols.start) < 0.6 * (
-        spec.height * spec.width)
+    assert r.size < 0.6 * (spec.height * spec.width)
     _, _, tip, _ = needle_geometry(_DENSE_CASES["tip-on-border"])
     assert tip[1] == 63.0
     still, _ = synth_sequence(_DENSE_CASES["amplitude-0"])
