@@ -11,7 +11,8 @@ metrics._open_output.  The phantom generator and the detector share the
 entry-border table, its one check (_inward), and the bilinear sampler
 kept here, so detection never imports the generator.  The generator and
 the Hough renderers share one Gaussian reach rule (_EXP_ZERO_REACH,
-_reach_slice).
+_reach_slice), and the generator's capsule and the detector's line clip
+one interval rule (_between).
 """
 
 from __future__ import annotations
@@ -142,6 +143,18 @@ def _reach_slice(lo: float, hi: float, n: int) -> slice:
     start = math.ceil(min(max(lo - 1.0, 0.0), n))
     stop = math.floor(min(max(hi + 1.0, -1.0), n - 1.0)) + 1
     return slice(start, max(start, stop))
+
+
+def _between(a: float, b: np.ndarray, lo: float, hi: float):
+    """(first, last): the interval of u with lo <= a u + b <= hi, per entry
+    of b; (inf, -inf) where it is empty."""
+    if a == 0.0:
+        inside = (lo <= b) & (b <= hi)
+        return (np.where(inside, -np.inf, np.inf),
+                np.where(inside, np.inf, -np.inf))
+    with np.errstate(over="ignore"):  # a subnormal a: +-inf is the bound
+        u0, u1 = (lo - b) / a, (hi - b) / a
+    return (u0, u1) if a > 0 else (u1, u0)
 
 
 def _read_framed(path, magic: bytes, header: struct.Struct, dtype):

@@ -128,14 +128,14 @@ def _above(weights: np.ndarray, floor: float) -> np.ndarray:
     return weights > floor if floor else weights != 0
 
 
-def _excess(grid: HoughGrid, weights: np.ndarray, floor: float):
-    """(xs, ys, excess) of the flat map's pixels above floor (_above), in
-    row-major order: their coordinates as floats and weights - floor.  At
+def _voters(grid: HoughGrid, weights: np.ndarray, floor: float):
+    """(xs, ys, weights) of the flat map's pixels above floor (_above), in
+    row-major order: their coordinates as floats and their weights.  At
     floor 0 they are the non-zero pixels, whose vote is hough_transform's
     image."""
     voters = np.flatnonzero(_above(weights, floor))
     ys, xs = (v.astype(np.float64) for v in np.divmod(voters, grid.image_w))
-    return xs, ys, weights[voters] - floor
+    return xs, ys, weights[voters]
 
 
 def _vote(grid: HoughGrid, xs, ys, weights, block: int = 1) -> np.ndarray:
@@ -169,7 +169,7 @@ def _cell_counts(grid: HoughGrid) -> np.ndarray:
     """Read-only (theta_bins, rho_bins) float count of the pixels that vote
     into each cell: 1.4 MB at 328x335 with 1-degree steps.  An unweighted
     count gives the integer bits of the vote of a map of ones."""
-    xs, ys, _ = _excess(grid, np.ones(grid.image_h * grid.image_w), 0.0)
+    xs, ys, _ = _voters(grid, np.ones(grid.image_h * grid.image_w), 0.0)
     counts = _vote(grid, xs, ys, None)
     counts.setflags(write=False)
     return counts
@@ -237,27 +237,25 @@ def hough_transform(feature: np.ndarray, grid: HoughGrid) -> np.ndarray:
     vote here.
     """
     weights = _checked_feature(feature, grid).ravel()
-    return _vote(grid, *_excess(grid, weights, 0.0))
+    return _vote(grid, *_voters(grid, weights, 0.0))
 
 
 def _levels(grid: HoughGrid, weights: np.ndarray) -> list:
-    """_peak's levels, coarse to fine: (floor, *_excess over it) for each
-    _FLOOR_SHARES quantile of the flat map, each > 0 on every map that
-    detection sends (pipeline._vote_or_search).  One partition at the
-    finest share, and one more of the slice above it per coarser share,
-    find them: 0.18 ms at 328x335, where one partition with both kth
-    values took 1.26 ms.  The map is scanned once, at the finest floor; a
-    coarser level is the subset of those voters above its floor, in the
-    same row-major order and with the same weights - floor."""
+    """_peak's levels, coarse to fine: (floor, xs, ys, weights - floor) of
+    the _voters above each _FLOOR_SHARES quantile of the flat map, each
+    floor > 0 on every map detection sends (pipeline._vote_or_search).
+    One partition at the finest share, and one more of the slice above it
+    per coarser share, find them: 0.18 ms at 328x335, where one partition
+    with both kth values took 1.26 ms.  The map is scanned once, at the
+    finest floor; a coarser level is the subset of those voters above its
+    floor, in the same row-major order and with the same weights - floor."""
     floors, rest, lo = [], weights, 0
     for share in reversed(_FLOOR_SHARES):
         k = int(weights.size * share)
         rest = np.partition(rest, k - lo)[k - lo:]
         floors.insert(0, float(rest[0]))
         lo = k
-    voters = np.flatnonzero(_above(weights, floors[-1]))
-    ys, xs = (v.astype(np.float64) for v in np.divmod(voters, grid.image_w))
-    vals = weights[voters]
+    xs, ys, vals = _voters(grid, weights, floors[-1])
     levels = [(floors[-1], xs, ys, vals - floors[-1])]
     for f in reversed(floors[:-1]):
         keep = np.flatnonzero(_above(vals, f))  # faster than a mask's gather
@@ -332,13 +330,14 @@ def _peak(values: np.ndarray, grid: HoughGrid):
 
 
 def line_from_cell(grid: HoughGrid, theta_idx: int, rho_idx: int):
-    """Bin-center (theta_deg, rho_px) of one grid cell."""
-    if not (0 <= theta_idx < grid.theta_bins and 0 <= rho_idx < grid.rho_bins):
-        raise ValidationError(
-            f"cell ({theta_idx}, {rho_idx}) outside grid {grid.shape()}"
-        )
-    return (theta_idx * grid.theta_step,
-            (rho_idx - grid.rho_offset) * grid.rho_step)
+    """Bin-center (theta_deg, rho_px) of one grid cell, whose indices are
+    integers (numpy's too, taken as Python ints; not bools) in range."""
+    for idx, bins in ((theta_idx, grid.theta_bins), (rho_idx, grid.rho_bins)):
+        if not ((type(idx) is int or isinstance(idx, np.integer)) and 0 <= idx < bins):
+            raise ValidationError(f"cell ({theta_idx}, {rho_idx}) is not a cell "
+                                  f"of grid {grid.shape()} (integer indices from 0)")
+    return (int(theta_idx) * grid.theta_step,
+            (int(rho_idx) - grid.rho_offset) * grid.rho_step)
 
 
 def render_shaft_gt(grid: HoughGrid, theta: float, rho: float,

@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (UsSequence, _EXP_ZERO_REACH, _bilinear_clamped, _inward,
-                   _reach_slice)
+from .core import (UsSequence, _EXP_ZERO_REACH, _between, _bilinear_clamped,
+                   _inward, _reach_slice)
 from .errors import ValidationError, _check_band, _check_setting
 # moved to metrics; perfbench resolves phantom.save_ground_truth
 from .metrics import GroundTruth, save_ground_truth
@@ -194,18 +194,6 @@ def _speckle_from_rng(rng: np.random.Generator, h: int, w: int,
     if span == 0:
         return np.full((h, w), 0.5)
     return (smooth - lo) / span
-
-
-def _between(a: float, b: np.ndarray, lo: float, hi: float):
-    """(first, last): the interval of u with lo <= a u + b <= hi, per entry
-    of b; (inf, -inf) where it is empty."""
-    if a == 0.0:
-        inside = (lo <= b) & (b <= hi)
-        return (np.where(inside, -np.inf, np.inf),
-                np.where(inside, np.inf, -np.inf))
-    with np.errstate(over="ignore"):  # a subnormal a: +-inf is the bound
-        u0, u1 = (lo - b) / a, (hi - b) / a
-    return (u0, u1) if a > 0 else (u1, u0)
 
 
 def _capsule(p0: np.ndarray, p1: np.ndarray, reach: float, h: int, w: int):

@@ -2,7 +2,8 @@
 
 The detector is fully deterministic.  Its confidence is the ratio of the
 Hough peak to the mean Hough cell, taken from vote conservation as the
-energy map's mass / rho_bins.  Batch and stream find the argmax cell
+energy map's mass / rho_bins.  The stream scores spectral.TrailingEnergy's
+map of its trailing frames.  Batch and stream find the argmax cell
 and the peak by one rule, _vote_or_search, which alone votes a Hough
 image: a clean map's; a dense (noisy) one is searched by hough._peak.
 _decode reads either, and no detection returns the image.  The default
@@ -21,16 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (UsSequence, _bilinear_clamped, _inward, _snapped_cos_sin,
-                   _unit_float)
+from .core import (UsSequence, _between, _bilinear_clamped, _inward,
+                   _snapped_cos_sin)
 from .errors import GeometryError, NoTipError, ValidationError, _check_setting
 from .hough import (HoughGrid, HoughMap, _check_steps, _peak, hough_transform,
                     line_from_cell, render_tip_gt, shaft_from_hough)
 # moved to metrics; perfbench resolves pipeline.Detection
 from .metrics import Detection
-from .spectral import (_band_power_sums, _energy_ratio,
-                       band_energy_from_frames, dft_basis, nearest_band,
-                       window_count)
+from .spectral import TrailingEnergy, band_energy_from_frames
 
 CONFIDENCE_EPS = 1e-12
 
@@ -85,19 +84,9 @@ def _clip_line(theta: float, rho: float, h: int, w: int):
     c, s = float(cos_t[0]), float(sin_t[0])
     base = np.array([rho * c, rho * s])
     d = np.array([-s, c])
-    t0, t1 = -math.inf, math.inf
-    for axis, hi in ((0, w - 1.0), (1, h - 1.0)):
-        if d[axis] == 0.0:
-            if not (0.0 <= base[axis] <= hi):
-                raise GeometryError(
-                    f"line (theta={theta}, rho={rho}) misses the image"
-                )
-            continue
-        ta = (0.0 - base[axis]) / d[axis]
-        tb = (hi - base[axis]) / d[axis]
-        lo, hi_t = (ta, tb) if ta <= tb else (tb, ta)
-        t0 = max(t0, lo)
-        t1 = min(t1, hi_t)
+    (x0, x1), (y0, y1) = (_between(d[axis], base[axis], 0.0, hi)
+                          for axis, hi in ((0, w - 1.0), (1, h - 1.0)))
+    t0, t1 = max(-math.inf, x0, y0), min(math.inf, x1, y1)
     if not (t0 <= t1) or math.isinf(t0) or math.isinf(t1):
         raise GeometryError(f"line (theta={theta}, rho={rho}) misses the image")
     return base, d, t0, t1
@@ -265,90 +254,30 @@ def _hough_channels(det: Detection, grid: HoughGrid, hough: np.ndarray,
     return HoughMap(shaft=shaft, tip=tip)
 
 
-class StreamState:
-    """Frame-by-frame detection on the trailing `warmup` frames.
-
-    Each push runs batch's kernel, _band_power_sums, on the N-frame ring
-    as one window, so an emission is batch detection of the last
-    `warmup` frames at hop 1 (cfg.hop must be 1) up to rounding, with no
-    recurrence to drift.  The ring holds frames in write order, a
-    circular shift of the window, and running sums of the last
-    warmup - N + 1 window powers are updated in place and re-summed from
-    their ring once per turn; both differ from batch only in rounding.
-    The frame ring, the power ring and the sums are views of one block.
-    An emission decodes by batch's _vote_or_search and _decode, so a
-    noisy map builds no Hough image, and takes the mean cell from vote
-    conservation as batch does.
+class StreamState(TrailingEnergy):
+    """Frame-by-frame detection on the trailing `warmup` frames: each map
+    is spectral.TrailingEnergy's (cfg.hop must be 1), and an emission
+    decodes it by batch's _vote_or_search and _decode, so a noisy map
+    builds no Hough image.
     """
 
     def __init__(self, height: int, width: int, fps: float,
                  cfg: DetectConfig | None = None, warmup: int = DEFAULT_WARMUP):
-        if cfg is None:
-            cfg = DetectConfig()
+        cfg = cfg or DetectConfig()
         self._grid = HoughGrid(height, width, cfg.theta_step, cfg.rho_step)
         _check_setting("warmup", warmup, cfg.window_len, lo_closed=True,
                        integer=True)
         if cfg.hop != 1:
             raise ValidationError(f"stream hop must be 1, got {cfg.hop}")
         self.cfg = cfg
-        self.height = int(height)
-        self.width = int(width)
-        self.warmup = int(warmup)
-        self.frames_seen = 0
-        n = cfg.window_len
-        npix = height * width
-        self.k_star = nearest_band(n, fps, cfg.vib_freq)
-        self._rows = dft_basis(n).rows
-        self._stat_len = window_count(self.warmup, n, 1)
-        # one block, 47.5 MB at 328x335: past glibc's 32 MB mmap ceiling, so
-        # it is mapped and handed back whole rather than kept on the heap
-        sizes = (n * npix, self._stat_len * 2 * npix, 2 * npix)
-        try:
-            block = np.zeros(sum(sizes), dtype=np.float64)
-        except (MemoryError, ValueError):  # ValueError: past numpy's size limit
-            raise ValidationError(
-                f"warmup {self.warmup} needs a {8 * sum(sizes)}-byte ring "
-                "block, which could not be allocated") from None
-        frames, powers, sums = np.split(block, np.cumsum(sizes[:-1]))
-        self._frame_ring = frames.reshape(n, npix)
-        self._power_ring = powers.reshape(self._stat_len, 2, npix)
-        self._sums = sums.reshape(2, npix)  # num, den
+        super().__init__(height, width, fps, cfg.vib_freq, cfg.window_len,
+                         warmup)
 
     def push(self, frame: np.ndarray):
-        """Absorb one uint8 (H, W) frame; returns a Detection once warmed up.
-
-        The ring slot of the oldest window power is the update's scratch:
-        it takes power - oldest, which the sums add, then power itself, so
-        the update allocates no (2, H*W) temporary.
-        """
-        frame = np.asarray(frame)
-        if frame.shape != (self.height, self.width):
-            raise ValidationError(
-                f"frame shape {frame.shape} does not match stream "
-                f"{(self.height, self.width)}"
-            )
-        if frame.dtype != np.uint8:
-            raise ValidationError(
-                f"stream frames must be uint8, got {frame.dtype}"
-            )
-        n = self.cfg.window_len
-        _unit_float(frame, out=self._frame_ring[self.frames_seen % n]
-                    .reshape(self.height, self.width))
-        self.frames_seen += 1
-        if self.frames_seen < n:
+        """Absorb one uint8 (H, W) frame; returns a Detection once warmed up."""
+        values = self.update(frame)
+        if values is None:
             return None
-        power = _band_power_sums(self._rows, self._frame_ring, self.k_star)
-        pos = (self.frames_seen - n) % self._stat_len
-        slot = self._power_ring[pos]  # the oldest power, then the scratch
-        np.subtract(power, slot, out=slot)
-        self._sums += slot
-        slot[...] = power
-        if pos == self._stat_len - 1:
-            np.sum(self._power_ring, axis=0, out=self._sums)
-        if self.frames_seen < self.warmup:
-            return None
-        values = _energy_ratio(*self._sums, self._stat_len)
-        values = values.reshape(self.height, self.width)
         return _decode(values, self._grid,
                        *_vote_or_search(values, self._grid), self.cfg)
 

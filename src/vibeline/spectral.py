@@ -3,13 +3,15 @@
 The transform never calls an FFT: every window is correlated with an
 explicit matrix of cosine / negative-sine rows (one pair per bin
 k < N//2, see SpectralBasis), so the tests' oracles can redo the arithmetic.
-Batch and stream energy maps share one kernel, _band_power_sums, which
-correlates the raw frames with the non-DC pairs alone (detection reads
-only non-DC power); the STFT uses every row.  No temporal mean is
-removed: the non-DC rows cancel a constant up to rounding dust, which
-the energy ratio zeroes (see RATIO_EPS); batch maps convert, correlate
-and score exactly the pixels that move, copied out unless all move, so a
-static pixel is 0 at any offset, and reject non-finite samples.
+Batch maps and the stream's trailing map (TrailingEnergy, which
+pipeline.StreamState extends) are built here alone, by one kernel,
+_band_power_sums, which correlates the raw frames with the non-DC pairs
+only (detection reads only non-DC power); the STFT uses every row.  No
+temporal mean is removed: the non-DC rows cancel a constant up to
+rounding dust, which the energy ratio zeroes (see RATIO_EPS); batch maps
+convert, correlate and score exactly the pixels that move, copied out
+unless all move, so a static pixel is 0 at any offset, and reject
+non-finite samples.
 
 Trig values go through core's snap, so a phase that is an exact quarter
 turn gives exactly -1, 0 or 1; floating-point pi makes np.cos(pi/2) a
@@ -289,3 +291,71 @@ def _energy_ratio(num: np.ndarray, den: np.ndarray, m: int) -> np.ndarray:
     values *= scored
     np.clip(values, 0.0, 1.0, out=values)
     return values
+
+
+class TrailingEnergy:
+    """band_energy_from_frames of the trailing `warmup` frames at hop 1, up
+    to rounding, updated one uint8 frame at a time.
+
+    Each update runs _band_power_sums on the N-frame ring as one window,
+    with no recurrence to drift.  The ring holds frames in write order, a
+    circular shift of the window, and running sums of the last
+    warmup - N + 1 window powers are updated in place and re-summed from
+    their ring once per turn.  The frame ring, the power ring and the sums
+    are views of one block.  warmup must be an integer >= window_len; the
+    caller checks it (pipeline.StreamState).
+    """
+
+    def __init__(self, height: int, width: int, fps: float, target_freq: float,
+                 window_len: int, warmup: int):
+        self.height = int(height)
+        self.width = int(width)
+        self.warmup = int(warmup)
+        self.frames_seen = 0
+        npix = self.height * self.width
+        self.k_star = nearest_band(window_len, fps, target_freq)
+        self._rows = dft_basis(window_len).rows
+        self._stat_len = window_count(self.warmup, window_len, 1)
+        # one block, 47.5 MB at 328x335: past glibc's 32 MB mmap ceiling, so
+        # it is mapped and handed back whole rather than kept on the heap
+        sizes = (window_len * npix, self._stat_len * 2 * npix, 2 * npix)
+        try:
+            block = np.zeros(sum(sizes), dtype=np.float64)
+        except (MemoryError, ValueError):  # ValueError: past numpy's size limit
+            raise ValidationError(
+                f"warmup {self.warmup} needs a {8 * sum(sizes)}-byte ring "
+                "block, which could not be allocated") from None
+        frames, powers, sums = np.split(block, np.cumsum(sizes[:-1]))
+        self._frame_ring = frames.reshape(window_len, npix)
+        self._power_ring = powers.reshape(self._stat_len, 2, npix)
+        self._sums = sums.reshape(2, npix)  # num, den
+
+    def update(self, frame: np.ndarray):
+        """Absorb one uint8 (H, W) frame; returns the (H, W) map of the
+        trailing `warmup` frames once that many have arrived, else None.
+        The ring slot of the oldest window power takes power - oldest,
+        which the sums add, then power itself: no (2, H*W) temporary."""
+        frame = np.asarray(frame)
+        if frame.shape != (self.height, self.width):
+            raise ValidationError(f"frame shape {frame.shape} does not match "
+                                  f"stream {(self.height, self.width)}")
+        if frame.dtype != np.uint8:
+            raise ValidationError(f"stream frames must be uint8, got {frame.dtype}")
+        n = len(self._frame_ring)
+        _unit_float(frame, out=self._frame_ring[self.frames_seen % n]
+                    .reshape(self.height, self.width))
+        self.frames_seen += 1
+        if self.frames_seen < n:
+            return None
+        power = _band_power_sums(self._rows, self._frame_ring, self.k_star)
+        pos = (self.frames_seen - n) % self._stat_len
+        slot = self._power_ring[pos]  # the oldest power, then the scratch
+        np.subtract(power, slot, out=slot)
+        self._sums += slot
+        slot[...] = power
+        if pos == self._stat_len - 1:
+            np.sum(self._power_ring, axis=0, out=self._sums)
+        if self.frames_seen < self.warmup:
+            return None
+        return (_energy_ratio(*self._sums, self._stat_len)
+                .reshape(self.height, self.width))

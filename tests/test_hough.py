@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -461,7 +462,7 @@ _SPARSE[-48:] = np.linspace(0.5, 4.0, 48)  # 12% non-zero: the fine floor is 0
     (_SPARSE, [float(_SPARSE[380]), 0.0]),
 ], ids=["plateau", "top_tie", "mid_tie", "zero_fine_floor"])
 def test_peak_keeps_its_bits_with_equal_zero_and_empty_levels(flat, floors):
-    from vibeline.hough import _excess, _levels, _peak
+    from vibeline.hough import _levels, _peak, _voters
 
     grid = HoughGrid(20, 20)
     rng = np.random.default_rng(9)
@@ -469,7 +470,7 @@ def test_peak_keeps_its_bits_with_equal_zero_and_empty_levels(flat, floors):
     image = hough_transform(feat, grid)
     assert _level_bounds_hold(feat, grid, image) == floors
     if floors[0] == flat.max():  # no pixel lies above the coarse floor
-        assert _excess(grid, feat.ravel(), floors[0])[2].size == 0
+        assert _voters(grid, feat.ravel(), floors[0])[2].size == 0
         assert _levels(grid, feat.ravel())[0][1].size == 0
     ti, ri, peak = _peak(feat, grid)
     assert (ti, ri) == divmod(int(np.argmax(image)), grid.rho_bins)
@@ -497,12 +498,13 @@ def _peak_and_exact_rows(feat, grid):
 def _one_floor_rows(feat, grid, peak):
     """The rows a single 90th-percentile floor leaves above the peak: those
     a search without a finer floor votes exactly."""
-    from vibeline.hough import _cell_counts, _excess, _row_bounds, _vote
+    from vibeline.hough import _cell_counts, _row_bounds, _vote, _voters
 
     weights = feat.ravel()
     k = int(weights.size * 0.9)
     floor = float(np.partition(weights, k)[k])
-    vote = _vote(grid, *_excess(grid, weights, floor))
+    xs, ys, above = _voters(grid, weights, floor)
+    vote = _vote(grid, xs, ys, above - floor)
     bound = _row_bounds(floor, vote, _cell_counts(grid), grid)
     return int(np.count_nonzero(bound >= peak))
 
@@ -701,6 +703,35 @@ def test_line_from_cell_rejects_out_of_range():
         line_from_cell(grid, grid.theta_bins, 0)
     with pytest.raises(ValidationError):
         line_from_cell(grid, 0, -1)
+
+
+@pytest.mark.parametrize("cell", [(1.5, 10), (10, 10.0), (True, 10), (3, False)],
+                         ids=["fraction", "integral_float", "bool", "bool_rho"])
+def test_line_from_cell_rejects_an_index_that_is_not_an_integer(cell):
+    # (1.5, 10) once decoded to (1.5, -19.0), and True passed as index 1
+    grid = HoughGrid(20, 20)
+    with pytest.raises(ValidationError,
+                       match=rf"^cell \({cell[0]}, {cell[1]}\) is not a cell "
+                             rf"of grid \(180, 59\)"):
+        line_from_cell(grid, *cell)
+
+
+def test_inverse_accumulate_names_a_non_integer_cell():
+    # numpy's untyped IndexError used to escape from the raster step
+    with pytest.raises(ValidationError, match=r"^cell \(1\.5, 10\)"):
+        inverse_hough_accumulate([(1.5, 10, 1.0)], HoughGrid(20, 20))
+
+
+def test_line_from_cell_takes_numpy_integer_indices():
+    # numpy integers pass, as Python ints: a uint8 rho index below the
+    # offset once wrapped around (rho 249.0 for -7.0)
+    grid = HoughGrid(20, 20)
+    got = line_from_cell(grid, np.int64(30), np.intp(grid.rho_offset + 7))
+    assert got == line_from_cell(grid, 30, grid.rho_offset + 7) == (30.0, 7.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = line_from_cell(grid, np.uint8(30), np.uint8(grid.rho_offset - 7))
+    assert got == (30.0, -7.0)
 
 
 # --------------------------------------------------------------------------

@@ -39,8 +39,8 @@ from vibeline import (
     tip_along_line,
     tip_from_hough,
 )
-from vibeline.pipeline import _percentile95, detect_with_timing
-from vibeline.spectral import _energy_ratio
+from vibeline.core import _snapped_cos_sin
+from vibeline.pipeline import _clip_line, _percentile95, detect_with_timing
 
 CFG3 = DetectConfig(vib_freq=3.0)
 
@@ -92,7 +92,8 @@ def test_all_zero_frames_give_flagged_empty_detection():
 
 def test_constant_frames_score_zero_in_batch_and_stream():
     # a static pixel's non-DC power is rounding dust (<= ~1.3e-30 in
-    # batch and stream alike), which must not vote a shaft
+    # batch and stream alike), which must not vote a shaft; test_spectral
+    # checks the stream's map itself
     frames = np.full((30, 64, 64), 102, dtype=np.uint8)
     values, _ = band_energy_from_frames(frames / 255.0, 30.0, 2.5)
     assert not values.any()
@@ -100,7 +101,6 @@ def test_constant_frames_score_zero_in_batch_and_stream():
     state = StreamState(64, 64, 30.0)
     for frame in frames:
         stream = state.push(frame)
-    assert not _energy_ratio(*state._sums, state._stat_len).any()
     empty = Detection(theta=0.0, rho=0.0, tip_x=None, tip_y=None,
                       confidence=0.0, low_confidence_flag=True)
     assert batch == empty and stream == empty
@@ -413,6 +413,65 @@ def test_tip_along_line_rejects_line_outside_image():
         tip_along_line(np.ones((32, 32)), 45.0, -100.0, cfg)
 
 
+def _clip_line_loop(theta, rho, h, w):
+    """_clip_line as it stood with a clipping loop of its own: the oracle."""
+    rad = np.deg2rad(np.array([theta], dtype=np.float64))
+    cos_t, sin_t = _snapped_cos_sin(rad)
+    c, s = float(cos_t[0]), float(sin_t[0])
+    base = np.array([rho * c, rho * s])
+    d = np.array([-s, c])
+    t0, t1 = -math.inf, math.inf
+    for axis, hi in ((0, w - 1.0), (1, h - 1.0)):
+        if d[axis] == 0.0:
+            if not (0.0 <= base[axis] <= hi):
+                raise GeometryError(
+                    f"line (theta={theta}, rho={rho}) misses the image")
+            continue
+        ta = (0.0 - base[axis]) / d[axis]
+        tb = (hi - base[axis]) / d[axis]
+        lo, hi_t = (ta, tb) if ta <= tb else (tb, ta)
+        t0 = max(t0, lo)
+        t1 = min(t1, hi_t)
+    if not (t0 <= t1) or math.isinf(t0) or math.isinf(t1):
+        raise GeometryError(f"line (theta={theta}, rho={rho}) misses the image")
+    return base, d, t0, t1
+
+
+# (theta, rho, h, w): theta on the 1-degree grid or anywhere in [0, 180),
+# rho across the image and beyond it, and axis-aligned lines on a border,
+# a rounding step either side of it, and half a pixel off it
+@st.composite
+def _lines_to_clip(draw):
+    h, w = draw(st.integers(16, 400)), draw(st.integers(16, 400))
+    if draw(st.booleans()):
+        theta = draw(st.sampled_from([0.0, 90.0]))
+        edge = draw(st.sampled_from([0.0, (w if theta == 0.0 else h) - 1.0]))
+        rho = draw(st.sampled_from([
+            edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf),
+            edge - 0.5, edge + 0.5]))
+        return theta, rho, h, w
+    theta = draw(st.integers(0, 179).map(float)
+                 | st.floats(0.0, 180.0, exclude_max=True))
+    diag = math.hypot(h, w)
+    return theta, draw(st.floats(-1.5 * diag, 1.5 * diag)), h, w
+
+
+def _clipped_or_raised(clip, theta, rho, h, w):
+    try:
+        base, d, t0, t1 = clip(theta, rho, h, w)
+    except GeometryError as err:
+        return "raised", str(err)
+    return "clipped", (base.tobytes(), d.tobytes(), np.float64(t0).tobytes(),
+                       np.float64(t1).tobytes())
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_lines_to_clip())
+def test_clip_line_matches_its_per_axis_loop_bit_for_bit(line):
+    assert _clipped_or_raised(_clip_line, *line) == \
+        _clipped_or_raised(_clip_line_loop, *line)
+
+
 # --------------------------------------------------------------------------
 # Streaming
 # --------------------------------------------------------------------------
@@ -704,22 +763,6 @@ def test_every_noisy_fullsize_emission_decodes_as_the_full_vote(amplitude):
         assert got.confidence == want.confidence
         assert got.confidence == pytest.approx(
             peak / (float(image.mean()) + CONFIDENCE_EPS), rel=1e-12, abs=0)
-
-
-def test_stream_rings_share_one_block_and_resum_in_place():
-    seq, _ = small_phantom(seed=17)
-    state = StreamState(seq.height, seq.width, seq.fps, CFG3)
-    rings = (state._frame_ring, state._power_ring, state._sums)
-    base = rings[0].base
-    assert base is not None and all(a.base is base for a in rings)
-    assert sum(a.nbytes for a in rings) == base.nbytes
-    # 30 frames end the first turn of the 21-window power ring
-    for frame in seq.frames:
-        state.push(frame)
-    assert all(a.base is base for a in (state._frame_ring, state._power_ring,
-                                        state._sums))
-    want = state._power_ring.sum(axis=0)
-    assert np.array_equal(state._sums.view(np.uint64), want.view(np.uint64))
 
 
 # --------------------------------------------------------------------------

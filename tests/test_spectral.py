@@ -28,7 +28,7 @@ from vibeline import (
 from vibeline import spectral
 from vibeline.core import _snapped_cos_sin, _unit_float
 from vibeline.phantom import needle_geometry, synth_sequence
-from vibeline.spectral import RATIO_EPS, _energy_ratio
+from vibeline.spectral import RATIO_EPS, TrailingEnergy, _energy_ratio
 
 from helpers import small_vibrating_spec
 
@@ -709,6 +709,75 @@ def test_vibrating_segment_dominates_energy_map():
     on_segment = (perp <= 1.0) & (along >= 0) & (along <= spec.needle_length)
     far = perp >= 5.0 * spec.motion_sigma
     assert np.median(values[on_segment]) > 5.0 * np.median(values[far])
+
+
+# --------------------------------------------------------------------------
+# The trailing map a stream scores
+# --------------------------------------------------------------------------
+
+def test_trailing_energy_rings_share_one_block_and_resum_in_place():
+    stream = TrailingEnergy(24, 24, 30.0, 3.0, 10, 30)
+    rings = (stream._frame_ring, stream._power_ring, stream._sums)
+    base = rings[0].base
+    assert base is not None and all(a.base is base for a in rings)
+    assert sum(a.nbytes for a in rings) == base.nbytes
+    # 51 noisy frames end the second turn of the 21-window power ring: the
+    # running sums, a subtraction per frame since the first turn, differ
+    # from the ring's sum in the last bits until the turn re-sums them
+    frames = np.random.default_rng(17).integers(0, 256, (51, 24, 24),
+                                                dtype=np.uint8)
+    for frame in frames:
+        stream.update(frame)
+    assert all(a.base is base for a in (stream._frame_ring,
+                                        stream._power_ring, stream._sums))
+    want = stream._power_ring.sum(axis=0)
+    assert np.array_equal(stream._sums.view(np.uint64), want.view(np.uint64))
+
+
+def test_constant_frames_score_zero_in_the_trailing_map():
+    # a static pixel's non-DC power is rounding dust (<= ~1.3e-30), which
+    # the ratio zeroes in the ring's sums as batch zeroes the pixel
+    stream = TrailingEnergy(64, 64, 30.0, 2.5, 10, 30)
+    frame = np.full((64, 64), 102, dtype=np.uint8)
+    maps = [stream.update(frame) for _ in range(30)]
+    assert maps[:-1] == [None] * 29
+    assert maps[-1].shape == (64, 64) and not maps[-1].any()
+
+
+# uint8 streams of warmup to 3 warmups of frames: a quarter of the pixels
+# still throughout, a quarter moving throughout, the rest frozen at a random
+# frame, each freeze a step of 128 levels from the last moving sample
+@st.composite
+def _trailing_streams(draw):
+    window_len = draw(st.integers(4, 12))
+    warmup = draw(st.integers(window_len, 3 * window_len))
+    total = draw(st.integers(warmup, 3 * warmup))
+    h, w = draw(st.integers(16, 20)), draw(st.integers(16, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = rng.integers(0, 256, (total, h, w), dtype=np.uint8)
+    stop = np.select([rng.uniform(size=(h, w)) < p for p in (0.25, 0.5)],
+                     [0, total], rng.integers(1, total + 1, (h, w)))
+    last = np.take_along_axis(frames, np.maximum(stop - 1, 0)[None], 0)[0]
+    frozen = np.where(stop > 0, last + np.uint8(128), frames[0])
+    t = np.arange(total)[:, None, None]
+    return np.where(t >= stop, frozen, frames), window_len, warmup
+
+
+@settings(max_examples=100, deadline=None)
+@given(_trailing_streams())
+def test_each_trailing_map_is_batchs_map_of_the_same_frames(case):
+    frames, window_len, warmup = case
+    _, h, w = frames.shape
+    stream = TrailingEnergy(h, w, 30.0, 2.5, window_len, warmup)
+    for t, frame in enumerate(frames, 1):
+        got = stream.update(frame)
+        if t < warmup:
+            assert got is None
+            continue
+        trailing = frames[t - warmup: t]
+        want, _ = band_energy_from_frames(trailing, 30.0, 2.5, window_len)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+        assert not got[(trailing == trailing[0]).all(axis=0)].any()
 
 
 # --------------------------------------------------------------------------
