@@ -200,20 +200,25 @@ def _row_bins(grid: HoughGrid, ti: int) -> np.ndarray:
     return bins
 
 
+def _finite_map(values, shape: tuple, kind: str, bad_text: str) -> np.ndarray:
+    """values as float64 if it has the given shape (else an error naming
+    kind) and no NaN or inf cell (else bad_text.format(their count))."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape != shape:
+        raise ValidationError(
+            f"{kind} shape {arr.shape} does not match grid {shape}")
+    bad = arr.size - np.count_nonzero(np.isfinite(arr))
+    if bad:
+        raise ValidationError(bad_text.format(bad))
+    return arr
+
+
 def _checked_feature(feature, grid: HoughGrid) -> np.ndarray:
     """The feature as float64 once it has the grid's image shape and no
     NaN or inf pixel, which would spread NaN over the whole image."""
-    feat = np.asarray(feature, dtype=np.float64)
-    if feat.shape != (grid.image_h, grid.image_w):
-        raise ValidationError(
-            f"feature shape {feat.shape} does not match grid "
-            f"{(grid.image_h, grid.image_w)}"
-        )
-    bad = feat.size - np.count_nonzero(np.isfinite(feat))
-    if bad:
-        raise ValidationError(f"energy map has {bad} non-finite value(s); "
-                              "frames must be finite")
-    return feat
+    return _finite_map(feature, (grid.image_h, grid.image_w), "feature",
+                       "energy map has {} non-finite value(s); "
+                       "frames must be finite")
 
 
 def hough_transform(feature: np.ndarray, grid: HoughGrid) -> np.ndarray:
@@ -393,13 +398,8 @@ def render_tip_gt(grid: HoughGrid, tip_x: float, tip_y: float,
 def _decodable(channel, grid: HoughGrid, name: str) -> np.ndarray:
     """A channel as float64 once the decoders' checks pass: the grid's
     shape, finite cells (np.argmax takes a NaN first) and not all zero."""
-    chan = np.asarray(channel, dtype=np.float64)
-    if chan.shape != grid.shape():
-        raise ValidationError(
-            f"channel shape {chan.shape} does not match grid {grid.shape()}")
-    bad = chan.size - np.count_nonzero(np.isfinite(chan))
-    if bad:
-        raise ValidationError(f"{name} channel has {bad} non-finite value(s)")
+    chan = _finite_map(channel, grid.shape(), "channel",
+                       f"{name} channel has {{}} non-finite value(s)")
     if not chan.any():
         raise NoDetectionError(f"all-zero {name} channel")
     return chan

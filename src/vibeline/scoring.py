@@ -49,33 +49,25 @@ def _check_pair(pred: np.ndarray, gt: np.ndarray):
     return pred, gt
 
 
-def _cells(mask: np.ndarray, *arrays):
-    """Flat indices where mask holds (a full slice, so no gather, where it
-    holds everywhere), then each array's values there as a 1-D array."""
-    idx = slice(None) if mask.all() else np.flatnonzero(mask)
-    return (idx, *(a.reshape(-1)[idx] for a in arrays))
-
-
-def _spread(vals: np.ndarray, idx, fill: float, like: np.ndarray):
-    """A map shaped like `like` holding vals at the flat indices idx and
-    fill everywhere else."""
-    out = np.full(like.size, fill)
-    out[idx] = vals
-    return out.reshape(like.shape)
-
-
-def _by_branch(p, g, pos_fn, neg_fn):
-    """pos_fn(p, g) on the positive cells, neg_fn(p, g) on the others.
+def _branch_map(active, pred, gt, eps, pos_fn, neg_fn, fill: float):
+    """A map shaped like pred: on the active cells, pos_fn(p, g) where
+    Y >= POSITIVE_CUTOFF and neg_fn(p, g) elsewhere, with p the prediction
+    clamped to [eps, 1 - eps]; fill on every other cell.
 
     Gaussian truth maps hold few positive cells, so the negative branch
-    runs on every cell and the positive one only on its own cells, which
-    then overwrite theirs: the same values as evaluating both everywhere
-    and picking, without a gather of the negatives.
+    runs on every active cell and the positive one only on its own cells,
+    which then overwrite theirs: the same values as evaluating both and
+    picking.  Where every cell is active a full slice replaces the gather.
     """
+    idx = slice(None) if active.all() else np.flatnonzero(active)
+    p = np.clip(pred.reshape(-1)[idx], eps, 1.0 - eps)
+    g = gt.reshape(-1)[idx]
+    vals = neg_fn(p, g)
     pos = g >= POSITIVE_CUTOFF
-    out = neg_fn(p, g)
-    out[pos] = pos_fn(p[pos], g[pos])
-    return out
+    vals[pos] = pos_fn(p[pos], g[pos])
+    out = np.full(pred.size, fill)
+    out[idx] = vals
+    return out.reshape(pred.shape)
 
 
 def focal_loss(pred, gt, params: LossParams = LossParams()) -> float:
@@ -85,9 +77,10 @@ def focal_loss(pred, gt, params: LossParams = LossParams()) -> float:
     All other cells:          -(1 - Y)^beta * Yh^alpha * log(1 - Yh)
     with Yh first clamped to [clamp_eps, 1 - clamp_eps].
 
-    A background cell (Y = 0, Yh clamped up to clamp_eps) has the same
-    term as every other, so that term is evaluated once; the terms are
-    then summed over the full map in row-major order.
+    A cell whose 1 - Y rounds to 1.0 and whose Yh clamps up to clamp_eps
+    has the term of a background cell (Y = 0) bit for bit, so that term is
+    evaluated once; the terms are then summed over the full map in
+    row-major order.
     """
     pred, gt = _check_pair(pred, gt)
     eps, a, b = params.clamp_eps, params.alpha, params.beta
@@ -98,10 +91,10 @@ def focal_loss(pred, gt, params: LossParams = LossParams()) -> float:
     def neg_term(p, g):
         return (1.0 - g) ** b * p ** a * np.log1p(-p)
 
-    idx, p, g = _cells((gt != 0.0) | (pred > eps), pred, gt)
-    vals = _by_branch(np.clip(p, eps, 1.0 - eps), g, pos_term, neg_term)
     background = neg_term(np.full(1, eps), np.zeros(1))[0]
-    return float(-_spread(vals, idx, background, pred).sum() / pred.size)
+    terms = _branch_map((1.0 - gt != 1.0) | (pred > eps), pred, gt, eps,
+                        pos_term, neg_term, background)
+    return float(-terms.sum() / pred.size)
 
 
 def focal_loss_grad(pred, gt, params: LossParams = LossParams()) -> np.ndarray:
@@ -111,24 +104,23 @@ def focal_loss_grad(pred, gt, params: LossParams = LossParams()) -> np.ndarray:
     clipped get exactly zero gradient; only the others are evaluated.
     """
     pred, gt = _check_pair(pred, gt)
-    eps, a, b = params.clamp_eps, params.alpha, params.beta
+    eps, a, b, n = params.clamp_eps, params.alpha, params.beta, pred.size
 
     def grad_pos(p, g):
         # d/dp of the positive branch term (1-p)^a log p, negated and averaged
         one_m_p = 1.0 - p
-        return a * one_m_p ** (a - 1.0) * np.log(p) - one_m_p ** a / p
+        return (a * one_m_p ** (a - 1.0) * np.log(p) - one_m_p ** a / p) / n
 
     def grad_neg(p, g):
         # d/dp of the soft-negative branch term (1-Y)^b p^a log(1-p)
         one_m_p = 1.0 - p
         return -((1.0 - g) ** b) * (
             a * p ** (a - 1.0) * np.log1p(-p) - p ** a / one_m_p
-        )
+        ) / n
 
-    idx, p, g = _cells((pred >= eps) & (pred <= 1.0 - eps), pred, gt)
-    vals = _by_branch(p, g, grad_pos, grad_neg)
-    vals /= pred.size
-    return _spread(vals, idx, 0.0, pred)
+    # an unclamped cell's clip is a no-op
+    return _branch_map((pred >= eps) & (pred <= 1.0 - eps), pred, gt, eps,
+                       grad_pos, grad_neg, 0.0)
 
 
 def hybrid_loss(pred_map, gt_map, params: LossParams = LossParams()) -> float:

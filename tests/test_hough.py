@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -1039,6 +1040,26 @@ def test_decoders_reject_a_non_finite_channel(decode, bad):
             decode(chan, grid)
         with pytest.raises(ValidationError, match=rf"has {chan.size} non-finite"):
             decode(np.full(grid.shape(), bad), grid)
+
+
+_IMAGE_SHORT = "feature shape (24, 30) does not match grid (24, 31)"
+_CELLS_SHORT = "channel shape (180, 80) does not match grid (180, 81)"
+
+
+@pytest.mark.parametrize("call, shape, text", [
+    ("hough_transform", (24, 30), _IMAGE_SHORT),
+    ("_peak", (24, 30), _IMAGE_SHORT),
+    ("shaft_from_hough", (180, 80), _CELLS_SHORT),
+    ("tip_from_hough", (180, 80), _CELLS_SHORT),
+])
+def test_a_map_of_the_wrong_shape_is_named_with_the_grid_shape(call, shape,
+                                                               text):
+    # one column short of the 24x31 image, or of its 180x81 cells
+    from vibeline import hough
+
+    grid = small_grid()
+    with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+        getattr(hough, call)(np.ones(shape), grid)
 
 
 def test_tip_from_hough_validation():

@@ -167,11 +167,14 @@ def _dense_grad(pred, gt, params):
 
 
 def _special_values(eps):
-    """Exact 0 and 1, the clamp bounds and both sides of them, and the
-    positive cutoff."""
+    """Exact 0 and 1, the clamp bounds and both sides of them, the positive
+    cutoff, and both sides of the least Y whose 1 - Y rounds below 1.0
+    (the next double above 2**-54)."""
     return [0.0, 1.0, eps, eps / 2.0, np.nextafter(eps, 0.0),
             np.nextafter(eps, 1.0), 1.0 - eps, np.nextafter(1.0 - eps, 1.0),
-            5e-324, 1e-300, POSITIVE_CUTOFF, np.nextafter(POSITIVE_CUTOFF, 0.0)]
+            5e-324, 1e-300, 2.0 ** -55, 2.0 ** -54,
+            np.nextafter(2.0 ** -54, 1.0), 2.0 ** -53,
+            POSITIVE_CUTOFF, np.nextafter(POSITIVE_CUTOFF, 0.0)]
 
 
 @st.composite
@@ -212,6 +215,17 @@ def test_loss_and_gradient_equal_the_dense_formulas_bit_for_bit(case):
     assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
     assert got_grad.shape == want_grad.shape
     assert got_grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("y", [2.0 ** -55, 2.0 ** -54,
+                               np.nextafter(2.0 ** -54, 1.0), 2.0 ** -53])
+def test_one_cell_at_the_edge_where_one_minus_y_rounds_to_one(y):
+    # a one-cell map, so no sum rounds a last-bit difference away: past
+    # the edge (1 - Y)^beta < 1.0 and the term leaves the background's
+    pred, gt, zero = np.array([[1e-7]]), np.array([[y]]), np.zeros((1, 1))
+    got = focal_loss(pred, gt)
+    assert got == _dense_loss(pred, gt, LossParams())
+    assert (got != focal_loss(pred, zero)) == (1.0 - y != 1.0)
 
 
 @pytest.mark.parametrize("sigma", [2.0, 40.0])
