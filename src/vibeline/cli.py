@@ -75,7 +75,8 @@ def _load_config(path) -> dict:
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise FormatError(f"config {path} must hold a JSON object")
-    known = _field_names(PhantomSpec) | _field_names(DetectConfig)
+    known = {f.name for cls in (PhantomSpec, DetectConfig)
+             for f in dataclasses.fields(cls)}
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ValidationError(
@@ -84,13 +85,9 @@ def _load_config(path) -> dict:
     return raw
 
 
-def _field_names(cls) -> set:
-    return {f.name for f in dataclasses.fields(cls)}
-
-
 def _configured(base, args, config: dict):
     """Overlay the fields of `base` from the config, then the given flags."""
-    names = _field_names(base)
+    names = {f.name for f in dataclasses.fields(base)}
     values = {k: v for k, v in config.items() if k in names}
     values.update((k, v) for k, v in vars(args).items()
                   if k in names and v is not None)
@@ -123,15 +120,12 @@ def _prepared(path) -> Path:
 
 def _detection_exit(det, cfg) -> int:
     """EXIT_OK, or EXIT_NO_DETECTION with one stderr line naming each cause
-    of a flagged record that holds, joined by '; '."""
-    if not det.low_confidence_flag:
+    of the record's flag (pipeline._flag_reasons), joined by '; '."""
+    from .pipeline import _flag_reasons
+
+    reasons = _flag_reasons(det.confidence, det.tip_x, cfg.confidence_min)
+    if not reasons:
         return EXIT_OK
-    reasons = ([f"low confidence ({det.confidence:.3g} < {cfg.confidence_min:g})"]
-               if det.confidence < cfg.confidence_min else [])
-    if det.confidence == 0.0:  # a zero Hough peak: no line was detected
-        reasons.append("no energy in the vibration band")
-    elif det.tip_x is None:
-        reasons.append("no tip along the detected line")
     print("; ".join(reasons), file=sys.stderr)
     return EXIT_NO_DETECTION
 

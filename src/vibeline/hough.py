@@ -115,13 +115,6 @@ def _rho_bin(grid: HoughGrid, cos_t, sin_t, x, y, out=None,
     return v
 
 
-def _row_vote(grid: HoughGrid, c, s, xs, ys, weights, out) -> np.ndarray:
-    """One theta row: the weights summed into the _rho_bin of (xs, ys) in
-    the order given; out holds the bins as floats."""
-    idx = _rho_bin(grid, c, s, xs, ys, out=out).astype(np.intp).ravel()
-    return np.bincount(idx, weights=weights, minlength=grid.rho_bins)
-
-
 def _above(weights: np.ndarray, floor: float) -> np.ndarray:
     """Mask of the weights above floor; at floor 0, of the non-zero ones
     (-0.0 is zero, a subnormal is not)."""
@@ -231,15 +224,15 @@ def hough_transform(feature: np.ndarray, grid: HoughGrid) -> np.ndarray:
     non-zero pixels vote, found by one mask, weights != 0 (-0.0 is zero to
     it, a subnormal is not); a skipped zero would only add 0.0.  Each theta
     row bins them with _rho_bin and adds their weights with one bincount,
-    in row-major pixel order: ~2-3 ms on a clean 328x335 map (1.2%
+    in row-major pixel order: ~2-4 ms on a clean 328x335 map (1.2%
     non-zero), ~85-105 ms on a dense one.  It votes one row per bincount:
-    _vote's blocks of 8 rows take a clean map's vote from ~2.1 to ~1.9 ms,
-    but perfbench's traced batch run checks this span against --timing's
-    hough_ms, and the tracer's fixed cost per call, a larger share of a
-    faster vote, then takes that check from ~7% to ~9% of its 10% limit;
-    past ~16k voters blocks are slower.  Detection builds this image only
-    for a clean map (pipeline._vote_or_search); --emit-hough and the tests
-    vote here.
+    blocks of _BLOCK_ROWS rows took the clean maps of the six fullsize batch
+    phantoms (seeds 1000-1005) from 3.6-3.7 to 2.7-2.9 ms (2-core VM), but
+    perfbench's traced runs, tiny (perfbench/test_smoke.py) and batch, count
+    a failure once this span's total is over 10% off --timing's hough_ms, a
+    margin the tracer's fixed cost per call eats into; past ~16k voters
+    blocks are slower.  Detection builds this image only for a clean map
+    (pipeline._vote_or_search); --emit-hough and the tests vote here.
     """
     weights = _checked_feature(feature, grid).ravel()
     return _vote(grid, *_voters(grid, weights, 0.0))
@@ -321,8 +314,10 @@ def _peak(values: np.ndarray, grid: HoughGrid):
         if lv + 1 < len(levels):
             lv += 1
             floor, fxs, fys, excess = levels[lv]
-            row = _row_vote(grid, cos_t[ti], sin_t[ti], fxs, fys, excess,
-                            rho_units[:fxs.size])
+            bins = _rho_bin(grid, cos_t[ti], sin_t[ti], fxs, fys,
+                            out=rho_units[:fxs.size])
+            row = np.bincount(bins.astype(np.intp), weights=excess,
+                              minlength=grid.rho_bins)
             bound = _row_bounds(floor, row, counts[ti], grid)
             heapq.heappush(heap, (-float(bound), ti, lv))
             continue

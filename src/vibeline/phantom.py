@@ -428,10 +428,7 @@ def synth_sequence(spec: PhantomSpec):
     ridge_reach = _RIDGE_REACH + spec.vib_amplitude
     r, c, envelope, dist = _co_motion_falloff(
         spec, ridge_reach if spec.visibility > 0 else 0.0)
-    in_reach = (dist <= ridge_reach) & (spec.visibility > 0)
-    keep = np.flatnonzero((envelope != 0) | in_reach)
-    r, c, env, ridged, dist = (r[keep], c[keep], envelope[keep],
-                               in_reach[keep], dist[keep])
+    ridged = (dist <= ridge_reach) & (spec.visibility > 0)
     xs, ys = c.astype(np.float64), r.astype(np.float64)
     flat = r * spec.width + c
     amps = np.array([spec.vib_amplitude * math.sin(
@@ -439,13 +436,13 @@ def synth_sequence(spec: PhantomSpec):
         for t in range(spec.frame_count)])
     moving = np.zeros(r.size, dtype=bool)
     for amp in {amps.min(), amps.max()}:
-        dx, dy = _displacement(amp, normal, env)
+        dx, dy = _displacement(amp, normal, envelope)
         moving |= (xs - dx != xs) | (ys - dy != ys)  # the sample point moves
     # the byte rule, on the moving or ridged pixels only
     near = np.flatnonzero(moving | ridged)
     idx = flat[near]
     peak = float(np.abs(amps).max())
-    peak_shift = peak * (abs(normal[0]) + abs(normal[1])) * env[near]
+    peak_shift = peak * (abs(normal[0]) + abs(normal[1])) * envelope[near]
     # the shifted shaft comes no closer than dist - peak
     ridge_top = spec.visibility * NEEDLE_RIDGE_PEAK * np.exp(
         -np.maximum(dist[near] - peak, 0.0) ** 2
@@ -459,7 +456,7 @@ def synth_sequence(spec: PhantomSpec):
     runs = (moving & ~ridged, moving & ridged, ridged & ~moving)
     pick = near[np.concatenate([np.flatnonzero(run) for run in runs])]
     m, k = np.count_nonzero(moving), np.count_nonzero(runs[0])
-    idx, xs, ys, env = flat[pick], xs[pick], ys[pick], env[pick]
+    idx, xs, ys, env = flat[pick], xs[pick], ys[pick], envelope[pick]
     frames = np.empty((spec.frame_count, spec.height, spec.width), dtype=np.uint8)
     frames[:] = _to_uint8(base + artifacts)
     values = np.empty((spec.frame_count, idx.size))

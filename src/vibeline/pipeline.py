@@ -141,31 +141,44 @@ def tip_along_line(energy_values: np.ndarray, theta: float, rho: float,
     return float(tip[0]), float(tip[1])
 
 
+def _flag_reasons(confidence: float, tip_x, confidence_min: float) -> list:
+    """The one low-confidence verdict: the causes of a flag, in the order the
+    exit-3 line names them; [] unless the confidence is below confidence_min
+    or there is no tip."""
+    reasons = ([f"low confidence ({confidence:.3g} < {confidence_min:g})"]
+               if confidence < confidence_min else [])
+    # a flagged zero confidence is a zero Hough peak: no line was detected
+    if confidence == 0.0 and (reasons or tip_x is None):
+        reasons.append("no energy in the vibration band")
+    elif tip_x is None:
+        reasons.append("no tip along the detected line")
+    return reasons
+
+
 def _decode(values: np.ndarray, grid: HoughGrid, image, cell,
             cfg: DetectConfig) -> Detection:
     """Decode step of batch and stream detection: shaft, tip, confidence.
 
     image and cell are _vote_or_search's pair: the peak is image.max() or
-    cell[2], and the shaft is read only when the peak is > 0.  The mean
-    Hough cell is the map's mass / rho_bins, as every pixel votes once
-    per theta row.
+    cell[2].  A peak > 0 gives the shaft and the confidence, peak / the mean
+    Hough cell (the map's mass / rho_bins, as every pixel votes once per
+    theta row); else both are 0, with no tip.  _flag_reasons sets the flag.
     """
     peak = float(image.max()) if cell is None else cell[2]
-    if peak <= 0.0:
-        return Detection(theta=0.0, rho=0.0, tip_x=None, tip_y=None,
-                         confidence=0.0, low_confidence_flag=True)
-    mean = float(values.sum()) / grid.rho_bins
-    confidence = peak / (mean + CONFIDENCE_EPS)
-    flagged = confidence < cfg.confidence_min
-    theta, rho = (shaft_from_hough(image, grid) if cell is None
-                  else line_from_cell(grid, *cell[:2]))
-    try:
-        tip_x, tip_y = tip_along_line(values, theta, rho, cfg)
-    except (NoTipError, GeometryError):
-        tip_x = tip_y = None
-        flagged = True
+    theta = rho = confidence = 0.0
+    tip_x = tip_y = None
+    if peak > 0.0:
+        mean = float(values.sum()) / grid.rho_bins
+        confidence = peak / (mean + CONFIDENCE_EPS)
+        theta, rho = (shaft_from_hough(image, grid) if cell is None
+                      else line_from_cell(grid, *cell[:2]))
+        try:
+            tip_x, tip_y = tip_along_line(values, theta, rho, cfg)
+        except (NoTipError, GeometryError):
+            pass
+    flagged = bool(_flag_reasons(confidence, tip_x, cfg.confidence_min))
     return Detection(theta=theta, rho=rho, tip_x=tip_x, tip_y=tip_y,
-                     confidence=confidence, low_confidence_flag=bool(flagged))
+                     confidence=confidence, low_confidence_flag=flagged)
 
 
 def _vote_or_search(values: np.ndarray, grid: HoughGrid):

@@ -15,7 +15,8 @@ import sys
 import numpy as np
 import pytest
 
-from vibeline import (DetectConfig, HoughGrid, UsSequence, ValidationError,
+from vibeline import (DetectConfig, Detection, HoughGrid, UsSequence,
+                      ValidationError,
                       band_energy_from_frames, hough_transform,
                       load_ground_truth, load_sequence, read_vibmap,
                       render_tip_gt, save_sequence)
@@ -255,6 +256,42 @@ def test_detect_vibration_off_exits_3_but_writes_record(tmp_path):
     confidence, threshold = re.match(
         r"low confidence \((\S+) < (\S+)\)", line).groups()
     assert float(confidence) < float(threshold) == 12.0
+
+
+# records as pipeline._decode makes them: (theta, rho, tip, confidence,
+# flag), the confidence_min they were decoded at, then the exit code and
+# the exact stderr
+_VERDICTS = {
+    "unflagged": ((30.0, 140.0, (80.5, 120.5), 190.0, False), 12.0, 0, ""),
+    "below the threshold": ((30.0, 140.0, (80.5, 120.5), 7.28, True), 12.0,
+                            3, "low confidence (7.28 < 12)\n"),
+    "no tip": ((30.0, 140.0, None, 190.0, True), 12.0, 3,
+               "no tip along the detected line\n"),
+    "both": ((30.0, 140.0, None, 7.28, True), 12.0, 3,
+             "low confidence (7.28 < 12); no tip along the detected line\n"),
+    "zero peak": ((0.0, 0.0, None, 0.0, True), 12.0, 3,
+                  "low confidence (0 < 12); no energy in the vibration band\n"),
+    "zero peak at min 0": ((0.0, 0.0, None, 0.0, True), 0.0, 3,
+                           "no energy in the vibration band\n"),
+    "zero peak at min -1": ((0.0, 0.0, None, 0.0, True), -1.0, 3,
+                            "no energy in the vibration band\n"),
+    # a confidence that underflows to 0 on a line with a tip
+    "zero confidence with a tip at min 0": (
+        (30.0, 140.0, (80.5, 120.5), 0.0, False), 0.0, 0, ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VERDICTS))
+def test_detection_exit_names_each_cause_of_the_flag(case, capsys):
+    from vibeline import cli
+
+    (theta, rho, tip, confidence, flag), minimum, code, err = _VERDICTS[case]
+    tip_x, tip_y = tip or (None, None)
+    det = Detection(theta=theta, rho=rho, tip_x=tip_x, tip_y=tip_y,
+                    confidence=confidence, low_confidence_flag=flag)
+    cfg = DetectConfig(confidence_min=minimum)
+    assert cli._detection_exit(det, cfg) == code
+    assert capsys.readouterr().err == err
 
 
 # --------------------------------------------------------------------------

@@ -765,6 +765,37 @@ def test_every_noisy_fullsize_emission_decodes_as_the_full_vote(amplitude):
             peak / (float(image.mean()) + CONFIDENCE_EPS), rel=1e-12, abs=0)
 
 
+def _flagged_by_the_rule(det, cfg):
+    # a detection is flagged exactly when its confidence is below the
+    # threshold or it has no tip
+    return det.confidence < cfg.confidence_min or det.tip_x is None
+
+
+@pytest.mark.parametrize("scene, flagged", [
+    ("clean", False), ("vibration off", True), ("noisy", True)])
+def test_a_fullsize_batch_flag_follows_confidence_and_tip(scene, flagged):
+    spec = replace(preset("fullsize"), seed=1000)
+    if scene == "vibration off":
+        spec = replace(spec, vib_amplitude=0.0)
+    seq, _ = synth_sequence(spec)
+    frames = _noisy(seq.frames, seed=1000) if scene == "noisy" else seq.frames
+    cfg = DetectConfig()
+    det, _ = detect_frames(frames, seq.fps, cfg)
+    assert det.low_confidence_flag == _flagged_by_the_rule(det, cfg) == flagged
+
+
+def test_every_noisy_stream_emission_flag_follows_confidence_and_tip():
+    spec = replace(preset("fullsize"), seed=1000,
+                   frame_count=DEFAULT_WARMUP + 5)
+    seq, _ = synth_sequence(spec)
+    state = StreamState(seq.height, seq.width, seq.fps)
+    emitted = [det for det in map(state.push, _noisy(seq.frames, seed=1000))
+               if det is not None]
+    assert len(emitted) == 6
+    for det in emitted:
+        assert det.low_confidence_flag == _flagged_by_the_rule(det, state.cfg)
+
+
 # --------------------------------------------------------------------------
 # Emitted Hough channels
 # --------------------------------------------------------------------------
